@@ -10,7 +10,7 @@ connections from any divergence via finite differences.
 
 Modules
 -------
-numkit     quadrature, eigendecompositions, operator powers, stencils
+numkit     quadrature, Hermiticity checks, eigendecompositions, stencils
 classical  the cone of positive measures (Fisher metric, alpha-geodesics)
 quantum    the operator cone (power embedding, WYD metric, transport)
 recovery   metric/connection recovery from a two-point contrast function
@@ -36,11 +36,8 @@ from .numkit import (
     NumericalDomainError,
     QuadratureRule,
     SpectralDecomposition,
-    frechet_power,
     gauss_legendre_rule,
     hermitian_eig,
-    integrate,
-    matrix_power,
     mixed_partials,
 )
 from .quantum import (
@@ -85,16 +82,13 @@ __all__ = [
     "dual_canonical_divergence",
     "duality_defect",
     "fisher_metric",
-    "frechet_power",
     "furuichi_q_divergence",
     "gauss_legendre_rule",
     "geodesic_velocity",
     "hermitian_eig",
-    "integrate",
     "inverse_exponential",
     "kl_extended",
     "kl_extended_reversed",
-    "matrix_power",
     "mixed_partials",
     "quantum_alpha_divergence_closed",
     "quantum_q_divergence",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numkit import QuadratureRule, check_alpha, gauss_legendre_rule, quadrature_sum
+from .numkit import QuadratureRule, check_alpha, check_t, gauss_legendre_rule, quadrature_sum
 
 __all__ = [
     "DEFAULT_QUADRATURE_NODES",
@@ -116,13 +116,6 @@ def _interpolant(p, q, beta, t):
     return (1.0 - t) * p**beta + t * q**beta
 
 
-def _check_t(t) -> float:
-    t = float(t)
-    if not (0.0 <= t <= 1.0):
-        raise ValueError(f"curve parameter t must lie in [0, 1], got {t}")
-    return t
-
-
 def alpha_geodesic(p, q, alpha, t) -> np.ndarray:
     """Point at parameter t of the alpha-geodesic from p to q.
 
@@ -132,7 +125,7 @@ def alpha_geodesic(p, q, alpha, t) -> np.ndarray:
     """
     p, q = _measure_pair(p, q)
     alpha = check_alpha(alpha, geodesic=True)
-    t = _check_t(t)
+    t = check_t(t)
     if t == 0.0:
         return p.copy()
     if t == 1.0:
@@ -145,7 +138,7 @@ def geodesic_velocity(p, q, alpha, t) -> np.ndarray:
     """Analytic derivative d/dt of the alpha-geodesic at parameter t."""
     p, q = _measure_pair(p, q)
     alpha = check_alpha(alpha, geodesic=True)
-    t = _check_t(t)
+    t = check_t(t)
     beta = 0.5 * (1.0 - alpha)
     delta = q**beta - p**beta
     return (1.0 / beta) * _interpolant(p, q, beta, t) ** ((1.0 - beta) / beta) * delta
@@ -160,7 +153,7 @@ def geodesic_ode_residual(p, q, alpha, t) -> float:
     """
     p, q = _measure_pair(p, q)
     alpha = check_alpha(alpha, geodesic=True)
-    t = _check_t(t)
+    t = check_t(t)
     beta = 0.5 * (1.0 - alpha)
     delta = q**beta - p**beta
     m = _interpolant(p, q, beta, t)

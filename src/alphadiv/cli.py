@@ -74,20 +74,6 @@ class CaseRecord:
             "rel_error": self.rel_error,
         }
 
-    @classmethod
-    def from_dict(cls, data):
-        return cls(
-            pair=tuple(data["pair"]),
-            family=data["family"],
-            method=data["method"],
-            value=data["value"],
-            alpha=data["alpha"],
-            qparam=data["q"],
-            reference=data["reference"],
-            abs_error=data["abs_error"],
-            rel_error=data["rel_error"],
-        )
-
 
 @dataclass(frozen=True)
 class Report:
@@ -98,13 +84,6 @@ class Report:
 
     def to_dict(self):
         return {"cases": [c.to_dict() for c in self.cases], "summary": dict(self.summary)}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(
-            cases=tuple(CaseRecord.from_dict(c) for c in data["cases"]),
-            summary=dict(data["summary"]),
-        )
 
     @classmethod
     def from_cases(cls, cases, tolerance):
@@ -131,8 +110,11 @@ def _reject_duplicate_keys(pairs):
     return seen
 
 
-def load_document(path):
-    """Load and validate an input document; returns (kind, {name: object})."""
+def load_document(path, expected_kind=None):
+    """Load and validate an input document; returns (kind, {name: object}).
+
+    A given ``expected_kind`` (the ``--kind`` flag) must match the document's.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh, object_pairs_hook=_reject_duplicate_keys)
@@ -145,6 +127,8 @@ def load_document(path):
     kind = doc.get("kind")
     if kind not in ("classical", "quantum"):
         raise InputError(f"document kind must be 'classical' or 'quantum', got {kind!r}")
+    if expected_kind and expected_kind != kind:
+        raise InputError(f"--kind {expected_kind} does not match document kind {kind!r}")
     objects = doc.get("objects")
     if not isinstance(objects, dict) or not objects:
         raise InputError("document must provide a nonempty 'objects' mapping")
@@ -265,9 +249,7 @@ def _check_family_flags(args, method):
 
 
 def cmd_divergence(args):
-    kind, objects = load_document(args.input)
-    if args.kind and args.kind != kind:
-        raise InputError(f"--kind {args.kind} does not match document kind {kind!r}")
+    kind, objects = load_document(args.input, args.kind)
     default_method = "quadrature" if args.family == "canonical" else "closed"
     method = args.method or default_method
     _check_family_flags(args, method)
@@ -324,9 +306,7 @@ def cmd_verify(args):
 
 
 def cmd_recover(args):
-    kind, objects = load_document(args.input)
-    if args.kind and args.kind != kind:
-        raise InputError(f"--kind {args.kind} does not match document kind {kind!r}")
+    kind, objects = load_document(args.input, args.kind)
     if args.point not in objects:
         raise InputError(f"unknown object name {args.point!r}")
     cfg = FDConfig(step=args.step, order=4)
@@ -385,9 +365,7 @@ def cmd_recover(args):
 
 
 def cmd_sweep(args):
-    kind, objects = load_document(args.input)
-    if args.kind and args.kind != kind:
-        raise InputError(f"--kind {args.kind} does not match document kind {kind!r}")
+    kind, objects = load_document(args.input, args.kind)
     parts = args.pair.split(":")
     if len(parts) != 2 or not all(parts):
         raise InputError(f"malformed --pair {args.pair!r}; expected 'name1:name2'")

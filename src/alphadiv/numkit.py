@@ -1,8 +1,8 @@
 """Shared numerical kernels.
 
-Gauss-Legendre quadrature on [0, 1], Hermitian eigendecompositions, fractional
-operator powers, divided-difference derivatives of matrix power functions, and
-central-difference stencils for mixed partial derivatives.
+Gauss-Legendre quadrature on [0, 1], the Hermiticity and positivity checks,
+Hermitian eigendecompositions, divided-difference derivatives of matrix power
+functions, and central-difference stencils for mixed partial derivatives.
 
 Every function here is a pure function of its inputs and deterministic for
 identical inputs, so results are safe to share between threads.  Reductions
@@ -25,14 +25,13 @@ __all__ = [
     "POSITIVITY_RTOL",
     "QuadratureRule",
     "SpectralDecomposition",
+    "as_hermitian",
     "check_alpha",
+    "check_t",
     "frechet_from_decomposition",
-    "frechet_power",
     "gauss_legendre_rule",
     "hermitian_eig",
     "hermitian_part",
-    "integrate",
-    "matrix_power",
     "mixed_partials",
     "power_divided_differences",
     "quadrature_sum",
@@ -48,6 +47,8 @@ POSITIVITY_RTOL = 1e-12
 # linearization error of the confluent limit at double precision.
 DEGENERACY_RTOL = 1e-8
 
+# A matrix counts as Hermitian when ||m - m^dagger||_F is at most this
+# fraction of ||m||_F; relative, so the verdict does not depend on the scale.
 HERMITICITY_RTOL = 1e-12
 
 
@@ -89,6 +90,14 @@ def check_alpha(alpha, geodesic=False):
             "use the dedicated entropy operations for the limits"
         )
     return alpha
+
+
+def check_t(t) -> float:
+    """Validate a curve parameter t in [0, 1] and return it as a float."""
+    t = float(t)
+    if not (0.0 <= t <= 1.0):
+        raise ValueError(f"curve parameter t must lie in [0, 1], got {t}")
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -151,24 +160,34 @@ def quadrature_sum(rule: QuadratureRule, values) -> float:
     return float(rule.weights @ values)
 
 
-def integrate(f, rule: QuadratureRule) -> float:
-    """Apply the quadrature rule to f on [0, 1].
-
-    No adaptivity: refinement is the caller's job via a larger rule.  A
-    non-finite value of f raises :class:`NumericalDomainError` identifying
-    the offending node.
-    """
-    values = np.array([float(f(t)) for t in rule.nodes])
-    return quadrature_sum(rule, values)
-
-
 # ---------------------------------------------------------------------------
-# Hermitian eigendecomposition and operator powers
+# Hermitian validation and eigendecomposition
 # ---------------------------------------------------------------------------
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     """(m + m^dagger)/2."""
     return 0.5 * (m + m.conj().T)
+
+
+def as_hermitian(m) -> np.ndarray:
+    """Validate a Hermitian matrix and return its symmetrized complex copy.
+
+    The matrix must be square and finite with ||m - m^dagger||_F <=
+    HERMITICITY_RTOL * ||m||_F; the zero matrix passes.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
+    scale = float(np.linalg.norm(m))
+    defect = float(np.linalg.norm(m - m.conj().T))
+    if defect > HERMITICITY_RTOL * scale:
+        raise ValueError(
+            f"matrix is not Hermitian: ||m - m^dagger||_F = {defect:.3e} "
+            f"exceeds {HERMITICITY_RTOL:g} * ||m||_F = {HERMITICITY_RTOL * scale:.3e}"
+        )
+    return hermitian_part(m)
 
 
 @dataclass(frozen=True)
@@ -204,24 +223,11 @@ class SpectralDecomposition:
 def hermitian_eig(h) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
-    The input is validated against ||h - h^dagger||_F <= 1e-12 ||h||_F and
-    then symmetrized as (h + h^dagger)/2 before the decomposition, so the
-    reconstruction U diag(w) U^dagger reproduces the symmetrized input to
-    roundoff.
+    The input is validated and symmetrized by :func:`as_hermitian` before
+    the decomposition, so the reconstruction U diag(w) U^dagger reproduces
+    the symmetrized input to roundoff.
     """
-    h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    if not np.all(np.isfinite(h)):
-        raise ValueError("matrix entries must be finite")
-    scale = float(np.linalg.norm(h))
-    defect = float(np.linalg.norm(h - h.conj().T))
-    if defect > HERMITICITY_RTOL * scale:
-        raise ValueError(
-            f"matrix is not Hermitian: ||h - h^dagger||_F = {defect:.3e} "
-            f"exceeds {HERMITICITY_RTOL:g} * ||h||_F = {HERMITICITY_RTOL * scale:.3e}"
-        )
-    w, u = np.linalg.eigh(hermitian_part(h))
+    w, u = np.linalg.eigh(as_hermitian(h))
     return SpectralDecomposition(eigenvalues=w, eigenvectors=u)
 
 
@@ -236,21 +242,6 @@ def require_positive(spectral: SpectralDecomposition) -> SpectralDecomposition:
             smallest=smallest,
         )
     return spectral
-
-
-def matrix_power(rho, s) -> np.ndarray:
-    """Fractional power rho**s of a positive definite Hermitian matrix.
-
-    Computed as U diag(w**s) U^dagger from the spectral decomposition, so the
-    result is Hermitian by construction.  Raises
-    :class:`NotPositiveDefiniteError` if the spectrum fails the positivity
-    threshold.
-    """
-    spectral = require_positive(hermitian_eig(rho))
-    s = float(s)
-    if s == 0.0:
-        return np.eye(spectral.dim, dtype=spectral.eigenvectors.dtype)
-    return spectral.matrix_function(lambda w: w**s)
 
 
 def power_divided_differences(eigenvalues, s) -> np.ndarray:
@@ -282,21 +273,6 @@ def frechet_from_decomposition(spectral: SpectralDecomposition, s, x) -> np.ndar
     return hermitian_part(u @ (table * xt) @ u.conj().T)
 
 
-def frechet_power(rho, s, x) -> np.ndarray:
-    """Derivative of the matrix power rho**s at rho in the direction x.
-
-    ``rho`` must be positive definite and ``x`` Hermitian.
-    """
-    spectral = require_positive(hermitian_eig(rho))
-    x = np.asarray(x)
-    if x.shape != (spectral.dim, spectral.dim):
-        raise ValueError("direction must match the operator's shape")
-    defect = float(np.linalg.norm(x - x.conj().T))
-    if defect > HERMITICITY_RTOL * max(1.0, float(np.linalg.norm(x))):
-        raise ValueError("direction must be Hermitian")
-    return frechet_from_decomposition(spectral, s, hermitian_part(x))
-
-
 # ---------------------------------------------------------------------------
 # Finite-difference stencils
 # ---------------------------------------------------------------------------
@@ -319,9 +295,12 @@ class FDConfig:
         if self.order not in (2, 4):
             raise ValueError(f"stencil order must be 2 or 4, got {self.order!r}")
 
+    @property
+    def stencil(self):
+        """(offsets in steps, weights per step) of the first-derivative stencil."""
+        return _STENCILS[self.order]
 
-# offsets (in units of the step) and weights (times 1/step) of the
-# first-derivative central stencils
+
 _STENCILS = {
     2: ((1, -1), (0.5, -0.5)),
     4: ((-2, -1, 1, 2), (1.0 / 12.0, -2.0 / 3.0, 2.0 / 3.0, -1.0 / 12.0)),
@@ -347,7 +326,7 @@ def mixed_partials(f, p, q, pattern, cfg: FDConfig | None = None) -> np.ndarray:
         raise ValueError("coordinate blocks must be 1-D vectors")
     if not (1 <= len(pattern) <= 3) or any(c not in "pq" for c in pattern):
         raise ValueError(f"pattern must be 1-3 characters over 'p'/'q', got {pattern!r}")
-    offsets, coeffs = _STENCILS[cfg.order]
+    offsets, coeffs = cfg.stencil
     h = cfg.step
     shape = tuple(p.size if c == "p" else q.size for c in pattern)
     out = np.empty(shape)

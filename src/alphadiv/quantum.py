@@ -20,13 +20,14 @@ import numpy as np
 
 from . import classical
 from .numkit import (
-    HERMITICITY_RTOL,
     NotPositiveDefiniteError,
     NumericalDomainError,
     POSITIVITY_RTOL,
     QuadratureRule,
     SpectralDecomposition,
+    as_hermitian,
     check_alpha,
+    check_t,
     frechet_from_decomposition,
     hermitian_eig,
     hermitian_part,
@@ -42,7 +43,6 @@ __all__ = [
     "alpha_geodesic_q",
     "alpha_parallel_transport",
     "alpha_representation",
-    "as_hermitian",
     "as_positive",
     "canonical_divergence_numeric_q",
     "density_alpha_divergence",
@@ -77,43 +77,22 @@ def _require_real(z, context) -> float:
     return z.real
 
 
-def as_hermitian(m) -> np.ndarray:
-    """Validate a Hermitian matrix and return its symmetrized complex copy."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    defect = float(np.linalg.norm(m - m.conj().T))
-    if defect > HERMITICITY_RTOL * max(1.0, float(np.linalg.norm(m))):
-        raise ValueError(
-            f"matrix is not Hermitian: ||m - m^dagger||_F = {defect:.3e}"
-        )
-    return hermitian_part(m)
-
-
 class PositiveOperator:
     """A positive definite Hermitian operator with its cached eigensystem.
 
-    Validation happens once at construction: the matrix is symmetrized, its
-    spectrum must satisfy smallest > 1e-12 * largest, and the stored matrix
-    is frozen.  Fractional powers and logarithms always go through the cached
+    Validation happens once at construction, through
+    :func:`numkit.hermitian_eig` and :func:`numkit.require_positive`: the
+    matrix must be Hermitian relative to its Frobenius norm, its spectrum must
+    satisfy smallest > 1e-12 * largest, and the stored symmetrized matrix is
+    frozen.  Fractional powers and logarithms always go through the cached
     decomposition.
     """
 
     def __init__(self, matrix):
-        m = as_hermitian(matrix)
-        w, u = np.linalg.eigh(m)
-        smallest, largest = float(w[0]), float(w[-1])
-        if largest <= 0.0 or smallest <= POSITIVITY_RTOL * largest:
-            raise NotPositiveDefiniteError(
-                f"operator is not positive definite: smallest eigenvalue "
-                f"{smallest:.6e} (largest {largest:.6e})",
-                smallest=smallest,
-            )
+        self._spectral = require_positive(hermitian_eig(matrix))
+        m = hermitian_part(np.asarray(matrix, dtype=complex))
         m.setflags(write=False)
         self._matrix = m
-        self._spectral = SpectralDecomposition(eigenvalues=w, eigenvectors=u)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -232,9 +211,7 @@ def alpha_geodesic_q(rho1, rho2, alpha, t) -> PositiveOperator:
     """
     rho1, rho2 = _positive_pair(rho1, rho2)
     alpha = check_alpha(alpha, geodesic=True)
-    t = float(t)
-    if not (0.0 <= t <= 1.0):
-        raise ValueError(f"curve parameter t must lie in [0, 1], got {t}")
+    t = check_t(t)
     if t == 0.0:
         return rho1
     if t == 1.0:
@@ -258,9 +235,7 @@ def velocity_representations(rho1, rho2, alpha, t):
     """
     rho1, rho2 = _positive_pair(rho1, rho2)
     alpha = check_alpha(alpha)
-    t = float(t)
-    if not (0.0 <= t <= 1.0):
-        raise ValueError(f"curve parameter t must lie in [0, 1], got {t}")
+    t = check_t(t)
     beta = 0.5 * (1.0 - alpha)
     a = rho1.power(beta)
     b = rho2.power(beta)
@@ -391,28 +366,34 @@ def operator_from_chart(theta, basis, alpha) -> PositiveOperator:
 def wyd_components_theta(rho, alpha) -> np.ndarray:
     """Metric components in the flat-chart coordinates over a fixed basis.
 
-    g_ij = (2/(1-alpha)) ((1-alpha)/2)**((1+alpha)/(1-alpha))
-           * Tr(A_i L**(2 alpha/(1-alpha)) A_j)
-    with L the chart image of rho and {A_i} the orthonormal Hermitian basis.
-    The pairwise traces form a Hermitian array; the returned matrix is its
-    real symmetric part, which carries the full quadratic form.  Positive
+    g_ij is the Wigner-Yanase-Dyson pairing of the tangent vectors whose
+    (+alpha) chart images are the orthonormal Hermitian basis elements A_i.
+    In the eigenbasis of rho (eigenvalues l, A~ = U^dagger A U) that is
+
+        g_ij = sum_ab conj(A~_i)_ab (A~_j)_ab T_ab,
+        T = [D(l**(1-beta)) / (1-beta)] / [D(l**beta) / beta],
+
+    with beta = (1-alpha)/2 and D the first divided differences.  The array
+    is real in exact arithmetic (its imaginary residue is checked, not
+    discarded) and the returned matrix is its symmetric real part.  Positive
     definite for positive definite rho, and the identity matrix at rho = I.
     """
     rho = as_positive(rho)
     alpha = check_alpha(alpha)
     beta = 0.5 * (1.0 - alpha)
-    basis = hermitian_basis(rho.dim)
-    chart = hermitian_eig(alpha_embedding(rho, alpha))
-    c = (1.0 - 2.0 * beta) / beta  # 2 alpha / (1 - alpha)
-    kernel = chart.matrix_function(lambda w: w**c)
-    pref = (1.0 / beta) * beta ** ((1.0 - beta) / beta)
-    raw = np.einsum("iab,bc,jca->ij", basis, kernel, basis)
-    skew = float(np.linalg.norm(raw - raw.conj().T))
-    if skew > IMAG_RTOL * (1.0 + float(np.linalg.norm(raw))):
+    u = rho.spectral.eigenvectors
+    rotated = u.conj().T @ hermitian_basis(rho.dim) @ u
+    kernel = (beta / (1.0 - beta)) * (
+        power_divided_differences(rho.eigenvalues, 1.0 - beta)
+        / power_divided_differences(rho.eigenvalues, beta)
+    )
+    raw = np.einsum("iab,jab,ab->ij", rotated.conj(), rotated, kernel)
+    residue = float(np.linalg.norm(raw.imag))
+    if residue > IMAG_RTOL * (1.0 + float(np.linalg.norm(raw))):
         raise NumericalDomainError(
-            f"metric component array lost Hermiticity: defect {skew:.3e}"
+            f"metric component array has imaginary residue {residue:.3e}"
         )
-    return pref * hermitian_part(raw).real
+    return hermitian_part(raw).real
 
 
 # ---------------------------------------------------------------------------

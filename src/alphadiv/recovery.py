@@ -65,12 +65,14 @@ class RecoveredStructure:
     step: float
 
 
-def _metric_at(divergence, point, cfg: FDConfig) -> np.ndarray:
+def _checked_metric(divergence, point, cfg: FDConfig) -> np.ndarray:
+    """Recovered metric -d_i d'_j D at the point, checked and symmetrized.
+
+    The raw stencil metric must be symmetric within stencil accuracy and its
+    symmetric part, which is returned, positive definite above the
+    stencil-noise floor.
+    """
     g = -mixed_partials(divergence, point, point, "pq", cfg)
-    return 0.5 * (g + g.T)
-
-
-def _check_metric(g, cfg: FDConfig):
     asym = float(np.max(np.abs(g - g.T)))
     scale = max(1.0, float(np.max(np.abs(g))))
     if asym > 10.0 * cfg.step**2 * scale:
@@ -78,7 +80,8 @@ def _check_metric(g, cfg: FDConfig):
             f"recovered metric is not symmetric within stencil accuracy "
             f"(asymmetry {asym:.3e})"
         )
-    eigs = np.linalg.eigvalsh(0.5 * (g + g.T))
+    g = 0.5 * (g + g.T)
+    eigs = np.linalg.eigvalsh(g)
     floor = _METRIC_FLOOR * scale
     if eigs[0] <= floor:
         raise NotPositiveDefiniteError(
@@ -86,6 +89,7 @@ def _check_metric(g, cfg: FDConfig):
             f"{eigs[0]:.6e} is below the stencil-noise floor {floor:.1e}",
             smallest=float(eigs[0]),
         )
+    return g
 
 
 def recover_structure(
@@ -114,12 +118,11 @@ def recover_structure(
         raise ValueError(
             f"divergence must vanish on the diagonal, got D(p, p) = {at_diag!r}"
         )
-    g = -mixed_partials(divergence, point, point, "pq", cfg)
-    _check_metric(g, cfg)
+    metric = _checked_metric(divergence, point, cfg)
     gamma = -mixed_partials(divergence, point, point, "ppq", third_cfg)
     gamma_dual = -mixed_partials(divergence, point, point, "qqp", third_cfg)
     return RecoveredStructure(
-        metric=0.5 * (g + g.T),
+        metric=metric,
         christoffel=gamma,
         christoffel_dual=gamma_dual,
         point=point,
@@ -127,23 +130,17 @@ def recover_structure(
     )
 
 
-_OUTER_STENCILS = {
-    2: ((1, -1), (0.5, -0.5)),
-    4: ((-2, -1, 1, 2), (1.0 / 12.0, -2.0 / 3.0, 2.0 / 3.0, -1.0 / 12.0)),
-}
-
-
 def _metric_gradient(divergence, point, cfg: FDConfig, outer: FDConfig) -> np.ndarray:
-    """dg[k, i, j] = d_k g_ij by differencing recovered metrics at shifts."""
+    """dg[k, i, j] = d_k g_ij by differencing checked metrics at shifts."""
     n = point.size
-    offsets, coeffs = _OUTER_STENCILS[outer.order]
+    offsets, coeffs = outer.stencil
     dg = np.zeros((n, n, n))
     for k in range(n):
         acc = np.zeros((n, n))
         for off, c in zip(offsets, coeffs):
             shifted = point.copy()
             shifted[k] += off * outer.step
-            acc += c * _metric_at(divergence, shifted, cfg)
+            acc += c * _checked_metric(divergence, shifted, cfg)
         dg[k] = acc / outer.step
     return dg
 
@@ -157,7 +154,8 @@ def duality_defect(
     """Worst violation of d_k g_ij = Gamma_kij + Gamma*_kji at the point.
 
     The metric gradient comes from finite differences of recovered metrics at
-    shifted base points, so the returned number measures pure
+    shifted base points, each checked like the metric of
+    :func:`recover_structure`, so the returned number measures pure
     finite-difference noise for any smooth contrast function.
     """
     cfg = cfg if cfg is not None else _DEFAULT_CFG
@@ -169,8 +167,7 @@ def duality_defect(
 
 def _raised_christoffel(divergence, point, cfg: FDConfig, third_cfg: FDConfig):
     """Gamma^l_ij = g^{lm} Gamma_ijm at the point, with the checked metric."""
-    g = _metric_at(divergence, point, cfg)
-    _check_metric(g, cfg)
+    g = _checked_metric(divergence, point, cfg)
     gamma = -mixed_partials(divergence, point, point, "ppq", third_cfg)
     return np.einsum("lm,ijm->ijl", np.linalg.inv(g), gamma)
 

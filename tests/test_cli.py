@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from alphadiv.cli import CaseRecord, Report, load_document, main
+from alphadiv.cli import load_document, main
 
 
 @pytest.fixture
@@ -288,26 +288,5 @@ class TestSweepCommand:
 
 
 class TestReportRoundTrip:
-    def test_case_record_round_trip(self):
-        record = CaseRecord(
-            pair=("p", "q"), family="alpha", method="both", value=0.25,
-            alpha=0.5, qparam=None, reference=0.25, abs_error=0.0, rel_error=0.0,
-        )
-        assert CaseRecord.from_dict(json.loads(json.dumps(record.to_dict()))) == record
-
-    def test_report_round_trip(self):
-        report = Report.from_cases(
-            [
-                CaseRecord(pair=("a", "b"), family="kl", method="closed", value=1.0 / 3.0),
-                CaseRecord(
-                    pair=("b", "a"), family="alpha", method="both", value=0.1,
-                    alpha=-0.9, reference=0.1 + 1e-12, abs_error=1e-12, rel_error=9e-13,
-                ),
-            ],
-            tolerance=1e-8,
-        )
-        parsed = Report.from_dict(json.loads(json.dumps(report.to_dict())))
-        assert parsed == report
-
     def test_exit_code_contract_for_missing_file(self):
         assert main(["divergence", "/nonexistent.json", "--family", "kl"]) == 2

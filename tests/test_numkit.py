@@ -7,13 +7,18 @@ from alphadiv.numkit import (
     NumericalDomainError,
     QuadratureRule,
     check_alpha,
-    frechet_power,
+    frechet_from_decomposition,
     gauss_legendre_rule,
     hermitian_eig,
-    integrate,
-    matrix_power,
     mixed_partials,
+    quadrature_sum,
 )
+from alphadiv.quantum import PositiveOperator, alpha_representation
+
+
+def frechet(rho, s, x):
+    """Derivative of rho -> rho**s at rho in the direction x."""
+    return frechet_from_decomposition(PositiveOperator(rho).spectral, s, x)
 
 
 class TestGaussLegendre:
@@ -31,7 +36,7 @@ class TestGaussLegendre:
 
     def test_cubic_is_integrated_exactly_by_two_points(self):
         rule = gauss_legendre_rule(2)
-        assert abs(integrate(lambda t: t**3, rule) - 0.25) <= 1e-15
+        assert abs(quadrature_sum(rule, rule.nodes**3) - 0.25) <= 1e-15
 
     def test_zero_order_rejected(self):
         with pytest.raises(ValueError):
@@ -58,21 +63,26 @@ class TestGaussLegendre:
 
 
 class TestIntegrate:
+    """Integration by a rule through quadrature_sum."""
+
     def test_weight_normalization(self):
         for n in (1, 5, 64):
-            assert abs(integrate(lambda t: 1.0, gauss_legendre_rule(n)) - 1.0) <= 1e-14
+            rule = gauss_legendre_rule(n)
+            assert abs(quadrature_sum(rule, np.ones(n)) - 1.0) <= 1e-14
 
     def test_midpoint_exact_on_linear(self):
-        assert integrate(lambda t: t, gauss_legendre_rule(1)) == 0.5
+        rule = gauss_legendre_rule(1)
+        assert quadrature_sum(rule, rule.nodes) == 0.5
 
     def test_exponential(self):
-        value = integrate(np.exp, gauss_legendre_rule(16))
+        rule = gauss_legendre_rule(16)
+        value = quadrature_sum(rule, np.exp(rule.nodes))
         assert abs(value - (np.e - 1.0)) <= 1e-13
 
     def test_nonfinite_value_identifies_node(self):
         rule = gauss_legendre_rule(4)
         with np.errstate(divide="ignore"), pytest.raises(NumericalDomainError, match="node"):
-            integrate(lambda t: 1.0 / (t - rule.nodes[2]), rule)
+            quadrature_sum(rule, 1.0 / (rule.nodes - rule.nodes[2]))
 
 
 class TestHermitianEig:
@@ -94,6 +104,14 @@ class TestHermitianEig:
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_hermiticity_is_relative_to_the_norm(self):
+        # a 1e-10 relative defect on a matrix of norm below one: rejected by
+        # the operator constructor and the decomposition alike
+        m = 1e-3 * np.array([[2.0, 1.0 + 1e-10], [1.0, 2.0]])
+        for validate in (hermitian_eig, PositiveOperator):
+            with pytest.raises(ValueError, match="Hermitian"):
+                validate(m)
+
     def test_reconstruction_and_unitarity_on_random_input(self):
         rng = np.random.default_rng(11)
         for dim in range(2, 9):
@@ -109,28 +127,29 @@ class TestHermitianEig:
 
 
 class TestMatrixPower:
+    """Fractional powers through PositiveOperator.power."""
+
     def test_unit_power_returns_input(self):
         rho = np.array([[2.0, 0.5], [0.5, 1.0]])
-        assert np.allclose(matrix_power(rho, 1.0), rho, atol=1e-12, rtol=0)
+        assert np.allclose(PositiveOperator(rho).power(1.0), rho, atol=1e-12, rtol=0)
 
     def test_zero_power_is_identity(self):
-        assert np.array_equal(matrix_power(np.diag([4.0, 9.0]), 0.0), np.eye(2))
+        assert np.array_equal(PositiveOperator(np.diag([4.0, 9.0])).power(0.0), np.eye(2))
 
     def test_diagonal_square_root(self):
-        assert np.allclose(
-            matrix_power(np.diag([4.0, 9.0]), 0.5), np.diag([2.0, 3.0]), atol=1e-13, rtol=0
-        )
+        root = PositiveOperator(np.diag([4.0, 9.0])).power(0.5)
+        assert np.allclose(root, np.diag([2.0, 3.0]), atol=1e-13, rtol=0)
 
     def test_square_root_of_coupled_matrix(self):
         # eigenvectors (1, +-1)/sqrt(2), eigenvalues 1 and 3
-        root = matrix_power(np.array([[2.0, 1.0], [1.0, 2.0]]), 0.5)
+        root = PositiveOperator(np.array([[2.0, 1.0], [1.0, 2.0]])).power(0.5)
         s3 = np.sqrt(3.0)
         expected = 0.5 * np.array([[s3 + 1.0, s3 - 1.0], [s3 - 1.0, s3 + 1.0]])
         assert np.allclose(root, expected, atol=1e-13, rtol=0)
 
     def test_reports_smallest_eigenvalue(self):
         with pytest.raises(NotPositiveDefiniteError) as info:
-            matrix_power(np.diag([1.0, -2.0]), 0.5)
+            PositiveOperator(np.diag([1.0, -2.0]))
         assert info.value.smallest == pytest.approx(-2.0)
 
     def test_power_composition(self):
@@ -142,27 +161,29 @@ class TestMatrixPower:
             rho = 0.5 * (rho + rho.conj().T)
             for a in (0.3, 0.5, 2.0):
                 for b in (0.3, 0.5, 2.0):
-                    once = matrix_power(rho, a * b)
-                    twice = matrix_power(matrix_power(rho, a), b)
+                    once = PositiveOperator(rho).power(a * b)
+                    twice = PositiveOperator(PositiveOperator(rho).power(a)).power(b)
                     assert np.max(np.abs(once - twice)) <= 1e-10
 
 
 class TestFrechetPower:
+    """Derivatives of matrix powers through frechet_from_decomposition."""
+
     def test_identity_base_scales_direction(self):
         x = np.array([[1.0, 2.0], [2.0, -1.0]])
         for s in (0.3, 0.5, 2.0):
-            assert np.allclose(frechet_power(np.eye(2), s, x), s * x, atol=1e-13, rtol=0)
+            assert np.allclose(frechet(np.eye(2), s, x), s * x, atol=1e-13, rtol=0)
 
     def test_divided_difference_off_diagonal(self):
         # (sqrt(4) - sqrt(1))/(4 - 1) = 1/3
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
-        out = frechet_power(np.diag([1.0, 4.0]), 0.5, x)
+        out = frechet(np.diag([1.0, 4.0]), 0.5, x)
         assert np.allclose(out, x / 3.0, atol=1e-14, rtol=0)
 
     def test_commuting_direction_uses_derivative(self):
         lam = np.array([1.0, 4.0])
         x = np.diag([2.0, -3.0])
-        out = frechet_power(np.diag(lam), 0.5, x)
+        out = frechet(np.diag(lam), 0.5, x)
         expected = np.diag(0.5 * lam**-0.5 * np.diag(x))
         assert np.allclose(out, expected, atol=1e-14, rtol=0)
 
@@ -177,8 +198,10 @@ class TestFrechetPower:
             x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             x = 0.5 * (x + x.conj().T)
             for s in (0.3, 0.5, 2.0):
-                direct = frechet_power(rho, s, x)
-                fd = (matrix_power(rho + h * x, s) - matrix_power(rho - h * x, s)) / (2 * h)
+                direct = frechet(rho, s, x)
+                plus = PositiveOperator(rho + h * x).power(s)
+                minus = PositiveOperator(rho - h * x).power(s)
+                fd = (plus - minus) / (2 * h)
                 assert np.linalg.norm(direct - fd) <= 1e-7 * np.linalg.norm(x)
 
     def test_trace_product_rule(self):
@@ -188,13 +211,13 @@ class TestFrechetPower:
         x = rng.standard_normal((4, 4))
         x = 0.5 * (x + x.T)
         for s in (0.3, 0.7, 2.0):
-            lhs = np.trace(frechet_power(rho, s, x)).real
-            rhs = s * np.trace(matrix_power(rho, s - 1.0) @ x).real
+            lhs = np.trace(frechet(rho, s, x)).real
+            rhs = s * np.trace(PositiveOperator(rho).power(s - 1.0) @ x).real
             assert abs(lhs - rhs) <= 1e-9
 
     def test_rejects_non_hermitian_direction(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            frechet_power(np.eye(2), 0.5, np.array([[0.0, 1.0], [0.0, 0.0]]))
+            alpha_representation(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0)
 
 
 class TestMixedPartials:

@@ -3,7 +3,7 @@ import pytest
 
 from alphadiv import classical as cl
 from alphadiv import quantum as qm
-from alphadiv.numkit import NotPositiveDefiniteError
+from alphadiv.numkit import NotPositiveDefiniteError, power_divided_differences
 
 ALPHAS = (-0.9, -0.5, 0.0, 0.5, 0.9)
 
@@ -42,12 +42,10 @@ class TestOperatorTypes:
         with pytest.raises(ValueError):
             qm.DensityOperator(np.diag([0.5, 0.75]))
 
-    def test_cached_power_matches_free_function(self):
+    def test_cached_powers_compose(self):
         rng = np.random.default_rng(0)
         rho = rand_pd(rng, 3)
-        from alphadiv.numkit import matrix_power
-
-        assert np.allclose(rho.power(0.37), matrix_power(rho.matrix, 0.37), atol=1e-13)
+        assert np.allclose(rho.power(0.37) @ rho.power(0.63), rho.matrix, atol=1e-13)
 
 
 class TestEmbedding:
@@ -76,6 +74,13 @@ class TestRepresentation:
         rho = rand_pd(rng, 3)
         x = qm.random_hermitian(rng, 3)
         assert np.allclose(qm.alpha_representation(rho, x, -1.0), x, atol=1e-12)
+
+    def test_zero_tangent_accepted(self):
+        rng = np.random.default_rng(6)
+        rho = rand_pd(rng, 3)
+        zero = np.zeros((3, 3))
+        assert np.array_equal(qm.alpha_representation(rho, zero, 0.5), zero)
+        assert qm.wyd_metric(rho, zero, qm.random_hermitian(rng, 3), 0.5) == 0.0
 
     def test_divided_difference_example(self):
         # divided difference (2-1)/3, prefactor 2 at alpha = 0
@@ -248,6 +253,23 @@ class TestWydComponentsTheta:
         for a in (-0.5, 0.0, 0.5):
             g = qm.wyd_components_theta(np.eye(2), a)
             assert np.max(np.abs(g - np.eye(4))) <= 1e-12
+
+    def test_matches_wyd_pairing_of_pulled_back_basis(self):
+        # pair the tangents whose (+alpha) chart images are the basis elements
+        for dim in (2, 3, 4):
+            rng = np.random.default_rng(30 + dim)
+            rho = rand_pd(rng, dim, (0.5, 2.0))
+            basis = qm.hermitian_basis(dim)
+            u = rho.spectral.eigenvectors
+            for a in (-0.5, 0.5, 0.9):
+                beta = 0.5 * (1.0 - a)
+                table = power_divided_differences(rho.eigenvalues, beta) / beta
+                tangents = [u @ ((u.conj().T @ b @ u) / table) @ u.conj().T for b in basis]
+                expected = np.array(
+                    [[qm.wyd_metric(rho, x, y, a) for y in tangents] for x in tangents]
+                )
+                g = qm.wyd_components_theta(rho, a)
+                assert np.max(np.abs(g - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestCanonicalDivergenceQ:

@@ -100,6 +100,20 @@ class TestDegenerateContrast:
         with pytest.raises(ValueError, match="diagonal"):
             rc.recover_structure(lambda x, y: 1.0 + rc.half_squared_distance(x, y), np.ones(2))
 
+    def test_asymmetric_metric_rejected_by_every_entry_point(self):
+        # -d_i d'_j D = I + 0.1 (E_10 - E_01): mixed partials not symmetric
+        def skewed(x, y):
+            return rc.half_squared_distance(x, y) + 0.1 * (x[0] - y[0]) * (x[1] + y[1])
+
+        p = np.array([1.0, 2.0])
+        with pytest.raises(ValueError, match="symmetric"):
+            rc.recover_structure(skewed, p)
+        with pytest.raises(ValueError, match="symmetric"):
+            rc.curvature_max(skewed, p)
+        structure = rc.recover_structure(rc.half_squared_distance, p)
+        with pytest.raises(ValueError, match="symmetric"):
+            rc.duality_defect(structure, skewed)
+
 
 class TestDefectOrdering:
     def test_alpha_defect_close_to_euclidean_floor(self):
