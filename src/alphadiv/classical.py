@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numkit import QuadratureRule, check_alpha, check_t, gauss_legendre_rule, quadrature_sum
+from .numkit import DEFAULT_RULE, QuadratureRule, check_alpha, check_t, quadrature_sum
 
 __all__ = [
-    "DEFAULT_QUADRATURE_NODES",
     "alpha_christoffel",
     "alpha_coordinates",
     "alpha_divergence_closed",
@@ -27,7 +26,6 @@ __all__ = [
     "as_measure",
     "as_tangent",
     "canonical_divergence_numeric",
-    "default_rule",
     "dual_canonical_divergence",
     "fisher_metric",
     "geodesic_ode_residual",
@@ -37,21 +35,6 @@ __all__ = [
     "kl_extended_reversed",
     "tsallis_q_divergence",
 ]
-
-# The divergence integrands are analytic on [0, 1] (the interpolants m_i(t)
-# stay bounded away from zero), so Gauss-Legendre converges geometrically and
-# 64 nodes sit far past the double-precision accuracy floor.
-DEFAULT_QUADRATURE_NODES = 64
-
-_DEFAULT_RULE = None
-
-
-def default_rule() -> QuadratureRule:
-    """The module-wide 64-node Gauss-Legendre rule (built once)."""
-    global _DEFAULT_RULE
-    if _DEFAULT_RULE is None:
-        _DEFAULT_RULE = gauss_legendre_rule(DEFAULT_QUADRATURE_NODES)
-    return _DEFAULT_RULE
 
 
 def as_measure(p) -> np.ndarray:
@@ -196,7 +179,7 @@ def _integrand_values(p, q, alpha, ts):
     return ts * ((m**c) @ delta2) / beta**2
 
 
-def canonical_divergence_numeric(p, q, alpha, rule: QuadratureRule | None = None) -> float:
+def canonical_divergence_numeric(p, q, alpha, rule: QuadratureRule = DEFAULT_RULE) -> float:
     """Geodesic-integral divergence int_0^1 t ||gamma_dot(t)||^2 dt.
 
     The curve is the alpha-geodesic from p to q and the norm is the Fisher
@@ -206,11 +189,10 @@ def canonical_divergence_numeric(p, q, alpha, rule: QuadratureRule | None = None
     """
     p, q = _measure_pair(p, q)
     alpha = check_alpha(alpha)
-    rule = rule if rule is not None else default_rule()
     return quadrature_sum(rule, _integrand_values(p, q, alpha, rule.nodes))
 
 
-def dual_canonical_divergence(p, q, alpha, rule: QuadratureRule | None = None) -> float:
+def dual_canonical_divergence(p, q, alpha, rule: QuadratureRule = DEFAULT_RULE) -> float:
     """Geodesic-integral divergence along the dual (-alpha) geodesic.
 
     Same Fisher norm, geodesic taken with alpha replaced by -alpha; equals

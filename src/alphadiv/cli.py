@@ -26,14 +26,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import classical, quantum, recovery, suites
 from .numkit import FDConfig, NumericalDomainError, gauss_legendre_rule
 
-__all__ = ["CaseRecord", "Report", "load_document", "main"]
+__all__ = ["load_document", "main"]
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -45,60 +44,6 @@ FAMILIES = ("canonical", "alpha", "kl", "tsallis", "relative-entropy", "furuichi
 
 class InputError(ValueError):
     """Malformed document, unknown name, or inconsistent flags."""
-
-
-@dataclass(frozen=True)
-class CaseRecord:
-    """One computed divergence value, with its reference when available."""
-
-    pair: tuple
-    family: str
-    method: str
-    value: float
-    alpha: float | None = None
-    qparam: float | None = None
-    reference: float | None = None
-    abs_error: float | None = None
-    rel_error: float | None = None
-
-    def to_dict(self):
-        return {
-            "pair": list(self.pair),
-            "family": self.family,
-            "method": self.method,
-            "value": self.value,
-            "alpha": self.alpha,
-            "q": self.qparam,
-            "reference": self.reference,
-            "abs_error": self.abs_error,
-            "rel_error": self.rel_error,
-        }
-
-
-@dataclass(frozen=True)
-class Report:
-    """Case records plus a pass/fail summary against a tolerance."""
-
-    cases: tuple
-    summary: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {"cases": [c.to_dict() for c in self.cases], "summary": dict(self.summary)}
-
-    @classmethod
-    def from_cases(cls, cases, tolerance):
-        # the gate uses the (1 + |reference|)-normalized error; cases without
-        # a reference value contribute nothing
-        errors = [c.rel_error for c in cases if c.rel_error is not None]
-        max_error = max(errors) if errors else 0.0
-        return cls(
-            cases=tuple(cases),
-            summary={
-                "max_error": max_error,
-                "tolerance": tolerance,
-                "pass": max_error <= tolerance,
-            },
-        )
 
 
 def _reject_duplicate_keys(pairs):
@@ -205,30 +150,44 @@ def _parse_alphas(text):
     return sorted(values)
 
 
-def _classical_value(family, method, p, q, alpha, qparam, rule):
-    if family in ("canonical", "alpha"):
-        if method == "quadrature":
-            return classical.canonical_divergence_numeric(p, q, alpha, rule)
-        return classical.alpha_divergence_closed(p, q, alpha)
-    if family == "kl":
-        return classical.kl_extended(p, q)
-    if family == "tsallis":
-        return classical.tsallis_q_divergence(p, q, qparam)
-    raise InputError(f"family {family!r} is not defined on classical documents")
+# (document kind, family) -> value(x, y, alpha, q, rule); "quadrature" is the
+# geodesic integral, "alpha" also the closed form of the canonical family.
+# Entries look their function up in the module at call time, so a wrapper
+# bound to the module attribute (a profiler's, say) sees the call.
+_EVALUATORS = {
+    ("classical", "quadrature"): (
+        lambda x, y, a, q, rule: classical.canonical_divergence_numeric(x, y, a, rule)
+    ),
+    ("classical", "alpha"): lambda x, y, a, q, rule: classical.alpha_divergence_closed(x, y, a),
+    ("classical", "kl"): lambda x, y, a, q, rule: classical.kl_extended(x, y),
+    ("classical", "tsallis"): lambda x, y, a, q, rule: classical.tsallis_q_divergence(x, y, q),
+    ("quantum", "quadrature"): (
+        lambda x, y, a, q, rule: quantum.canonical_divergence_numeric_q(x, y, a, rule)
+    ),
+    ("quantum", "alpha"): lambda x, y, a, q, rule: quantum.quantum_alpha_divergence_closed(x, y, a),
+    ("quantum", "relative-entropy"): (
+        lambda x, y, a, q, rule: quantum.quantum_relative_entropy(x, y, extended=True)
+    ),
+    ("quantum", "tsallis"): lambda x, y, a, q, rule: quantum.quantum_q_divergence(x, y, q),
+    ("quantum", "furuichi"): lambda x, y, a, q, rule: quantum.furuichi_q_divergence(x, y, q),
+}
+
+# the alpha -> -1 limit that sweep tabulates beside the alpha-divergences
+_SWEEP_LIMITS = {
+    "classical": ("kl", "kl_reference"),
+    "quantum": ("relative-entropy", "relative_entropy_reference"),
+}
 
 
-def _quantum_value(family, method, r1, r2, alpha, qparam, rule):
-    if family in ("canonical", "alpha"):
-        if method == "quadrature":
-            return quantum.canonical_divergence_numeric_q(r1, r2, alpha, rule)
-        return quantum.quantum_alpha_divergence_closed(r1, r2, alpha)
-    if family == "relative-entropy":
-        return quantum.quantum_relative_entropy(r1, r2, extended=True)
-    if family == "tsallis":
-        return quantum.quantum_q_divergence(r1, r2, qparam)
-    if family == "furuichi":
-        return quantum.furuichi_q_divergence(r1, r2, qparam)
-    raise InputError(f"family {family!r} is not defined on quantum documents")
+def _evaluate(kind, family, x, y, alpha, qparam, rule):
+    """One table entry's value; a non-finite value is a numerical-domain error."""
+    entry = _EVALUATORS.get((kind, family))
+    if entry is None:
+        raise InputError(f"family {family!r} is not defined on {kind} documents")
+    value = entry(x, y, alpha, qparam, rule)
+    if not np.isfinite(value):
+        raise NumericalDomainError(f"{family} value is not finite: {value}")
+    return value
 
 
 def _check_family_flags(args, method):
@@ -255,33 +214,40 @@ def cmd_divergence(args):
     _check_family_flags(args, method)
     pairs = _parse_pairs(args.pairs, list(objects))
     rule = gauss_legendre_rule(args.nodes)
-    compute = _classical_value if kind == "classical" else _quantum_value
+    closed = "alpha" if args.family == "canonical" else args.family
     cases = []
     for a, b in pairs:
         x, y = objects[a], objects[b]
+        first = closed if method == "closed" else "quadrature"
+        value = _evaluate(kind, first, x, y, args.alpha, args.q, rule)
+        reference = abs_err = rel_err = None
         if method == "both":
-            value = compute(args.family, "quadrature", x, y, args.alpha, args.q, rule)
-            reference = compute(args.family, "closed", x, y, args.alpha, args.q, rule)
+            reference = _evaluate(kind, closed, x, y, args.alpha, args.q, rule)
             abs_err = abs(value - reference)
             rel_err = abs_err / (1.0 + abs(reference))
-        else:
-            value = compute(args.family, method, x, y, args.alpha, args.q, rule)
-            reference = abs_err = rel_err = None
         cases.append(
-            CaseRecord(
-                pair=(a, b),
-                family=args.family,
-                method=method,
-                value=value,
-                alpha=args.alpha,
-                qparam=args.q,
-                reference=reference,
-                abs_error=abs_err,
-                rel_error=rel_err,
-            )
+            {
+                "pair": [a, b],
+                "family": args.family,
+                "method": method,
+                "value": value,
+                "alpha": args.alpha,
+                "q": args.q,
+                "reference": reference,
+                "abs_error": abs_err,
+                "rel_error": rel_err,
+            }
         )
-    report = Report.from_cases(cases, args.tolerance)
-    _emit(report.to_dict(), args.out)
+    # the gate uses the (1 + |reference|)-normalized error; cases without a
+    # reference value contribute nothing
+    errors = [c["rel_error"] for c in cases if c["rel_error"] is not None]
+    max_error = max(errors) if errors else 0.0
+    summary = {
+        "max_error": max_error,
+        "tolerance": args.tolerance,
+        "pass": max_error <= args.tolerance,
+    }
+    _emit({"cases": cases, "summary": summary}, args.out)
     return EXIT_OK
 
 
@@ -310,6 +276,9 @@ def cmd_recover(args):
     if args.point not in objects:
         raise InputError(f"unknown object name {args.point!r}")
     cfg = FDConfig(step=args.step, order=4)
+    alpha = args.alpha
+    if alpha is None and not args.reference_euclidean:
+        raise InputError("--alpha is required to recover from the alpha-divergence")
 
     if args.reference_euclidean:
         divergence = recovery.half_squared_distance
@@ -319,18 +288,12 @@ def cmd_recover(args):
             basis = quantum.hermitian_basis(objects[args.point].dim)
             point = quantum.theta_coordinates(objects[args.point].matrix, basis)
     elif kind == "classical":
-        if args.alpha is None:
-            raise InputError("--alpha is required to recover from the alpha-divergence")
-        alpha = args.alpha
         point = objects[args.point]
 
         def divergence(x, y):
             return classical.alpha_divergence_closed(x, y, alpha)
 
     else:
-        if args.alpha is None:
-            raise InputError("--alpha is required to recover from the alpha-divergence")
-        alpha = args.alpha
         rho = objects[args.point]
         basis = quantum.hermitian_basis(rho.dim)
         point = quantum.theta_coordinates(quantum.alpha_embedding(rho, alpha), basis)
@@ -376,31 +339,12 @@ def cmd_sweep(args):
     rule = gauss_legendre_rule(args.nodes)
     x, y = objects[parts[0]], objects[parts[1]]
 
-    if kind == "classical":
-        limit = classical.kl_extended(x, y)
-        ref_column = "kl_reference"
-        rows = [
-            (
-                a,
-                classical.canonical_divergence_numeric(x, y, a, rule),
-                classical.alpha_divergence_closed(x, y, a),
-            )
-            for a in alphas
-        ]
-    else:
-        limit = quantum.quantum_relative_entropy(x, y, extended=True)
-        ref_column = "relative_entropy_reference"
-        rows = [
-            (
-                a,
-                quantum.canonical_divergence_numeric_q(x, y, a, rule),
-                quantum.quantum_alpha_divergence_closed(x, y, a),
-            )
-            for a in alphas
-        ]
-
+    limit_family, ref_column = _SWEEP_LIMITS[kind]
+    limit = _evaluate(kind, limit_family, x, y, None, None, rule)
     lines = [f"alpha,canonical_numeric,closed,{ref_column},abs_gap_to_limit"]
-    for a, numeric, closed in rows:
+    for a in alphas:
+        numeric = _evaluate(kind, "quadrature", x, y, a, None, rule)
+        closed = _evaluate(kind, "alpha", x, y, a, None, rule)
         gap = abs(closed - limit)
         lines.append(f"{a!r},{numeric!r},{closed!r},{limit!r},{gap!r}")
     text = "\n".join(lines) + "\n"
@@ -490,9 +434,6 @@ def main(argv=None):
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

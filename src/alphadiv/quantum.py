@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import classical
 from .numkit import (
+    DEFAULT_RULE,
     NotPositiveDefiniteError,
     NumericalDomainError,
     POSITIVITY_RTOL,
@@ -273,7 +273,7 @@ def _divergence_integrand(a, b, alpha, ts):
     return ts * pair / (beta * (1.0 - beta))
 
 
-def canonical_divergence_numeric_q(rho1, rho2, alpha, rule: QuadratureRule | None = None) -> float:
+def canonical_divergence_numeric_q(rho1, rho2, alpha, rule: QuadratureRule = DEFAULT_RULE) -> float:
     """Geodesic-integral divergence int_0^1 t ||gamma_dot(t)||^2 dt.
 
     The norm is the Wigner-Yanase-Dyson pairing of the two chart pushforwards
@@ -283,7 +283,6 @@ def canonical_divergence_numeric_q(rho1, rho2, alpha, rule: QuadratureRule | Non
     """
     rho1, rho2 = _positive_pair(rho1, rho2)
     alpha = check_alpha(alpha)
-    rule = rule if rule is not None else classical.default_rule()
     beta = 0.5 * (1.0 - alpha)
     values = _divergence_integrand(rho1.power(beta), rho2.power(beta), alpha, rule.nodes)
     return quadrature_sum(rule, values)

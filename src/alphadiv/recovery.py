@@ -95,8 +95,8 @@ def _checked_metric(divergence, point, cfg: FDConfig) -> np.ndarray:
 def recover_structure(
     divergence,
     point,
-    cfg: FDConfig | None = None,
-    third_cfg: FDConfig | None = None,
+    cfg: FDConfig = _DEFAULT_CFG,
+    third_cfg: FDConfig = _DEFAULT_THIRD_CFG,
 ) -> RecoveredStructure:
     """Recover (metric, connection, dual connection) from a divergence.
 
@@ -111,8 +111,6 @@ def recover_structure(
     not numerically zero.
     """
     point = np.asarray(point, dtype=float)
-    cfg = cfg if cfg is not None else _DEFAULT_CFG
-    third_cfg = third_cfg if third_cfg is not None else _DEFAULT_THIRD_CFG
     at_diag = float(divergence(point, point))
     if abs(at_diag) > 1e-10:
         raise ValueError(
@@ -130,26 +128,25 @@ def recover_structure(
     )
 
 
-def _metric_gradient(divergence, point, cfg: FDConfig, outer: FDConfig) -> np.ndarray:
-    """dg[k, i, j] = d_k g_ij by differencing checked metrics at shifts."""
-    n = point.size
+def _gradient(field, point, outer: FDConfig) -> np.ndarray:
+    """grad[k] = d_k field at the point, by the outer stencil over shifted points."""
     offsets, coeffs = outer.stencil
-    dg = np.zeros((n, n, n))
-    for k in range(n):
-        acc = np.zeros((n, n))
+    grad = []
+    for k in range(point.size):
+        acc = 0.0
         for off, c in zip(offsets, coeffs):
             shifted = point.copy()
             shifted[k] += off * outer.step
-            acc += c * _checked_metric(divergence, shifted, cfg)
-        dg[k] = acc / outer.step
-    return dg
+            acc = acc + c * field(shifted)
+        grad.append(acc / outer.step)
+    return np.array(grad)
 
 
 def duality_defect(
     structure: RecoveredStructure,
     divergence,
-    cfg: FDConfig | None = None,
-    third_cfg: FDConfig | None = None,
+    cfg: FDConfig = _DEFAULT_CFG,
+    third_cfg: FDConfig = _DEFAULT_THIRD_CFG,
 ) -> float:
     """Worst violation of d_k g_ij = Gamma_kij + Gamma*_kji at the point.
 
@@ -158,9 +155,7 @@ def duality_defect(
     :func:`recover_structure`, so the returned number measures pure
     finite-difference noise for any smooth contrast function.
     """
-    cfg = cfg if cfg is not None else _DEFAULT_CFG
-    third_cfg = third_cfg if third_cfg is not None else _DEFAULT_THIRD_CFG
-    dg = _metric_gradient(divergence, structure.point, cfg, third_cfg)
+    dg = _gradient(lambda x: _checked_metric(divergence, x, cfg), structure.point, third_cfg)
     paired = structure.christoffel + np.swapaxes(structure.christoffel_dual, 1, 2)
     return float(np.max(np.abs(dg - paired)))
 
@@ -175,8 +170,8 @@ def _raised_christoffel(divergence, point, cfg: FDConfig, third_cfg: FDConfig):
 def curvature_max(
     divergence,
     point,
-    cfg: FDConfig | None = None,
-    third_cfg: FDConfig | None = None,
+    cfg: FDConfig = _DEFAULT_CFG,
+    third_cfg: FDConfig = _DEFAULT_THIRD_CFG,
 ) -> float:
     """Max-abs component of the curvature of the recovered connection.
 
@@ -191,21 +186,13 @@ def curvature_max(
         raise ValueError(
             f"curvature check is limited to dimension <= 4, got {n}"
         )
-    cfg = cfg if cfg is not None else _DEFAULT_CFG
-    third_cfg = third_cfg if third_cfg is not None else _DEFAULT_THIRD_CFG
-    h = third_cfg.step
     gamma_up = _raised_christoffel(divergence, point, cfg, third_cfg)
-
-    d_gamma = np.zeros((n, n, n, n))  # d_gamma[i, j, k, l] = d_i G^l_jk
-    for i in range(n):
-        plus = point.copy()
-        plus[i] += h
-        minus = point.copy()
-        minus[i] -= h
-        diff = _raised_christoffel(divergence, plus, cfg, third_cfg) - _raised_christoffel(
-            divergence, minus, cfg, third_cfg
-        )
-        d_gamma[i] = diff / (2.0 * h)
+    # d_gamma[i, j, k, l] = d_i G^l_jk
+    d_gamma = _gradient(
+        lambda x: _raised_christoffel(divergence, x, cfg, third_cfg),
+        point,
+        FDConfig(step=third_cfg.step, order=2),
+    )
 
     quad = np.einsum("iml,jkm->ijkl", gamma_up, gamma_up)
     riemann = (

@@ -12,9 +12,21 @@ import numpy as np
 from . import classical, quantum, recovery
 from .numkit import NotPositiveDefiniteError
 
-__all__ = ["ALPHA_GRID", "SUITE_TOLERANCES", "run_suite"]
+__all__ = [
+    "ALPHA_GRID",
+    "SUITE_TOLERANCES",
+    "quadrature_gap",
+    "random_measure",
+    "run_suite",
+    "spectral_reduction_gap",
+    "structure_errors",
+    "tsallis_gap",
+]
 
 ALPHA_GRID = (-0.9, -0.5, 0.0, 0.5, 0.9)
+
+# q values of the suites' Tsallis scaling checks
+_QPARAMS = (0.25, 0.3, 0.5, 0.7, 0.75)
 
 SUITE_TOLERANCES = {"classical": 1e-9, "quantum": 1e-8, "recovery": 1e-4}
 
@@ -28,8 +40,85 @@ def _check(name, error, tolerance):
     }
 
 
-def _random_measure(rng, dim, lo=0.1, hi=5.0):
+def random_measure(rng, dim, lo=0.1, hi=5.0):
+    """A measure with dim components drawn uniformly from [lo, hi)."""
     return rng.uniform(lo, hi, size=dim)
+
+
+def quadrature_gap(pairs, closed, quadrature):
+    """Worst |quadrature - closed| / (1 + |closed|) over pairs and ALPHA_GRID."""
+    worst = 0.0
+    for x, y in pairs:
+        for a in ALPHA_GRID:
+            reference = closed(x, y, a)
+            numeric = quadrature(x, y, a)
+            worst = max(worst, abs(numeric - reference) / (1.0 + abs(reference)))
+    return worst
+
+
+def tsallis_gap(pairs, tsallis, closed, qparams):
+    """Worst |D_q - ((1 - alpha)/2) D_alpha| at alpha = 1 - 2q over pairs and q."""
+    worst = 0.0
+    for x, y in pairs:
+        for qp in qparams:
+            a = 1.0 - 2.0 * qp
+            lhs = tsallis(x, y, qp)
+            rhs = 0.5 * (1.0 - a) * closed(x, y, a)
+            worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+def structure_errors(points, alphas):
+    """Worst recovery errors of the classical alpha-divergences over points x alphas.
+
+    Returns (metric error relative to the largest Fisher entry, connection
+    error against Gamma_iii = -(1 + alpha)/(2 p_i**2), duality defect).
+    """
+    metric_err = christoffel_err = defect_err = 0.0
+    for p in points:
+        for a in alphas:
+            div = _classical_alpha_div(a)
+            structure = recovery.recover_structure(div, p)
+            fisher = np.diag(1.0 / p)
+            metric_err = max(
+                metric_err,
+                float(np.max(np.abs(structure.metric - fisher)) / np.max(np.abs(fisher))),
+            )
+            expected = np.zeros_like(structure.christoffel)
+            idx = np.arange(p.size)
+            expected[idx, idx, idx] = -0.5 * (1.0 + a) / p**2
+            christoffel_err = max(
+                christoffel_err, float(np.max(np.abs(structure.christoffel - expected)))
+            )
+            defect_err = max(defect_err, recovery.duality_defect(structure, div))
+    return metric_err, christoffel_err, defect_err
+
+
+def spectral_reduction_gap(p, q):
+    """Worst gap between divergences of diag(p), diag(q) and their classical forms.
+
+    Alpha (closed form and quadrature, over ALPHA_GRID), extended relative
+    entropy against extended KL, and Tsallis at q = 0.3.
+    """
+    d1, d2 = quantum.PositiveOperator(np.diag(p)), quantum.PositiveOperator(np.diag(q))
+    worst = 0.0
+    for a in ALPHA_GRID:
+        worst = max(
+            worst,
+            abs(
+                quantum.quantum_alpha_divergence_closed(d1, d2, a)
+                - classical.alpha_divergence_closed(p, q, a)
+            ),
+            abs(
+                quantum.canonical_divergence_numeric_q(d1, d2, a)
+                - classical.canonical_divergence_numeric(p, q, a)
+            ),
+        )
+    return max(
+        worst,
+        abs(quantum.quantum_relative_entropy(d1, d2, extended=True) - classical.kl_extended(p, q)),
+        abs(quantum.quantum_q_divergence(d1, d2, 0.3) - classical.tsallis_q_divergence(p, q, 0.3)),
+    )
 
 
 def run_classical_suite(trials, seed, tolerance=None):
@@ -40,18 +129,15 @@ def run_classical_suite(trials, seed, tolerance=None):
     pairs = []
     for _ in range(trials):
         dim = int(rng.integers(1, 7))
-        pairs.append((_random_measure(rng, dim), _random_measure(rng, dim)))
+        pairs.append((random_measure(rng, dim), random_measure(rng, dim)))
 
-    worst = 0.0
-    for p, q in pairs:
-        for a in ALPHA_GRID:
-            closed = classical.alpha_divergence_closed(p, q, a)
-            numeric = classical.canonical_divergence_numeric(p, q, a)
-            worst = max(worst, abs(numeric - closed) / (1.0 + abs(closed)))
+    worst = quadrature_gap(
+        pairs, classical.alpha_divergence_closed, classical.canonical_divergence_numeric
+    )
     checks.append(_check("quadrature matches closed form", worst, tol))
 
     worst = 0.0
-    for p, q in pairs[: min(len(pairs), 25)]:
+    for p, q in pairs[:25]:
         for a in ALPHA_GRID:
             dual = classical.dual_canonical_divergence(p, q, a)
             swapped = classical.canonical_divergence_numeric(q, p, a)
@@ -59,7 +145,7 @@ def run_classical_suite(trials, seed, tolerance=None):
     checks.append(_check("dual equals argument swap", worst, 1e-9))
 
     worst = 0.0
-    for p, q in pairs[: min(len(pairs), 10)]:
+    for p, q in pairs[:10]:
         for a in ALPHA_GRID:
             for t in np.linspace(0.1, 0.9, 9):
                 worst = max(worst, classical.geodesic_ode_residual(p, q, a, t))
@@ -76,13 +162,9 @@ def run_classical_suite(trials, seed, tolerance=None):
     checks.append(_check("divergences nonnegative", -neg, 1e-12))
     checks.append(_check("divergences vanish on the diagonal", ondiag, 1e-14))
 
-    worst = 0.0
-    for p, q in pairs[: min(len(pairs), 20)]:
-        for qp in (0.25, 0.3, 0.5, 0.7, 0.75):
-            a = 1.0 - 2.0 * qp
-            lhs = classical.tsallis_q_divergence(p, q, qp)
-            rhs = 0.5 * (1.0 - a) * classical.alpha_divergence_closed(p, q, a)
-            worst = max(worst, abs(lhs - rhs))
+    worst = tsallis_gap(
+        pairs[:20], classical.tsallis_q_divergence, classical.alpha_divergence_closed, _QPARAMS
+    )
     checks.append(_check("Tsallis scaling identity", worst, 1e-13))
 
     p = np.array([2.0, 1.0])
@@ -95,7 +177,7 @@ def run_classical_suite(trials, seed, tolerance=None):
     checks.append(_check("limit approach is monotone", 0.0 if monotone else 1.0, 0.5))
 
     worst = 0.0
-    for p, q in pairs[: min(len(pairs), 10)]:
+    for p, q in pairs[:10]:
         for a in ALPHA_GRID:
             for t in (0.25, 0.5, 0.75):
                 lhs = t * (classical.alpha_coordinates(q, a) - classical.alpha_coordinates(p, a))
@@ -123,43 +205,17 @@ def run_quantum_suite(trials, seed, tolerance=None):
             )
         )
 
-    worst = 0.0
-    for r1, r2 in pairs:
-        for a in ALPHA_GRID:
-            closed = quantum.quantum_alpha_divergence_closed(r1, r2, a)
-            numeric = quantum.canonical_divergence_numeric_q(r1, r2, a)
-            worst = max(worst, abs(numeric - closed) / (1.0 + abs(closed)))
+    worst = quadrature_gap(
+        pairs, quantum.quantum_alpha_divergence_closed, quantum.canonical_divergence_numeric_q
+    )
     checks.append(_check("quadrature matches closed form", worst, tol))
 
     worst = 0.0
     for _ in range(10):
         dim = int(rng.integers(2, 6))
-        p = _random_measure(rng, dim, 0.2, 4.0)
-        q = _random_measure(rng, dim, 0.2, 4.0)
-        d1, d2 = quantum.PositiveOperator(np.diag(p)), quantum.PositiveOperator(np.diag(q))
-        for a in ALPHA_GRID:
-            worst = max(
-                worst,
-                abs(
-                    quantum.quantum_alpha_divergence_closed(d1, d2, a)
-                    - classical.alpha_divergence_closed(p, q, a)
-                ),
-                abs(
-                    quantum.canonical_divergence_numeric_q(d1, d2, a)
-                    - classical.canonical_divergence_numeric(p, q, a)
-                ),
-            )
-        worst = max(
-            worst,
-            abs(
-                quantum.quantum_relative_entropy(d1, d2, extended=True)
-                - classical.kl_extended(p, q)
-            ),
-            abs(
-                quantum.quantum_q_divergence(d1, d2, 0.3)
-                - classical.tsallis_q_divergence(p, q, 0.3)
-            ),
-        )
+        p = random_measure(rng, dim, 0.2, 4.0)
+        q = random_measure(rng, dim, 0.2, 4.0)
+        worst = max(worst, spectral_reduction_gap(p, q))
     checks.append(_check("spectral reduction to the classical cone", worst, 1e-12))
 
     worst = 0.0
@@ -196,13 +252,9 @@ def run_quantum_suite(trials, seed, tolerance=None):
         neg = min(neg, quantum.quantum_q_divergence(r1, r2, 0.4))
     checks.append(_check("divergences nonnegative", -neg, 1e-12))
 
-    worst = 0.0
-    for r1, r2 in pairs[: min(len(pairs), 20)]:
-        for qp in (0.25, 0.3, 0.5, 0.7, 0.75):
-            a = 1.0 - 2.0 * qp
-            lhs = quantum.quantum_q_divergence(r1, r2, qp)
-            rhs = 0.5 * (1.0 - a) * quantum.quantum_alpha_divergence_closed(r1, r2, a)
-            worst = max(worst, abs(lhs - rhs))
+    worst = tsallis_gap(
+        pairs[:20], quantum.quantum_q_divergence, quantum.quantum_alpha_divergence_closed, _QPARAMS
+    )
     checks.append(_check("Tsallis scaling identity", worst, 1e-13))
 
     r1 = quantum.PositiveOperator(np.array([[2.0, 1.0], [1.0, 2.0]]))
@@ -223,37 +275,17 @@ def run_recovery_suite(trials, seed, tolerance=None):
     rng = np.random.default_rng(seed)
     checks = []
 
-    metric_err = 0.0
-    christoffel_err = 0.0
-    defect_err = 0.0
     points = []
     for _ in range(10):
         dim = int(rng.integers(2, 4))
         points.append(rng.uniform(0.5, 3.0, size=dim))
-    for p in points:
-        for a in (-0.5, 0.0, 0.5):
-            div = _classical_alpha_div(a)
-            structure = recovery.recover_structure(div, p)
-            fisher = np.diag(1.0 / p)
-            metric_err = max(
-                metric_err,
-                float(np.max(np.abs(structure.metric - fisher)) / np.max(np.abs(fisher))),
-            )
-            expected = np.zeros_like(structure.christoffel)
-            idx = np.arange(p.size)
-            expected[idx, idx, idx] = -0.5 * (1.0 + a) / p**2
-            christoffel_err = max(
-                christoffel_err, float(np.max(np.abs(structure.christoffel - expected)))
-            )
-            defect_err = max(defect_err, recovery.duality_defect(structure, div))
+    metric_err, christoffel_err, defect_err = structure_errors(points, (-0.5, 0.0, 0.5))
     checks.append(_check("Fisher metric recovery (relative)", metric_err, 1e-5))
     checks.append(_check("connection coefficient recovery", christoffel_err, tol))
     checks.append(_check("duality defect", defect_err, tol))
 
     curv = 0.0
     for p in points[:2]:
-        if p.size > 3:
-            continue
         for a in (0.0, 0.5):
             curv = max(curv, recovery.curvature_max(_classical_alpha_div(a), p))
     checks.append(_check("flatness (curvature residual)", curv, 1e-3))

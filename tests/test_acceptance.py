@@ -12,8 +12,14 @@ import numpy as np
 from alphadiv import classical as cl
 from alphadiv import quantum as qm
 from alphadiv import recovery as rc
+from alphadiv.suites import (
+    quadrature_gap,
+    random_measure,
+    spectral_reduction_gap,
+    structure_errors,
+    tsallis_gap,
+)
 
-ALPHA_GRID = (-0.9, -0.5, 0.0, 0.5, 0.9)
 SEED = 20240817
 
 
@@ -22,23 +28,14 @@ def _report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def _random_measure(rng, dim, lo=0.1, hi=5.0):
-    return rng.uniform(lo, hi, size=dim)
-
-
 def test_classical_theorem_quadrature_equals_closed_form():
     rng = np.random.default_rng(SEED)
     pairs = []
     for _ in range(100):
         dim = int(rng.integers(1, 7))
-        pairs.append((_random_measure(rng, dim), _random_measure(rng, dim)))
+        pairs.append((random_measure(rng, dim), random_measure(rng, dim)))
     start = time.perf_counter()
-    worst = 0.0
-    for p, q in pairs:
-        for a in ALPHA_GRID:
-            closed = cl.alpha_divergence_closed(p, q, a)
-            numeric = cl.canonical_divergence_numeric(p, q, a)
-            worst = max(worst, abs(numeric - closed) / (1.0 + abs(closed)))
+    worst = quadrature_gap(pairs, cl.alpha_divergence_closed, cl.canonical_divergence_numeric)
     elapsed = time.perf_counter() - start
     _report(
         "classical theorem (100 pairs, dims 1-6, 5 alphas)",
@@ -56,12 +53,9 @@ def test_quantum_theorem_quadrature_equals_closed_form():
             (qm.random_positive_operator(rng, dim), qm.random_positive_operator(rng, dim))
         )
     start = time.perf_counter()
-    worst = 0.0
-    for r1, r2 in pairs:
-        for a in ALPHA_GRID:
-            closed = qm.quantum_alpha_divergence_closed(r1, r2, a)
-            numeric = qm.canonical_divergence_numeric_q(r1, r2, a)
-            worst = max(worst, abs(numeric - closed) / (1.0 + abs(closed)))
+    worst = quadrature_gap(
+        pairs, qm.quantum_alpha_divergence_closed, qm.canonical_divergence_numeric_q
+    )
     elapsed = time.perf_counter() - start
     _report(
         "quantum theorem (100 PD pairs, dims 2-6, 5 alphas)",
@@ -136,30 +130,27 @@ def test_limits_approach_entropies_monotonically():
 
 def test_scaling_relations():
     rng = np.random.default_rng(SEED + 2)
-    worst_c = 0.0
-    worst_q = 0.0
+    classical_pairs = []
+    quantum_pairs = []
     for _ in range(30):
         dim = int(rng.integers(1, 5))
-        p, q = _random_measure(rng, dim, 0.1, 2.0), _random_measure(rng, dim, 0.1, 2.0)
+        classical_pairs.append(
+            (random_measure(rng, dim, 0.1, 2.0), random_measure(rng, dim, 0.1, 2.0))
+        )
         qdim = int(rng.integers(2, 5))
-        r1 = qm.random_positive_operator(rng, qdim, (0.2, 3.0))
-        r2 = qm.random_positive_operator(rng, qdim, (0.2, 3.0))
-        for qp in (0.2, 0.25, 0.3, 0.5, 0.7, 0.75, 0.8):
-            a = 1.0 - 2.0 * qp
-            worst_c = max(
-                worst_c,
-                abs(
-                    cl.tsallis_q_divergence(p, q, qp)
-                    - 0.5 * (1.0 - a) * cl.alpha_divergence_closed(p, q, a)
-                ),
+        quantum_pairs.append(
+            (
+                qm.random_positive_operator(rng, qdim, (0.2, 3.0)),
+                qm.random_positive_operator(rng, qdim, (0.2, 3.0)),
             )
-            worst_q = max(
-                worst_q,
-                abs(
-                    qm.quantum_q_divergence(r1, r2, qp)
-                    - 0.5 * (1.0 - a) * qm.quantum_alpha_divergence_closed(r1, r2, a)
-                ),
-            )
+        )
+    qparams = (0.2, 0.25, 0.3, 0.5, 0.7, 0.75, 0.8)
+    worst_c = tsallis_gap(
+        classical_pairs, cl.tsallis_q_divergence, cl.alpha_divergence_closed, qparams
+    )
+    worst_q = tsallis_gap(
+        quantum_pairs, qm.quantum_q_divergence, qm.quantum_alpha_divergence_closed, qparams
+    )
     ok = worst_c <= 1e-13 and worst_q <= 1e-13
     _report(
         "Tsallis scaling D_q = ((1-alpha)/2) D_alpha at alpha = 1-2q",
@@ -170,28 +161,11 @@ def test_scaling_relations():
 
 def test_structure_recovery():
     rng = np.random.default_rng(SEED + 3)
-    metric_rel = 0.0
-    christ_abs = 0.0
-    defect = 0.0
     points = []
     for _ in range(6):
         dim = int(rng.integers(2, 4))
         points.append(rng.uniform(0.5, 3.0, size=dim))
-    for p in points:
-        for a in (-0.5, 0.0, 0.5):
-            def div(x, y, _a=a):
-                return cl.alpha_divergence_closed(x, y, _a)
-
-            s = rc.recover_structure(div, p)
-            fisher = np.diag(1.0 / p)
-            metric_rel = max(
-                metric_rel, float(np.max(np.abs(s.metric - fisher)) / np.max(np.abs(fisher)))
-            )
-            expected = np.zeros_like(s.christoffel)
-            idx = np.arange(p.size)
-            expected[idx, idx, idx] = -0.5 * (1.0 + a) / p**2
-            christ_abs = max(christ_abs, float(np.max(np.abs(s.christoffel - expected))))
-            defect = max(defect, rc.duality_defect(s, div))
+    metric_rel, christ_abs, defect = structure_errors(points, (-0.5, 0.0, 0.5))
     curvature = 0.0
     for p in points[:2]:
         for a in (0.0, 0.5):
@@ -225,7 +199,7 @@ def test_divergence_axioms():
     ]
     for _ in range(1000):
         dim = int(rng.integers(1, 7))
-        p, q = _random_measure(rng, dim), _random_measure(rng, dim)
+        p, q = random_measure(rng, dim), random_measure(rng, dim)
         for div in classical_divs:
             most_negative = min(most_negative, div(p, q))
             smallest_offdiag = min(smallest_offdiag, div(p, q))
@@ -272,27 +246,14 @@ def test_spectral_reduction():
     worst = 0.0
     for _ in range(20):
         dim = int(rng.integers(2, 6))
-        p = _random_measure(rng, dim, 0.2, 4.0)
-        q = _random_measure(rng, dim, 0.2, 4.0)
+        p = random_measure(rng, dim, 0.2, 4.0)
+        q = random_measure(rng, dim, 0.2, 4.0)
         d1 = qm.PositiveOperator(np.diag(p))
         d2 = qm.PositiveOperator(np.diag(q))
-        for a in ALPHA_GRID:
-            worst = max(
-                worst,
-                abs(
-                    qm.quantum_alpha_divergence_closed(d1, d2, a)
-                    - cl.alpha_divergence_closed(p, q, a)
-                ),
-                abs(
-                    qm.canonical_divergence_numeric_q(d1, d2, a)
-                    - cl.canonical_divergence_numeric(p, q, a)
-                ),
-            )
         worst = max(
             worst,
-            abs(qm.quantum_relative_entropy(d1, d2, extended=True) - cl.kl_extended(p, q)),
+            spectral_reduction_gap(p, q),
             abs(qm.quantum_relative_entropy(d1, d2) - float(np.sum(p * np.log(p / q)))),
-            abs(qm.quantum_q_divergence(d1, d2, 0.3) - cl.tsallis_q_divergence(p, q, 0.3)),
             abs(
                 qm.furuichi_q_divergence(d1, d2, 0.3)
                 - float((p.sum() - np.sum(p**0.3 * q**0.7)) / 0.7)

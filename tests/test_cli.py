@@ -145,10 +145,39 @@ class TestDivergenceCommand:
         case = json.loads(capsys.readouterr().out)["cases"][0]
         assert case["value"] > 0.0
 
-    def test_furuichi_on_classical_rejected(self, classical_doc):
-        assert (
-            main(["divergence", classical_doc, "--family", "furuichi", "--q", "0.5"]) == 2
+    @pytest.mark.parametrize(
+        "kind, argv",
+        [
+            ("classical", ["--family", "relative-entropy"]),
+            ("classical", ["--family", "furuichi", "--q", "0.5"]),
+            ("quantum", ["--family", "kl"]),
+        ],
+        ids=["classical-relative-entropy", "classical-furuichi", "quantum-kl"],
+    )
+    def test_family_undefined_on_kind_rejected(self, request, capsys, kind, argv):
+        doc = request.getfixturevalue(f"{kind}_doc")
+        assert main(["divergence", doc] + argv) == 2
+        assert f"is not defined on {kind} documents" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv",
+        [["--family", "alpha", "--alpha", "-0.5"], ["--family", "kl"]],
+        ids=["alpha", "kl"],
+    )
+    def test_overflowing_closed_form_is_numerical_error(self, tmp_path, capsys, argv):
+        path = tmp_path / "huge.json"
+        path.write_text(
+            json.dumps({"kind": "classical", "objects": {"p": [1e308, 1.0], "q": [1.0, 2.0]}})
         )
+        rc = main(["divergence", str(path), "--pairs", "p:q"] + argv)
+        out, err = capsys.readouterr()
+        assert rc == 3
+        assert out == ""
+        assert "not finite" in err
+
+    def test_exit_code_contract_for_missing_file(self):
+        assert main(["divergence", "/nonexistent.json", "--family", "kl"]) == 2
 
 
 class TestVerifyCommand:
@@ -279,14 +308,26 @@ class TestSweepCommand:
         assert rc == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "kind, pair", [("classical", "p:q"), ("quantum", "rho1:rho2")], ids=["classical", "quantum"]
+    )
+    def test_row_equals_divergence_both(self, request, capsys, tmp_path, kind, pair):
+        doc = request.getfixturevalue(f"{kind}_doc")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", doc, "--pair", pair, "--alphas=-0.3", "--out", str(out)]) == 0
+        row = next(csv.DictReader(out.open()))
+        rc = main(
+            ["divergence", doc, "--family", "alpha", "--alpha", "-0.3", "--method", "both",
+             "--pairs", pair]
+        )
+        assert rc == 0
+        case = json.loads(capsys.readouterr().out)["cases"][0]
+        assert float(row["canonical_numeric"]) == case["value"]
+        assert float(row["closed"]) == case["reference"]
+
     def test_byte_identical_reruns(self, classical_doc, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["sweep", classical_doc, "--pair", "p:q", "--alphas=-0.9:0.9:0.3"]
         main(args + ["--out", str(a)])
         main(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
-
-
-class TestReportRoundTrip:
-    def test_exit_code_contract_for_missing_file(self):
-        assert main(["divergence", "/nonexistent.json", "--family", "kl"]) == 2
