@@ -42,9 +42,9 @@ def as_measure(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("a measure must be a nonempty 1-D vector")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("measure entries must be finite")
-    if np.any(p <= 0.0):
+    if (p <= 0.0).any():
         raise ValueError(f"measure entries must be strictly positive, got {p!r}")
     return p
 
@@ -216,7 +216,7 @@ def _bregman_power_sum(p, q, beta):
     mexp = 1.0 / beta
     mm1 = (1.0 - beta) / beta
     bregman = a**mexp - b**mexp - mexp * b**mm1 * (a - b)
-    return float(np.sum(bregman))
+    return float(bregman.sum())
 
 
 def alpha_divergence_closed(p, q, alpha) -> float:

@@ -433,7 +433,10 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        # Every non-finite result is refused with EXIT_NUMERICAL, so numpy's
+        # floating-point warnings would only repeat that on stderr.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

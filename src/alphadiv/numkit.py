@@ -12,6 +12,7 @@ deterministic for a given input shape.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +79,7 @@ def check_alpha(alpha, geodesic=False):
     stays regular.
     """
     alpha = float(alpha)
-    if not np.isfinite(alpha):
+    if not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
     low_ok = alpha >= -1.0 if geodesic else alpha > -1.0
     if not (low_ok and alpha < 1.0):
@@ -162,8 +163,8 @@ def quadrature_sum(rule: QuadratureRule, values) -> float:
     if values.shape != rule.nodes.shape:
         raise ValueError("one integrand value per node is required")
     bad = ~np.isfinite(values)
-    if np.any(bad):
-        t = rule.nodes[bad][0]
+    if bad.any():
+        t = float(rule.nodes[bad][0])
         raise NumericalDomainError(f"integrand is not finite at node t={t!r}")
     return float(rule.weights @ values)
 
@@ -181,19 +182,24 @@ def as_hermitian(m) -> np.ndarray:
     """Validate a Hermitian matrix and return its symmetrized complex copy.
 
     The matrix must be square and finite with ||m - m^dagger||_F <=
-    HERMITICITY_RTOL * ||m||_F; the zero matrix passes.
+    HERMITICITY_RTOL * ||m||_F; the zero matrix passes.  Both norms are taken
+    on m divided by a power of two near max|m_ij|, which is exact, so the
+    squares inside the norms cannot overflow and the verdict is that of m.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
-    scale = float(np.linalg.norm(m))
-    defect = float(np.linalg.norm(m - m.conj().T))
+    peak = float(abs(m).max(initial=0.0))
+    unit = math.ldexp(0.5, math.frexp(peak)[1])  # a power of two in (peak/2, peak]
+    scaled = m / unit
+    scale = float(np.linalg.norm(scaled))
+    defect = float(np.linalg.norm(scaled - scaled.conj().T))
     if defect > HERMITICITY_RTOL * scale:
         raise ValueError(
-            f"matrix is not Hermitian: ||m - m^dagger||_F = {defect:.3e} "
-            f"exceeds {HERMITICITY_RTOL:g} * ||m||_F = {HERMITICITY_RTOL * scale:.3e}"
+            f"matrix is not Hermitian: ||m - m^dagger||_F = {defect * unit:.3e} "
+            f"exceeds {HERMITICITY_RTOL:g} * ||m||_F = {HERMITICITY_RTOL * scale * unit:.3e}"
         )
     return hermitian_part(m)
 
@@ -210,7 +216,7 @@ class SpectralDecomposition:
         u = np.asarray(self.eigenvectors).copy()
         if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] != w.size:
             raise ValueError("eigenvector matrix must be square and match eigenvalues")
-        if np.any(np.diff(w) < 0.0):
+        if (w[1:] < w[:-1]).any():
             raise ValueError("eigenvalues must be ascending")
         w.setflags(write=False)
         u.setflags(write=False)

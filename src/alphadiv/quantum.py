@@ -10,8 +10,10 @@ alpha-divergence.
 
 Operators are wrapped in :class:`PositiveOperator`, which validates
 Hermiticity and positivity once and caches the spectral decomposition; all
-powers and logarithms are taken through that cache.  Instances are immutable
-and safe to share between threads.
+powers and logarithms are taken through that cache.  An operator that is a
+power of an already decomposed matrix (a geodesic point, the inverse of the
+flat chart) is built from that decomposition, not decomposed again.
+Instances are immutable and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -85,7 +87,10 @@ class PositiveOperator:
     matrix must be Hermitian relative to its Frobenius norm, its spectrum must
     satisfy smallest > 1e-12 * largest, and the stored symmetrized matrix is
     frozen.  Fractional powers and logarithms always go through the cached
-    decomposition.
+    decomposition.  Operators built by this module from a known spectrum
+    (:func:`alpha_geodesic_q`, :func:`operator_from_chart`) skip the second
+    decomposition and keep the eigenvectors they were built from; they pass
+    the same finiteness and positivity checks.
     """
 
     def __init__(self, matrix):
@@ -93,6 +98,26 @@ class PositiveOperator:
         m = hermitian_part(np.asarray(matrix, dtype=complex))
         m.setflags(write=False)
         self._matrix = m
+
+    @staticmethod
+    def _from_spectrum(spectral: SpectralDecomposition, s) -> PositiveOperator:
+        """U diag(w**s) U^dagger from a positive-gated decomposition (w, U), s > 0.
+
+        Stores the matrix that ``PositiveOperator(spectral.matrix_function(
+        lambda w: w**s))`` would store and refuses it on the same terms, but
+        keeps (w**s, U) as its spectrum instead of decomposing it again.
+        """
+        power = SpectralDecomposition(
+            eigenvalues=spectral.eigenvalues**s, eigenvectors=spectral.eigenvectors
+        )
+        m = power.matrix_function(lambda w: w)
+        if not np.isfinite(m).all():
+            raise ValueError("matrix entries must be finite")
+        m.setflags(write=False)
+        op = object.__new__(PositiveOperator)
+        op._spectral = require_positive(power)
+        op._matrix = m
+        return op
 
     @property
     def matrix(self) -> np.ndarray:
@@ -218,9 +243,7 @@ def alpha_geodesic_q(rho1, rho2, alpha, t) -> PositiveOperator:
         return rho2
     beta = 0.5 * (1.0 - alpha)
     m = (1.0 - t) * rho1.power(beta) + t * rho2.power(beta)
-    spectral = hermitian_eig(m)
-    point = spectral.matrix_function(lambda w: w ** (1.0 / beta))
-    return PositiveOperator(point)
+    return PositiveOperator._from_spectrum(require_positive(hermitian_eig(m)), 1.0 / beta)
 
 
 def velocity_representations(rho1, rho2, alpha, t):
@@ -359,7 +382,7 @@ def operator_from_chart(theta, basis, alpha) -> PositiveOperator:
     beta = 0.5 * (1.0 - alpha)
     chart = beta * operator_from_theta(theta, basis)
     spectral = require_positive(hermitian_eig(chart))
-    return PositiveOperator(spectral.matrix_function(lambda w: w ** (1.0 / beta)))
+    return PositiveOperator._from_spectrum(spectral, 1.0 / beta)
 
 
 def wyd_components_theta(rho, alpha) -> np.ndarray:

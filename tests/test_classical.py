@@ -12,8 +12,14 @@ def random_pair(rng, dim, lo=0.1, hi=5.0):
 
 class TestValidation:
     def test_rejects_nonpositive_measures(self):
-        for bad in ([1.0, 0.0], [1.0, -2.0], [np.nan, 1.0], []):
-            with pytest.raises(ValueError):
+        for bad, message in (
+            ([1.0, 0.0], "^measure entries must be strictly positive, got "),
+            ([1.0, -2.0], "^measure entries must be strictly positive, got "),
+            ([np.nan, 1.0], "^measure entries must be finite$"),
+            ([1.0, -np.inf], "^measure entries must be finite$"),
+            ([], "^a measure must be a nonempty 1-D vector$"),
+        ):
+            with pytest.raises(ValueError, match=message):
                 cl.as_measure(bad)
 
     def test_dimension_mismatch(self):

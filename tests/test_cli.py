@@ -159,7 +159,7 @@ class TestDivergenceCommand:
         assert main(["divergence", doc] + argv) == 2
         assert f"is not defined on {kind} documents" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "argv",
         [["--family", "alpha", "--alpha", "-0.5"], ["--family", "kl"]],

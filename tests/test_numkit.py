@@ -6,6 +6,8 @@ from alphadiv.numkit import (
     NotPositiveDefiniteError,
     NumericalDomainError,
     QuadratureRule,
+    SpectralDecomposition,
+    as_hermitian,
     check_alpha,
     frechet_from_decomposition,
     gauss_legendre_rule,
@@ -84,6 +86,14 @@ class TestIntegrate:
         with np.errstate(divide="ignore"), pytest.raises(NumericalDomainError, match="node"):
             quadrature_sum(rule, 1.0 / (rule.nodes - rule.nodes[2]))
 
+    def test_refusal_prints_the_node_as_a_plain_float(self):
+        rule = gauss_legendre_rule(4)
+        values = np.ones(4)
+        values[1] = np.nan
+        with pytest.raises(NumericalDomainError) as info:
+            quadrature_sum(rule, values)
+        assert str(info.value) == f"integrand is not finite at node t={float(rule.nodes[1])!r}"
+
 
 class TestHermitianEig:
     def test_identity(self):
@@ -111,6 +121,23 @@ class TestHermitianEig:
         for validate in (hermitian_eig, PositiveOperator):
             with pytest.raises(ValueError, match="Hermitian"):
                 validate(m)
+
+    def test_overflowing_norm_does_not_hide_asymmetry(self):
+        # the squares inside ||m||_F overflow at these entries; the verdict
+        # must still be the one of the rescaled matrix
+        for validate in (hermitian_eig, PositiveOperator):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                validate(np.array([[1e200, 1e200], [0.0, 1e200]]))
+        rho = PositiveOperator(1e200 * np.array([[2.0, 1.0], [1.0, 2.0]]))
+        assert np.allclose(rho.eigenvalues, [1e200, 3e200], rtol=1e-12, atol=0)
+
+    def test_rejects_non_finite_entries(self):
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            as_hermitian(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+    def test_descending_spectrum_rejected(self):
+        with pytest.raises(ValueError, match="^eigenvalues must be ascending$"):
+            SpectralDecomposition(eigenvalues=[2.0, 1.0], eigenvectors=np.eye(2))
 
     def test_reconstruction_and_unitarity_on_random_input(self):
         rng = np.random.default_rng(11)
@@ -282,6 +309,12 @@ class TestCheckAlpha:
         for bad in (-1.0, 1.0, -1.5, 2.0, np.inf, np.nan):
             with pytest.raises(ValueError):
                 check_alpha(bad)
+
+    def test_non_finite_alpha_message(self):
+        for bad in (np.nan, np.inf):
+            for geodesic in (False, True):
+                with pytest.raises(ValueError, match="^alpha must be finite$"):
+                    check_alpha(bad, geodesic=geodesic)
 
     def test_mixture_endpoint_allowed_for_geodesics(self):
         assert check_alpha(-1.0, geodesic=True) == -1.0

@@ -3,7 +3,12 @@ import pytest
 
 from alphadiv import classical as cl
 from alphadiv import quantum as qm
-from alphadiv.numkit import NotPositiveDefiniteError, power_divided_differences
+from alphadiv.numkit import (
+    NotPositiveDefiniteError,
+    hermitian_eig,
+    hermitian_part,
+    power_divided_differences,
+)
 
 ALPHAS = (-0.9, -0.5, 0.0, 0.5, 0.9)
 
@@ -153,6 +158,64 @@ class TestGeodesic:
         for a in (-0.5, 0.5):
             out = qm.alpha_geodesic_q(np.diag(p), np.diag(q), a, 0.3)
             assert np.allclose(np.diag(out.matrix), cl.alpha_geodesic(p, q, a, 0.3), atol=1e-12)
+
+
+class TestOperatorsFromKnownSpectrum:
+    """Geodesic points and chart inverses reuse the decomposition they computed."""
+
+    @staticmethod
+    def count_eigh(monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(m):
+            calls.append(m.shape)
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    def test_chart_inverse_decomposes_once(self, monkeypatch):
+        basis = qm.hermitian_basis(2)
+        theta = qm.theta_coordinates(np.array([[1.5, 0.2], [0.2, 1.0]]), basis)
+        calls = self.count_eigh(monkeypatch)
+        qm.operator_from_chart(theta, basis, 0.5)
+        assert len(calls) == 1
+
+    def test_geodesic_point_decomposes_once(self, monkeypatch):
+        r1 = qm.PositiveOperator(WORKED_PAIR[0])
+        r2 = qm.PositiveOperator(WORKED_PAIR[1])
+        calls = self.count_eigh(monkeypatch)
+        qm.alpha_geodesic_q(r1, r2, 0.5, 0.3)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_chart_inverse_is_the_power_of_the_chart_spectrum(self, alpha):
+        rng = np.random.default_rng(31)
+        basis = qm.hermitian_basis(3)
+        beta = 0.5 * (1.0 - alpha)
+        theta = qm.theta_coordinates(qm.alpha_embedding(rand_pd(rng, 3), alpha), basis)
+        chart = hermitian_eig(beta * qm.operator_from_theta(theta, basis))
+        rho = qm.operator_from_chart(theta, basis, alpha)
+        assert np.array_equal(rho.eigenvalues, chart.eigenvalues ** (1.0 / beta))
+        assert np.array_equal(rho.spectral.eigenvectors, chart.eigenvectors)
+        # the matrix the constructor would have been handed, bit for bit
+        expected = hermitian_part(chart.matrix_function(lambda w: w ** (1.0 / beta)))
+        assert np.array_equal(rho.matrix, expected)
+
+    def test_overflowing_power_refused(self):
+        # alpha = 0.9 raises the chart eigenvalues to the 20th power
+        basis = qm.hermitian_basis(2)
+        theta = qm.theta_coordinates(np.diag([1e19, 1e20]) / 0.05, basis)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="finite"):
+                qm.operator_from_chart(theta, basis, 0.9)
+
+    def test_non_positive_chart_refused(self):
+        basis = qm.hermitian_basis(2)
+        theta = qm.theta_coordinates(np.diag([1.0, -1.0]), basis)
+        with pytest.raises(NotPositiveDefiniteError):
+            qm.operator_from_chart(theta, basis, 0.5)
 
 
 class TestVelocityRepresentations:
