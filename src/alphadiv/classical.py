@@ -54,7 +54,7 @@ def as_tangent(x, n) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"tangent vector must have shape ({n},), got {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("tangent entries must be finite")
     return x
 

@@ -2,7 +2,7 @@
 
 Gauss-Legendre quadrature on [0, 1], the Hermiticity and positivity checks,
 Hermitian eigendecompositions, divided-difference derivatives of matrix power
-functions, and central-difference stencils for mixed partial derivatives.
+functions, and one central-difference gradient that mixed partials fold.
 
 Every function here is a pure function of its inputs and deterministic for
 identical inputs, so results are safe to share between threads.  Reductions
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -37,6 +38,7 @@ __all__ = [
     "mixed_partials",
     "power_divided_differences",
     "quadrature_sum",
+    "stencil_gradient",
 ]
 
 # Smallest eigenvalue must exceed this fraction of the largest one for an
@@ -181,17 +183,17 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
 def as_hermitian(m) -> np.ndarray:
     """Validate a Hermitian matrix and return its symmetrized complex copy.
 
-    The matrix must be square and finite with ||m - m^dagger||_F <=
+    The matrix must be square, non-empty and finite with ||m - m^dagger||_F <=
     HERMITICITY_RTOL * ||m||_F; the zero matrix passes.  Both norms are taken
     on m divided by a power of two near max|m_ij|, which is exact, so the
     squares inside the norms cannot overflow and the verdict is that of m.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
-    peak = float(abs(m).max(initial=0.0))
+    peak = float(abs(m).max())
     unit = math.ldexp(0.5, math.frexp(peak)[1])  # a power of two in (peak/2, peak]
     scaled = m / unit
     scale = float(np.linalg.norm(scaled))
@@ -321,6 +323,23 @@ _STENCILS = {
 }
 
 
+def stencil_gradient(field, x, cfg: FDConfig) -> np.ndarray:
+    """``out[k] = sum_o c_o field(x + o step e_k) / step`` at a float vector x.
+
+    The one reader of the stencil table; field may be array-valued.
+    """
+    offsets, coeffs = cfg.stencil
+    grad = []
+    for k in range(x.size):
+        acc = 0.0
+        for off, c in zip(offsets, coeffs):
+            shifted = x.copy()
+            shifted[k] += off * cfg.step
+            acc = acc + c * field(shifted)
+        grad.append(acc / cfg.step)
+    return np.array(grad)
+
+
 def mixed_partials(f, p, q, pattern, cfg: FDConfig | None = None) -> np.ndarray:
     """Central-difference estimate of a mixed partial derivative of f(p, q).
 
@@ -328,7 +347,8 @@ def mixed_partials(f, p, q, pattern, cfg: FDConfig | None = None) -> np.ndarray:
     axis k of the result indexes the coordinate that the k-th derivative acts
     on.  "pq" gives the matrix d^2 f / dp_i dq_j, "ppq" the rank-3 array
     d^3 f / dp_i dp_j dq_k, and "qqp" its primed-block mirror.  Evaluating the
-    same block twice (p == q is the standard use) is supported.
+    same block twice (p == q is the standard use) is supported.  Each
+    character wraps f in one more :func:`stencil_gradient`, the last innermost.
 
     A non-finite value of f anywhere on the stencil raises
     :class:`NumericalDomainError`.
@@ -340,31 +360,20 @@ def mixed_partials(f, p, q, pattern, cfg: FDConfig | None = None) -> np.ndarray:
         raise ValueError("coordinate blocks must be 1-D vectors")
     if not (1 <= len(pattern) <= 3) or any(c not in "pq" for c in pattern):
         raise ValueError(f"pattern must be 1-3 characters over 'p'/'q', got {pattern!r}")
-    offsets, coeffs = cfg.stencil
-    h = cfg.step
-    shape = tuple(p.size if c == "p" else q.size for c in pattern)
-    out = np.empty(shape)
-    for idx in np.ndindex(*shape):
-        out[idx] = _stencil_entry(f, p, q, pattern, idx, 0, h, offsets, coeffs)
-    return out
 
-
-def _stencil_entry(f, p, q, pattern, idx, k, h, offsets, coeffs):
-    if k == len(pattern):
-        value = float(f(p, q))
-        if not np.isfinite(value):
+    def value(p, q):
+        v = float(f(p, q))
+        if not math.isfinite(v):
             raise NumericalDomainError(
                 f"function value is not finite on the stencil at p={p!r}, q={q!r}"
             )
-        return value
-    total = 0.0
-    for off, c in zip(offsets, coeffs):
-        if pattern[k] == "p":
-            p2 = p.copy()
-            p2[idx[k]] += off * h
-            total += c * _stencil_entry(f, p2, q, pattern, idx, k + 1, h, offsets, coeffs)
-        else:
-            q2 = q.copy()
-            q2[idx[k]] += off * h
-            total += c * _stencil_entry(f, p, q2, pattern, idx, k + 1, h, offsets, coeffs)
-    return total / h
+        return v
+
+    def partial(field, block):  # field(p, q) -> its gradient over one block
+        if block == "p":
+            return lambda p, q: stencil_gradient(lambda x: field(x, q), p, cfg)
+        return lambda p, q: stencil_gradient(lambda x: field(p, x), q, cfg)
+
+    # an empty block yields a 1-D empty gradient; the reshape restores every axis
+    shape = tuple(p.size if c == "p" else q.size for c in pattern)
+    return reduce(partial, reversed(pattern), value)(p, q).reshape(shape)

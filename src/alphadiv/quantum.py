@@ -107,10 +107,11 @@ class PositiveOperator:
         lambda w: w**s))`` would store and refuses it on the same terms, but
         keeps (w**s, U) as its spectrum instead of decomposing it again.
         """
-        power = SpectralDecomposition(
-            eigenvalues=spectral.eigenvalues**s, eigenvectors=spectral.eigenvectors
-        )
-        m = power.matrix_function(lambda w: w)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            power = SpectralDecomposition(
+                eigenvalues=spectral.eigenvalues**s, eigenvectors=spectral.eigenvectors
+            )
+            m = power.matrix_function(lambda w: w)
         if not np.isfinite(m).all():
             raise ValueError("matrix entries must be finite")
         m.setflags(write=False)

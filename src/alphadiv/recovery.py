@@ -9,7 +9,7 @@ connections through its mixed derivatives on the diagonal:
 
 where unprimed derivatives act on the first argument and primed ones on the
 second, everything evaluated at p = q.  This module estimates those objects
-with central-difference stencils, checks the duality identity
+with numkit's one central-difference stencil, checks the duality identity
 d_k g_ij = Gamma_kij + Gamma*_kji, and measures the curvature of the raised
 connection at the recovery point.
 """
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import FDConfig, NotPositiveDefiniteError, mixed_partials
+from .numkit import FDConfig, NotPositiveDefiniteError, mixed_partials, stencil_gradient
 
 __all__ = [
     "RecoveredStructure",
@@ -128,20 +128,6 @@ def recover_structure(
     )
 
 
-def _gradient(field, point, outer: FDConfig) -> np.ndarray:
-    """grad[k] = d_k field at the point, by the outer stencil over shifted points."""
-    offsets, coeffs = outer.stencil
-    grad = []
-    for k in range(point.size):
-        acc = 0.0
-        for off, c in zip(offsets, coeffs):
-            shifted = point.copy()
-            shifted[k] += off * outer.step
-            acc = acc + c * field(shifted)
-        grad.append(acc / outer.step)
-    return np.array(grad)
-
-
 def duality_defect(
     structure: RecoveredStructure,
     divergence,
@@ -155,7 +141,7 @@ def duality_defect(
     :func:`recover_structure`, so the returned number measures pure
     finite-difference noise for any smooth contrast function.
     """
-    dg = _gradient(lambda x: _checked_metric(divergence, x, cfg), structure.point, third_cfg)
+    dg = stencil_gradient(lambda x: _checked_metric(divergence, x, cfg), structure.point, third_cfg)
     paired = structure.christoffel + np.swapaxes(structure.christoffel_dual, 1, 2)
     return float(np.max(np.abs(dg - paired)))
 
@@ -188,7 +174,7 @@ def curvature_max(
         )
     gamma_up = _raised_christoffel(divergence, point, cfg, third_cfg)
     # d_gamma[i, j, k, l] = d_i G^l_jk
-    d_gamma = _gradient(
+    d_gamma = stencil_gradient(
         lambda x: _raised_christoffel(divergence, x, cfg, third_cfg),
         point,
         FDConfig(step=third_cfg.step, order=2),

@@ -14,6 +14,7 @@ from alphadiv.numkit import (
     hermitian_eig,
     mixed_partials,
     quadrature_sum,
+    stencil_gradient,
 )
 from alphadiv.quantum import PositiveOperator, alpha_representation
 
@@ -134,6 +135,11 @@ class TestHermitianEig:
     def test_rejects_non_finite_entries(self):
         with pytest.raises(ValueError, match="^matrix entries must be finite$"):
             as_hermitian(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+    def test_empty_matrix_refused(self):
+        for validate in (as_hermitian, hermitian_eig, PositiveOperator):
+            with pytest.raises(ValueError, match="non-empty square matrix"):
+                validate(np.zeros((0, 0)))
 
     def test_descending_spectrum_rejected(self):
         with pytest.raises(ValueError, match="^eigenvalues must be ascending$"):
@@ -291,6 +297,49 @@ class TestMixedPartials:
 
         with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(NumericalDomainError):
             mixed_partials(f, np.array([1.0]), np.array([1.0]), "pq")
+
+    @pytest.mark.parametrize("cfg", [FDConfig(2.0**-4, 2), FDConfig(2.0**-4, 4)])
+    def test_axis_order_on_unequal_blocks(self, cfg):
+        # f = B_ij p_i q_j + C_ijk p_i q_j p_k is at most quadratic in each
+        # coordinate, so both stencils reproduce its partials up to roundoff;
+        # p has 2 coordinates and q 3, so a swapped axis changes the shape
+        rng = np.random.default_rng(5)
+        b = rng.integers(-3, 4, size=(2, 3)).astype(float)
+        c = rng.integers(-3, 4, size=(2, 3, 2)).astype(float)
+
+        def f(x, y):
+            return float(x @ b @ y + np.einsum("ijk,i,j,k->", c, x, y, x))
+
+        p = np.array([1.5, 0.75])
+        q = np.array([0.5, 1.25, 2.0])
+        qp = mixed_partials(f, p, q, "qp", cfg)
+        assert qp.shape == (3, 2)
+        # d_{q_a} d_{p_b} f = B_ba + C_bak p_k + C_iab p_i
+        expected = b.T + np.einsum("bak,k->ab", c, p) + np.einsum("iab,i->ab", c, p)
+        assert np.allclose(qp, expected, rtol=0, atol=1e-9)
+        pqp = mixed_partials(f, p, q, "pqp", cfg)
+        assert pqp.shape == (2, 3, 2)
+        # d_{p_a} d_{q_b} d_{p_c} f = C_abc + C_cba
+        assert np.allclose(pqp, c + np.transpose(c, (2, 1, 0)), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("pattern", ["q", "qp", "pqp"])
+    def test_nonfinite_value_off_centre(self, pattern):
+        # finite at the centre; infinite only where q_1 is stepped down
+        def f(x, y):
+            return np.inf if y[1] < 1.0 else float(x @ y)
+
+        p = np.array([1.0, 1.0])
+        assert np.isfinite(f(p, p))
+        with pytest.raises(NumericalDomainError, match="not finite on the stencil"):
+            mixed_partials(f, p, p, pattern)
+
+    def test_stencil_gradient_of_array_field(self):
+        # field(x) = (x_0 x_1, x_1**2): gradient rows d_k, exact for quadratics
+        def field(x):
+            return np.array([x[0] * x[1], x[1] ** 2])
+
+        grad = stencil_gradient(field, np.array([1.5, -0.5]), FDConfig(2.0**-4, 2))
+        assert np.array_equal(grad, [[-0.5, 0.0], [1.5, -1.0]])
 
     def test_bad_pattern_rejected(self):
         with pytest.raises(ValueError):

@@ -204,12 +204,22 @@ class TestOperatorsFromKnownSpectrum:
         assert np.array_equal(rho.matrix, expected)
 
     def test_overflowing_power_refused(self):
-        # alpha = 0.9 raises the chart eigenvalues to the 20th power
+        # alpha = 0.9 raises the chart eigenvalues to the 20th power; the
+        # refusal emits no numpy warning, which the test settings turn into
+        # errors
         basis = qm.hermitian_basis(2)
         theta = qm.theta_coordinates(np.diag([1e19, 1e20]) / 0.05, basis)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="finite"):
-                qm.operator_from_chart(theta, basis, 0.9)
+        with pytest.raises(ValueError, match="finite"):
+            qm.operator_from_chart(theta, basis, 0.9)
+
+    def test_overflowing_matrix_refused(self):
+        # chart eigenvalues 2.4975e15 and 2.5e15: their 20th powers are
+        # finite, but the matrix overflows when it is symmetrized
+        basis = qm.hermitian_basis(2)
+        chart = np.array([[2.49875e15, -1.25e12], [-1.25e12, 2.49875e15]])
+        theta = qm.theta_coordinates(chart / 0.05, basis)
+        with pytest.raises(ValueError, match="finite"):
+            qm.operator_from_chart(theta, basis, 0.9)
 
     def test_non_positive_chart_refused(self):
         basis = qm.hermitian_basis(2)

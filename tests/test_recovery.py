@@ -115,6 +115,34 @@ class TestDegenerateContrast:
             rc.duality_defect(structure, skewed)
 
 
+class TestStencilCounts:
+    """Contrast evaluations of the stencils, as the benchmark's known counts pin them."""
+
+    P = np.array([1.5, 0.8, 2.2])
+
+    @staticmethod
+    def counting(contrast):
+        points = []
+
+        def counted(x, y):
+            points.append((x.tobytes(), y.tobytes()))
+            return contrast(x, y)
+
+        return counted, points
+
+    def test_recover_structure_at_three_coordinates(self):
+        # 1 diagonal check + 9 * 4**2 metric + 2 * 27 * 4**3 connection values
+        counted, points = self.counting(alpha_div(0.5))
+        rc.recover_structure(counted, self.P)
+        assert len(points) == 3601
+
+    def test_third_order_block(self):
+        counted, points = self.counting(alpha_div(0.5))
+        mixed_partials(counted, self.P, self.P, "ppq", FDConfig(1e-2, 4))
+        assert len(points) == 1728
+        assert len(set(points)) == 876
+
+
 class TestDefectOrdering:
     def test_alpha_defect_close_to_euclidean_floor(self):
         # The Euclidean reference has no truncation bias at all (quadratic),
