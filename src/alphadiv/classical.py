@@ -209,7 +209,7 @@ def _bregman_power_sum(p, q, beta):
     Algebraically, (beta/(1-beta)) times this sum is the Tsallis form and
     1/(1-beta) times it the alpha-divergence; grouping the terms this way
     returns exactly 0.0 at p == q and keeps each summand nonnegative up to
-    roundoff.
+    roundoff.  Takes validated arrays; the quantum closed forms share it.
     """
     a = p**beta
     b = q**beta
@@ -235,6 +235,11 @@ def alpha_divergence_closed(p, q, alpha) -> float:
     return _bregman_power_sum(p, q, beta) / (1.0 - beta)
 
 
+def _kl_sum(p, q):
+    """sum_i (q_i - p_i - p_i log(q_i/p_i)); exactly 0.0 at p == q."""
+    return float(np.sum(q - p - p * np.log(q / p)))
+
+
 def kl_extended(p, q) -> float:
     """Kullback-Leibler divergence extended to positive measures.
 
@@ -242,7 +247,7 @@ def kl_extended(p, q) -> float:
     alpha-divergence.  On the simplex it reduces to sum_i p_i log(p_i/q_i).
     """
     p, q = _measure_pair(p, q)
-    return float(np.sum(q - p - p * np.log(q / p)))
+    return _kl_sum(p, q)
 
 
 def kl_extended_reversed(p, q) -> float:
@@ -251,7 +256,7 @@ def kl_extended_reversed(p, q) -> float:
     Equal to kl_extended(q, p) by definition.
     """
     p, q = _measure_pair(p, q)
-    return float(np.sum(p - q - q * np.log(p / q)))
+    return _kl_sum(q, p)
 
 
 def tsallis_q_divergence(p, q, qparam) -> float:

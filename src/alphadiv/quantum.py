@@ -9,17 +9,21 @@ geodesic-integral divergence reproduces the closed-form quantum
 alpha-divergence.
 
 Operators are wrapped in :class:`PositiveOperator`, which validates
-Hermiticity and positivity once and caches the spectral decomposition; all
-powers and logarithms are taken through that cache.  An operator that is a
-power of an already decomposed matrix (a geodesic point, the inverse of the
-flat chart) is built from that decomposition, not decomposed again.
-Instances are immutable and safe to share between threads.
+Hermiticity and positivity once and caches the spectral decomposition.
+Powers are taken through that cache, and the closed forms are the classical
+kernels on the Nussbaum-Szkola pair built from two cached eigensystems.  An
+operator that is a power of an already decomposed matrix (a geodesic point,
+the inverse of the flat chart) is built from that decomposition, not
+decomposed again.  Instances are immutable and safe to share between threads.
 """
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
+from .classical import _bregman_power_sum, _kl_sum
 from .numkit import (
     DEFAULT_RULE,
     NotPositiveDefiniteError,
@@ -86,11 +90,9 @@ class PositiveOperator:
     :func:`numkit.hermitian_eig` and :func:`numkit.require_positive`: the
     matrix must be Hermitian relative to its Frobenius norm, its spectrum must
     satisfy smallest > 1e-12 * largest, and the stored symmetrized matrix is
-    frozen.  Fractional powers and logarithms always go through the cached
-    decomposition.  Operators built by this module from a known spectrum
-    (:func:`alpha_geodesic_q`, :func:`operator_from_chart`) skip the second
-    decomposition and keep the eigenvectors they were built from; they pass
-    the same finiteness and positivity checks.
+    frozen.  Operators built from a known spectrum (:func:`alpha_geodesic_q`,
+    :func:`operator_from_chart`) skip the second decomposition and keep the
+    eigenvectors they were built from; they pass the same checks.
     """
 
     def __init__(self, matrix):
@@ -104,14 +106,18 @@ class PositiveOperator:
         """U diag(w**s) U^dagger from a positive-gated decomposition (w, U), s > 0.
 
         Stores the matrix that ``PositiveOperator(spectral.matrix_function(
-        lambda w: w**s))`` would store and refuses it on the same terms, but
-        keeps (w**s, U) as its spectrum instead of decomposing it again.
+        lambda w: w**s))`` would store, but keeps (w**s, U) as its spectrum
+        instead of decomposing it again.  Refuses a largest power above float
+        max / 4, below which no entry of the matrix can overflow.
         """
-        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            power = SpectralDecomposition(
-                eigenvalues=spectral.eigenvalues**s, eigenvectors=spectral.eigenvectors
-            )
-            m = power.matrix_function(lambda w: w)
+        try:
+            fits = float(spectral.eigenvalues[-1]) ** s <= sys.float_info.max / 4
+        except OverflowError:
+            fits = False
+        if not fits:
+            raise ValueError("matrix entries must be finite")
+        power = SpectralDecomposition(spectral.eigenvalues**s, spectral.eigenvectors)
+        m = power.matrix_function(lambda w: w)
         if not np.isfinite(m).all():
             raise ValueError("matrix entries must be finite")
         m.setflags(write=False)
@@ -147,10 +153,6 @@ class PositiveOperator:
             return np.eye(self.dim, dtype=complex)
         return self._spectral.matrix_function(lambda w: w**s)
 
-    def log(self) -> np.ndarray:
-        """Matrix logarithm through the cached decomposition."""
-        return self._spectral.matrix_function(np.log)
-
     def __repr__(self):
         return f"PositiveOperator(dim={self.dim}, trace={self.trace:.6g})"
 
@@ -185,6 +187,21 @@ def _tangent_at(rho: PositiveOperator, x) -> np.ndarray:
 
 def _same_operator(rho1: PositiveOperator, rho2: PositiveOperator) -> bool:
     return rho1 is rho2 or np.array_equal(rho1.matrix, rho2.matrix)
+
+
+def _spectral_pair(rho1: PositiveOperator, rho2: PositiveOperator):
+    """Nussbaum-Szkola pair p_ij = l_i |<u_i|v_j>|^2, q_ij = m_j |<u_i|v_j>|^2.
+
+    Exact zeros (orthogonal eigenvectors) are dropped; identical operators
+    give (l, l), on which the shared kernels return exactly 0.0.
+    """
+    if _same_operator(rho1, rho2):
+        return rho1.eigenvalues, rho1.eigenvalues
+    overlap = np.abs(rho1.spectral.eigenvectors.conj().T @ rho2.spectral.eigenvectors) ** 2
+    p = rho1.eigenvalues[:, None] * overlap
+    q = rho2.eigenvalues * overlap
+    keep = (p != 0.0) & (q != 0.0)
+    return p[keep], q[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -423,12 +440,6 @@ def wyd_components_theta(rho, alpha) -> np.ndarray:
 # Closed-form divergences
 # ---------------------------------------------------------------------------
 
-def _mixed_power_trace(rho1: PositiveOperator, rho2: PositiveOperator, beta) -> float:
-    """Tr(rho1**beta rho2**(1-beta)) as a checked real number."""
-    value = np.einsum("ij,ji->", rho1.power(beta), rho2.power(1.0 - beta))
-    return _require_real(value, "mixed power trace")
-
-
 def quantum_alpha_divergence_closed(rho1, rho2, alpha) -> float:
     """Closed-form quantum alpha-divergence on positive definite operators.
 
@@ -438,31 +449,23 @@ def quantum_alpha_divergence_closed(rho1, rho2, alpha) -> float:
     Rejects alpha = +-1; the limits are the (extended) quantum relative
     entropy and its reverse.  Returns exactly 0.0 for identical operators.
     """
-    rho1, rho2 = _positive_pair(rho1, rho2)
+    pair = _spectral_pair(*_positive_pair(rho1, rho2))
     alpha = check_alpha(alpha)
-    if _same_operator(rho1, rho2):
-        return 0.0
     beta = 0.5 * (1.0 - alpha)
-    core = beta * rho1.trace + (1.0 - beta) * rho2.trace - _mixed_power_trace(rho1, rho2, beta)
-    return core / (beta * (1.0 - beta))
+    return _bregman_power_sum(*pair, beta) / (1.0 - beta)
 
 
 def quantum_relative_entropy(rho1, rho2, extended=False) -> float:
-    """Tr(rho1 (log rho1 - log rho2)) via spectral logarithms.
+    """Tr(rho1 (log rho1 - log rho2)) on the Nussbaum-Szkola pair.
 
     With ``extended=True`` the positive-measure form
     Tr(rho2 - rho1 + rho1 log rho1 - rho1 log rho2) is returned, which is the
     alpha -> -1 limit of the quantum alpha-divergence on non-normalized
-    operators; the two forms coincide on density operators.
+    operators; the two forms coincide on density operators.  The plain form
+    is summed directly: the extended one minus Tr(rho2 - rho1) would cancel.
     """
-    rho1, rho2 = _positive_pair(rho1, rho2)
-    value = _require_real(
-        np.einsum("ij,ji->", rho1.matrix, rho1.log() - rho2.log()),
-        "relative entropy trace",
-    )
-    if extended:
-        value += rho2.trace - rho1.trace
-    return value
+    p, q = _spectral_pair(*_positive_pair(rho1, rho2))
+    return _kl_sum(p, q) if extended else float(np.sum(p * np.log(p / q)))
 
 
 def quantum_q_divergence(rho1, rho2, qparam) -> float:
@@ -471,18 +474,11 @@ def quantum_q_divergence(rho1, rho2, qparam) -> float:
     Coincides with ((1-alpha)/2) times the quantum alpha-divergence at
     alpha = 1 - 2q.
     """
-    rho1, rho2 = _positive_pair(rho1, rho2)
+    pair = _spectral_pair(*_positive_pair(rho1, rho2))
     qparam = float(qparam)
     if not (0.0 < qparam < 1.0):
         raise ValueError(f"q must lie strictly inside (0, 1), got {qparam}")
-    if _same_operator(rho1, rho2):
-        return 0.0
-    core = (
-        qparam * rho1.trace
-        + (1.0 - qparam) * rho2.trace
-        - _mixed_power_trace(rho1, rho2, qparam)
-    )
-    return core / (1.0 - qparam)
+    return qparam * _bregman_power_sum(*pair, qparam) / (1.0 - qparam)
 
 
 def furuichi_q_divergence(rho1, rho2, qparam) -> float:
@@ -498,7 +494,8 @@ def furuichi_q_divergence(rho1, rho2, qparam) -> float:
         raise ValueError(f"q must lie in [0, 1), got {qparam}")
     if _same_operator(rho1, rho2):
         return 0.0
-    return (rho1.trace - _mixed_power_trace(rho1, rho2, qparam)) / (1.0 - qparam)
+    p, q = _spectral_pair(rho1, rho2)
+    return float(p.sum() - (p**qparam * q ** (1.0 - qparam)).sum()) / (1.0 - qparam)
 
 
 def density_alpha_divergence(rho1, rho2, alpha) -> float:
@@ -515,10 +512,7 @@ def density_alpha_divergence(rho1, rho2, alpha) -> float:
                 f"{name} argument must be a density operator (unit trace), "
                 f"got trace {op.trace!r}"
             )
-    if _same_operator(rho1, rho2):
-        return 0.0
-    beta = 0.5 * (1.0 - alpha)
-    return (1.0 - _mixed_power_trace(rho1, rho2, beta)) / (beta * (1.0 - beta))
+    return quantum_alpha_divergence_closed(rho1, rho2, alpha)
 
 
 # ---------------------------------------------------------------------------
