@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numkit import DEFAULT_RULE, QuadratureRule, check_alpha, check_t, quadrature_sum
+from .numkit import DEFAULT_RULE, QuadratureRule, check_alpha, check_q, check_t, quadrature_sum
 
 __all__ = [
     "alpha_christoffel",
@@ -266,7 +266,5 @@ def tsallis_q_divergence(p, q, qparam) -> float:
     ((1-alpha)/2) times the alpha-divergence at alpha = 1 - 2q.
     """
     p, q = _measure_pair(p, q)
-    qparam = float(qparam)
-    if not (0.0 < qparam < 1.0):
-        raise ValueError(f"q must lie strictly inside (0, 1), got {qparam}")
+    qparam = check_q(qparam)
     return qparam * _bregman_power_sum(p, q, qparam) / (1.0 - qparam)

@@ -30,6 +30,7 @@ __all__ = [
     "SpectralDecomposition",
     "as_hermitian",
     "check_alpha",
+    "check_q",
     "check_t",
     "frechet_from_decomposition",
     "gauss_legendre_rule",
@@ -94,6 +95,14 @@ def check_alpha(alpha, geodesic=False):
             "use the dedicated entropy operations for the limits"
         )
     return alpha
+
+
+def check_q(q) -> float:
+    """Validate a Tsallis parameter q strictly inside (0, 1), returned as a float."""
+    q = float(q)
+    if not (0.0 < q < 1.0):
+        raise ValueError(f"q must lie strictly inside (0, 1), got {q}")
+    return q
 
 
 def check_t(t) -> float:

@@ -11,14 +11,17 @@ alpha-divergence.
 Operators are wrapped in :class:`PositiveOperator`, which validates
 Hermiticity and positivity once and caches the spectral decomposition.
 Powers are taken through that cache, and the closed forms are the classical
-kernels on the Nussbaum-Szkola pair built from two cached eigensystems.  An
-operator that is a power of an already decomposed matrix (a geodesic point,
-the inverse of the flat chart) is built from that decomposition, not
-decomposed again.  Instances are immutable and safe to share between threads.
+kernels on the Nussbaum-Szkola pair built from two cached eigensystems.  The
+inverse of the flat chart (geodesic points, :func:`operator_from_chart`) is
+built from the decomposition of the chart matrix, not decomposed again.  The
+quadrature integrand and the velocity pushforwards share one batched
+eigenframe of the geodesic interpolant; the velocity pairing is the integrand
+at one node.  Instances are immutable and safe to share between threads.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
@@ -33,6 +36,7 @@ from .numkit import (
     SpectralDecomposition,
     as_hermitian,
     check_alpha,
+    check_q,
     check_t,
     frechet_from_decomposition,
     hermitian_eig,
@@ -73,14 +77,20 @@ __all__ = [
 IMAG_RTOL = 1e-10
 
 
-def _require_real(z, context) -> float:
-    z = complex(z)
-    if abs(z.imag) > IMAG_RTOL * (1.0 + abs(z.real)):
+def _require_real(z, context):
+    """Re z, refusing |Im z| > IMAG_RTOL (1 + |Re z|) (Frobenius norms on arrays)."""
+    z = np.asarray(z)
+    residue, scale = (math.sqrt(v.ravel() @ v.ravel()) for v in (z.imag, z.real))
+    if residue > IMAG_RTOL * (1.0 + scale):
         raise NumericalDomainError(
-            f"{context}: imaginary residue {z.imag:.3e} exceeds "
-            f"{IMAG_RTOL:g} * (1 + |{z.real:.3e}|)"
+            f"{context}: imaginary residue {residue:.3e} exceeds {IMAG_RTOL:g} * (1 + {scale:.3e})"
         )
     return z.real
+
+
+def _require_unit_trace(op, name):
+    if abs(op.trace - 1.0) > 1e-12:
+        raise ValueError(f"{name} must be a density operator (unit trace), got trace {op.trace!r}")
 
 
 class PositiveOperator:
@@ -90,9 +100,8 @@ class PositiveOperator:
     :func:`numkit.hermitian_eig` and :func:`numkit.require_positive`: the
     matrix must be Hermitian relative to its Frobenius norm, its spectrum must
     satisfy smallest > 1e-12 * largest, and the stored symmetrized matrix is
-    frozen.  Operators built from a known spectrum (:func:`alpha_geodesic_q`,
-    :func:`operator_from_chart`) skip the second decomposition and keep the
-    eigenvectors they were built from; they pass the same checks.
+    frozen.  The inverse of the flat chart, :meth:`_from_chart`, keeps the
+    decomposition of the chart matrix instead and passes the same checks.
     """
 
     def __init__(self, matrix):
@@ -102,14 +111,16 @@ class PositiveOperator:
         self._matrix = m
 
     @staticmethod
-    def _from_spectrum(spectral: SpectralDecomposition, s) -> PositiveOperator:
-        """U diag(w**s) U^dagger from a positive-gated decomposition (w, U), s > 0.
+    def _from_chart(m, beta) -> PositiveOperator:
+        """The operator whose beta-th power is the Hermitian matrix m, beta > 0.
 
-        Stores the matrix that ``PositiveOperator(spectral.matrix_function(
-        lambda w: w**s))`` would store, but keeps (w**s, U) as its spectrum
-        instead of decomposing it again.  Refuses a largest power above float
-        max / 4, below which no entry of the matrix can overflow.
+        With m = U diag(w) U^dagger positive-gated, stores the matrix that
+        ``PositiveOperator(U diag(w**(1/beta)) U^dagger)`` would store but
+        keeps (w**(1/beta), U) as its spectrum.  Refuses a largest power above
+        float max / 4, below which no entry of the matrix can overflow.
         """
+        spectral = require_positive(hermitian_eig(m))
+        s = 1.0 / beta
         try:
             fits = float(spectral.eigenvalues[-1]) ** s <= sys.float_info.max / 4
         except OverflowError:
@@ -117,13 +128,13 @@ class PositiveOperator:
         if not fits:
             raise ValueError("matrix entries must be finite")
         power = SpectralDecomposition(spectral.eigenvalues**s, spectral.eigenvectors)
-        m = power.matrix_function(lambda w: w)
-        if not np.isfinite(m).all():
+        matrix = power.matrix_function(lambda w: w)
+        if not np.isfinite(matrix).all():
             raise ValueError("matrix entries must be finite")
-        m.setflags(write=False)
+        matrix.setflags(write=False)
         op = object.__new__(PositiveOperator)
         op._spectral = require_positive(power)
-        op._matrix = m
+        op._matrix = matrix
         return op
 
     @property
@@ -162,8 +173,7 @@ class DensityOperator(PositiveOperator):
 
     def __init__(self, matrix):
         super().__init__(matrix)
-        if abs(self.trace - 1.0) > 1e-12:
-            raise ValueError(f"density operator must have unit trace, got {self.trace!r}")
+        _require_unit_trace(self, "operator")
 
 
 def as_positive(rho) -> PositiveOperator:
@@ -260,8 +270,22 @@ def alpha_geodesic_q(rho1, rho2, alpha, t) -> PositiveOperator:
     if t == 1.0:
         return rho2
     beta = 0.5 * (1.0 - alpha)
-    m = (1.0 - t) * rho1.power(beta) + t * rho2.power(beta)
-    return PositiveOperator._from_spectrum(require_positive(hermitian_eig(m)), 1.0 / beta)
+    return PositiveOperator._from_chart((1.0 - t) * rho1.power(beta) + t * rho2.power(beta), beta)
+
+
+def _geodesic_frame(a, b, beta, ts):
+    """U, U^dagger (B - A) U and the divided differences of x**((1-beta)/beta)
+    on w, where M(t) = (1-t)A + tB = U diag(w) U^dagger at each node t."""
+    m = (1.0 - ts)[:, None, None] * a[None] + ts[:, None, None] * b[None]
+    evals, vecs = np.linalg.eigh(m)
+    if np.any(evals[:, 0] <= POSITIVITY_RTOL * evals[:, -1]):
+        raise NotPositiveDefiniteError(
+            "geodesic interpolant lost positive definiteness",
+            smallest=float(evals[:, 0].min()),
+        )
+    wt = np.swapaxes(vecs.conj(), 1, 2) @ (b - a)[None] @ vecs
+    tables = power_divided_differences(evals, (1.0 - beta) / beta)
+    return vecs, wt, tables
 
 
 def velocity_representations(rho1, rho2, alpha, t):
@@ -271,8 +295,7 @@ def velocity_representations(rho1, rho2, alpha, t):
     (+alpha) image is the constant (2/(1-alpha)) (B - A); the (-alpha) image
     is the derivative of the dual chart along the curve, computed through the
     divided differences of x**((1+alpha)/(1-alpha)) at M(t).  Their trace
-    pairing is the integrand of the geodesic-integral divergence (up to the
-    factor t).
+    pairing is the divergence integrand at the single node t, over t.
     """
     rho1, rho2 = _positive_pair(rho1, rho2)
     alpha = check_alpha(alpha)
@@ -280,36 +303,16 @@ def velocity_representations(rho1, rho2, alpha, t):
     beta = 0.5 * (1.0 - alpha)
     a = rho1.power(beta)
     b = rho2.power(beta)
-    v_alpha = (1.0 / beta) * (b - a)
-    m = hermitian_eig((1.0 - t) * a + t * b)
-    mexp = (1.0 - beta) / beta  # (1 + alpha)/(1 - alpha)
-    # dual-chart pushforward: the derivative of x**mexp taken at the chart
-    # image (1/beta) M(t); rescaling it to M(t) collapses the chart constants
-    # to beta/(1 - beta)
-    image = frechet_from_decomposition(m, mexp, v_alpha)
-    v_dual = (beta / (1.0 - beta)) * image
-    return v_alpha, v_dual
+    (u,), (wt,), (table,) = _geodesic_frame(a, b, beta, np.array([t]))
+    # the derivative of x**((1-beta)/beta) at the chart image (1/beta) M(t) in
+    # the direction (B - A)/beta: the chart constants collapse to 1/(1 - beta)
+    v_dual = hermitian_part(u @ (table * wt) @ u.conj().T) / (1.0 - beta)
+    return (b - a) / beta, v_dual
 
 
-def _divergence_integrand(a, b, alpha, ts):
-    """t * Tr(velocity (+a) image . velocity (-a) image) batched over nodes.
-
-    Evaluated in the eigenbasis of M(t) = (1-t)A + tB through the divided
-    differences of x**((1+alpha)/(1-alpha)); manifestly real and nonnegative
-    because that power function is increasing on the positive axis.
-    """
-    beta = 0.5 * (1.0 - alpha)
-    w = b - a
-    m = (1.0 - ts)[:, None, None] * a[None] + ts[:, None, None] * b[None]
-    evals, vecs = np.linalg.eigh(m)
-    if np.any(evals[:, 0] <= POSITIVITY_RTOL * evals[:, -1]):
-        raise NotPositiveDefiniteError(
-            "geodesic interpolant lost positive definiteness",
-            smallest=float(evals[:, 0].min()),
-        )
-    wt = np.swapaxes(vecs.conj(), 1, 2) @ w[None] @ vecs
-    mexp = (1.0 - beta) / beta
-    tables = power_divided_differences(evals, mexp)
+def _divergence_integrand(a, b, beta, ts):
+    """t * Tr(v_alpha v_dual) over the nodes; nonnegative, as x**((1-beta)/beta) increases."""
+    _, wt, tables = _geodesic_frame(a, b, beta, ts)
     pair = np.einsum("tij,tij->t", tables, np.abs(wt) ** 2)
     return ts * pair / (beta * (1.0 - beta))
 
@@ -325,7 +328,7 @@ def canonical_divergence_numeric_q(rho1, rho2, alpha, rule: QuadratureRule = DEF
     rho1, rho2 = _positive_pair(rho1, rho2)
     alpha = check_alpha(alpha)
     beta = 0.5 * (1.0 - alpha)
-    values = _divergence_integrand(rho1.power(beta), rho2.power(beta), alpha, rule.nodes)
+    values = _divergence_integrand(rho1.power(beta), rho2.power(beta), beta, rule.nodes)
     return quadrature_sum(rule, values)
 
 
@@ -346,7 +349,7 @@ def wyd_metric(rho, x, y, alpha) -> float:
         alpha_representation(rho, x, alpha),
         alpha_representation(rho, y, -alpha),
     )
-    return _require_real(value, "wyd_metric trace")
+    return float(_require_real(value, "wyd_metric trace"))
 
 
 def hermitian_basis(n) -> np.ndarray:
@@ -398,9 +401,7 @@ def operator_from_chart(theta, basis, alpha) -> PositiveOperator:
     """
     alpha = check_alpha(alpha, geodesic=True)
     beta = 0.5 * (1.0 - alpha)
-    chart = beta * operator_from_theta(theta, basis)
-    spectral = require_positive(hermitian_eig(chart))
-    return PositiveOperator._from_spectrum(spectral, 1.0 / beta)
+    return PositiveOperator._from_chart(beta * operator_from_theta(theta, basis), beta)
 
 
 def wyd_components_theta(rho, alpha) -> np.ndarray:
@@ -428,12 +429,7 @@ def wyd_components_theta(rho, alpha) -> np.ndarray:
         / power_divided_differences(rho.eigenvalues, beta)
     )
     raw = np.einsum("iab,jab,ab->ij", rotated.conj(), rotated, kernel)
-    residue = float(np.linalg.norm(raw.imag))
-    if residue > IMAG_RTOL * (1.0 + float(np.linalg.norm(raw))):
-        raise NumericalDomainError(
-            f"metric component array has imaginary residue {residue:.3e}"
-        )
-    return hermitian_part(raw).real
+    return hermitian_part(_require_real(raw, "metric component array"))
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +471,7 @@ def quantum_q_divergence(rho1, rho2, qparam) -> float:
     alpha = 1 - 2q.
     """
     pair = _spectral_pair(*_positive_pair(rho1, rho2))
-    qparam = float(qparam)
-    if not (0.0 < qparam < 1.0):
-        raise ValueError(f"q must lie strictly inside (0, 1), got {qparam}")
+    qparam = check_q(qparam)
     return qparam * _bregman_power_sum(*pair, qparam) / (1.0 - qparam)
 
 
@@ -506,12 +500,8 @@ def density_alpha_divergence(rho1, rho2, alpha) -> float:
     """
     rho1, rho2 = _positive_pair(rho1, rho2)
     alpha = check_alpha(alpha)
-    for name, op in (("first", rho1), ("second", rho2)):
-        if abs(op.trace - 1.0) > 1e-12:
-            raise ValueError(
-                f"{name} argument must be a density operator (unit trace), "
-                f"got trace {op.trace!r}"
-            )
+    _require_unit_trace(rho1, "first argument")
+    _require_unit_trace(rho2, "second argument")
     return quantum_alpha_divergence_closed(rho1, rho2, alpha)
 
 

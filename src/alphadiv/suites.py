@@ -351,6 +351,8 @@ _RUNNERS = {
 
 def run_suite(name, trials, seed, tolerance=None):
     """Run one named suite (or 'all') and return its check records."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if name == "all":
         records = []
         for key in ("classical", "quantum", "recovery"):

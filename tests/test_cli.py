@@ -213,6 +213,16 @@ class TestVerifyCommand:
         report = json.loads(out.read_text())
         assert report["summary"]["pass"] is False
 
+    @pytest.mark.parametrize("suite", ["classical", "quantum"])
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_is_usage_error(self, tmp_path, capsys, suite, trials):
+        # no trial builds no pair, so every check would pass on nothing
+        out = tmp_path / "r.json"
+        rc = main(["verify", "--suite", suite, "--trials", trials, "--seed", "7", "--out", str(out)])
+        assert rc == 2
+        assert f"trials must be at least 1, got {trials}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRecoverCommand:
     def test_classical_fisher(self, classical_doc, capsys):

@@ -9,6 +9,7 @@ from alphadiv.numkit import (
     SpectralDecomposition,
     as_hermitian,
     check_alpha,
+    check_q,
     frechet_from_decomposition,
     gauss_legendre_rule,
     hermitian_eig,
@@ -369,3 +370,11 @@ class TestCheckAlpha:
         assert check_alpha(-1.0, geodesic=True) == -1.0
         with pytest.raises(ValueError):
             check_alpha(1.0, geodesic=True)
+
+
+class TestCheckQ:
+    def test_open_unit_interval(self):
+        assert check_q(0.25) == 0.25
+        for bad in (0.0, 1.0, -0.2, 1.5, np.inf, np.nan):
+            with pytest.raises(ValueError, match=r"^q must lie strictly inside \(0, 1\), got"):
+                check_q(bad)

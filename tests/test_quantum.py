@@ -5,6 +5,8 @@ from alphadiv import classical as cl
 from alphadiv import quantum as qm
 from alphadiv.numkit import (
     NotPositiveDefiniteError,
+    NumericalDomainError,
+    QuadratureRule,
     hermitian_eig,
     hermitian_part,
     power_divided_differences,
@@ -276,6 +278,49 @@ class TestVelocityRepresentations:
         assert np.max(np.abs(va - va.conj().T)) <= 1e-12
         assert np.max(np.abs(vd - vd.conj().T)) <= 1e-12
 
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_pairing_is_the_quadrature_integrand_at_one_node(self, dim):
+        # measured worst case 5.4e-16 relative
+        rng = np.random.default_rng(100 + dim)
+        for _ in range(3):
+            r1, r2 = rand_pd(rng, dim), rand_pd(rng, dim)
+            for a in ALPHAS:
+                for t in (0.3, 0.7):
+                    value = qm.canonical_divergence_numeric_q(r1, r2, a, QuadratureRule([t], [1.0]))
+                    va, vd = qm.velocity_representations(r1, r2, a, t)
+                    pairing = t * np.einsum("ij,ji->", va, vd).real
+                    assert abs(value - pairing) <= 4e-15 * abs(pairing)
+
+    def test_non_positive_interpolant_refused(self, monkeypatch):
+        # an interpolant whose computed spectrum lost positivity, by a shift
+        # of every eigenvalue the decomposition returns; the pushforwards and
+        # the quadrature share the gate
+        r1 = qm.PositiveOperator(WORKED_PAIR[0])
+        r2 = qm.PositiveOperator(WORKED_PAIR[1])
+        eigh = np.linalg.eigh
+
+        def shifted(m):
+            w, u = eigh(m)
+            return w - w[..., -1:], u
+
+        monkeypatch.setattr(np.linalg, "eigh", shifted)
+        with pytest.raises(NotPositiveDefiniteError, match="geodesic interpolant"):
+            qm.velocity_representations(r1, r2, 0.5, 0.3)
+        with pytest.raises(NotPositiveDefiniteError, match="geodesic interpolant"):
+            qm.canonical_divergence_numeric_q(r1, r2, 0.5)
+
+
+class TestRequireReal:
+    def test_scalar_and_array_share_one_rule(self):
+        # the bound is 1e-10 * (1 + |Re z|), the Frobenius norm on arrays
+        assert qm._require_real(2.0 + 2e-10j, "trace") == 2.0
+        real = np.array([[2.0, 0.0], [0.0, 0.0]])
+        assert np.array_equal(qm._require_real(real + 2e-10j * np.eye(2) / np.sqrt(2), "array"), real)
+        with pytest.raises(NumericalDomainError, match="trace: imaginary residue 4.000e-10"):
+            qm._require_real(2.0 + 4e-10j, "trace")
+        with pytest.raises(NumericalDomainError, match="array: imaginary residue 4.000e-10"):
+            qm._require_real(real + 4e-10j * np.eye(2) / np.sqrt(2), "array")
+
 
 class TestWydMetric:
     def test_identity_base_is_plain_trace(self):
@@ -517,6 +562,16 @@ class TestDensityAlphaDivergence:
     def test_requires_unit_trace(self):
         with pytest.raises(ValueError, match="unit trace"):
             qm.density_alpha_divergence(*WORKED_PAIR, 0.5)
+
+    def test_unit_trace_refusals_share_one_message(self):
+        density = qm.DensityOperator(np.diag([0.3, 0.7]))
+        for call, name in (
+            (lambda: qm.DensityOperator(np.diag([0.5, 0.75])), "operator"),
+            (lambda: qm.density_alpha_divergence(WORKED_PAIR[1], density, 0.5), "first argument"),
+            (lambda: qm.density_alpha_divergence(density, WORKED_PAIR[1], 0.5), "second argument"),
+        ):
+            with pytest.raises(ValueError, match=f"^{name} must be a density operator \\(unit trace\\)"):
+                call()
 
     def test_zero_on_diagonal(self):
         rho = qm.DensityOperator(np.diag([0.3, 0.7]))

@@ -1,0 +1,60 @@
+"""Structural invariants of the package source, checked on its syntax tree.
+
+The benchmark counts eigendecompositions by rebinding ``numpy.linalg.eigh``,
+so every decomposition must be that attribute call, made in one of the two
+places that decompose: ``numkit.hermitian_eig`` for single matrices and the
+geodesic frame for the batched interpolant.  Operators that skip
+``PositiveOperator.__init__`` are built in one place, the inverse chart.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "alphadiv"
+
+
+def sites(match):
+    """(module, enclosing qualified name) of every node for which match is true."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+
+        def visit(node, scope):
+            if match(node):
+                found.append((path.stem, ".".join(scope)))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scope = scope + [node.name]
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(ast.parse(path.read_text()), [])
+    return found
+
+
+def dotted(node):
+    if isinstance(node, ast.Attribute):
+        return f"{dotted(node.value)}.{node.attr}"
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def test_eigh_is_called_only_in_the_two_decomposing_places():
+    calls = sites(lambda n: isinstance(n, ast.Call) and dotted(n.func) == "np.linalg.eigh")
+    assert sorted(calls) == [("numkit", "hermitian_eig"), ("quantum", "_geodesic_frame")]
+    # any other spelling (an import, an alias, a bare reference) escapes the counter
+    mentions = sites(
+        lambda n: (isinstance(n, ast.Attribute) and n.attr == "eigh")
+        or (isinstance(n, ast.Name) and n.id == "eigh")
+        or (isinstance(n, ast.alias) and n.name.split(".")[-1] == "eigh")
+    )
+    assert sorted(mentions) == sorted(calls)
+
+
+def test_positive_operator_bypasses_init_only_in_the_inverse_chart():
+    def bypass(n):
+        return (
+            isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute)
+            and n.func.attr == "__new__"
+            and any(dotted(a) in ("PositiveOperator", "DensityOperator") for a in n.args)
+        )
+
+    assert sites(bypass) == [("quantum", "PositiveOperator._from_chart")]
