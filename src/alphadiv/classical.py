@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numkit import DEFAULT_RULE, QuadratureRule, check_alpha, check_q, check_t, quadrature_sum
+from .numkit import (
+    DEFAULT_RULE, QuadratureRule, chart_exponent, check_alpha, check_q, check_t, quadrature_sum,
+)
 
 __all__ = [
     "alpha_christoffel",
@@ -107,22 +109,20 @@ def alpha_geodesic(p, q, alpha, t) -> np.ndarray:
     coordinates mapped back to the cone.  Endpoints are returned exactly.
     """
     p, q = _measure_pair(p, q)
-    alpha = check_alpha(alpha, geodesic=True)
+    beta = chart_exponent(alpha, geodesic=True)
     t = check_t(t)
     if t == 0.0:
         return p.copy()
     if t == 1.0:
         return q.copy()
-    beta = 0.5 * (1.0 - alpha)
     return _interpolant(p, q, beta, t) ** (1.0 / beta)
 
 
 def geodesic_velocity(p, q, alpha, t) -> np.ndarray:
     """Analytic derivative d/dt of the alpha-geodesic at parameter t."""
     p, q = _measure_pair(p, q)
-    alpha = check_alpha(alpha, geodesic=True)
+    beta = chart_exponent(alpha, geodesic=True)
     t = check_t(t)
-    beta = 0.5 * (1.0 - alpha)
     delta = q**beta - p**beta
     return (1.0 / beta) * _interpolant(p, q, beta, t) ** ((1.0 - beta) / beta) * delta
 
@@ -135,9 +135,8 @@ def geodesic_ode_residual(p, q, alpha, t) -> float:
     and second derivatives and returns max_i of the difference.
     """
     p, q = _measure_pair(p, q)
-    alpha = check_alpha(alpha, geodesic=True)
+    beta = chart_exponent(alpha, geodesic=True)
     t = check_t(t)
-    beta = 0.5 * (1.0 - alpha)
     delta = q**beta - p**beta
     m = _interpolant(p, q, beta, t)
     gamma = m ** (1.0 / beta)
@@ -154,8 +153,7 @@ def inverse_exponential(p, q, alpha) -> np.ndarray:
 def alpha_coordinates(p, alpha) -> np.ndarray:
     """Flat-chart image (2/(1-alpha)) p**((1-alpha)/2) of the point p."""
     p = as_measure(p)
-    alpha = check_alpha(alpha, geodesic=True)
-    beta = 0.5 * (1.0 - alpha)
+    beta = chart_exponent(alpha, geodesic=True)
     return (1.0 / beta) * p**beta
 
 
@@ -163,14 +161,12 @@ def alpha_pushforward(p, x, alpha) -> np.ndarray:
     """Tangent image of x under the flat chart: x_i * p_i**(-(1+alpha)/2)."""
     p = as_measure(p)
     x = as_tangent(x, p.size)
-    alpha = check_alpha(alpha, geodesic=True)
-    beta = 0.5 * (1.0 - alpha)
+    beta = chart_exponent(alpha, geodesic=True)
     return x * p ** (beta - 1.0)
 
 
-def _integrand_values(p, q, alpha, ts):
+def _integrand_values(p, q, beta, ts):
     """t * ||gamma_dot(t)||^2 in the Fisher norm, vectorized over nodes."""
-    beta = 0.5 * (1.0 - alpha)
     a = p**beta
     b = q**beta
     delta2 = (b - a) ** 2
@@ -188,8 +184,8 @@ def canonical_divergence_numeric(p, q, alpha, rule: QuadratureRule = DEFAULT_RUL
     exact arithmetic equal to :func:`alpha_divergence_closed`.
     """
     p, q = _measure_pair(p, q)
-    alpha = check_alpha(alpha)
-    return quadrature_sum(rule, _integrand_values(p, q, alpha, rule.nodes))
+    beta = chart_exponent(alpha)
+    return quadrature_sum(rule, _integrand_values(p, q, beta, rule.nodes))
 
 
 def dual_canonical_divergence(p, q, alpha, rule: QuadratureRule = DEFAULT_RULE) -> float:
@@ -230,8 +226,7 @@ def alpha_divergence_closed(p, q, alpha) -> float:
     (alpha -> +1).
     """
     p, q = _measure_pair(p, q)
-    alpha = check_alpha(alpha)
-    beta = 0.5 * (1.0 - alpha)
+    beta = chart_exponent(alpha)
     return _bregman_power_sum(p, q, beta) / (1.0 - beta)
 
 

@@ -24,13 +24,14 @@ symmetrized on load and must be Hermitian and positive definite.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
 from . import classical, quantum, recovery, suites
-from .numkit import FDConfig, NumericalDomainError, gauss_legendre_rule
+from .numkit import NumericalDomainError, gauss_legendre_rule
 
 __all__ = ["load_document", "main"]
 
@@ -40,6 +41,9 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 FAMILIES = ("canonical", "alpha", "kl", "tsallis", "relative-entropy", "furuichi")
+
+# Most values an alpha range may expand to, whatever its stop and step.
+MAX_ALPHA_VALUES = 10_000
 
 
 class InputError(ValueError):
@@ -132,6 +136,10 @@ def _parse_alphas(text):
         x = start
         while x <= stop + 1e-12:
             values.append(round(x, 12))
+            if not -1.0 < values[-1] < 1.0:
+                break  # refused below
+            if len(values) > MAX_ALPHA_VALUES:
+                raise InputError(f"alpha range {text!r} holds more than {MAX_ALPHA_VALUES} values")
             x += step
     else:
         for chunk in text.split(","):
@@ -275,7 +283,7 @@ def cmd_recover(args):
     kind, objects = load_document(args.input, args.kind)
     if args.point not in objects:
         raise InputError(f"unknown object name {args.point!r}")
-    cfg = FDConfig(step=args.step, order=4)
+    cfg = dataclasses.replace(recovery.DEFAULT_CFG, step=args.step)
     alpha = args.alpha
     if alpha is None and not args.reference_euclidean:
         raise InputError("--alpha is required to recover from the alpha-divergence")
@@ -306,7 +314,7 @@ def cmd_recover(args):
     structure = recovery.recover_structure(divergence, point, cfg)
     defect = recovery.duality_defect(structure, divergence, cfg)
     curvature = None
-    if point.size <= 4:
+    if point.size <= recovery.CURVATURE_MAX_DIM:
         curvature = recovery.curvature_max(divergence, point, cfg)
     report = {
         "kind": kind,
@@ -320,7 +328,7 @@ def cmd_recover(args):
         "curvature_max": curvature,
         "summary": {
             "defect_within": defect <= args.tolerance,
-            "curvature_within": curvature is None or curvature <= 1e-3,
+            "curvature_within": curvature is None or curvature <= recovery.FLATNESS_BOUND,
         },
     }
     _emit(report, args.out)
@@ -329,15 +337,12 @@ def cmd_recover(args):
 
 def cmd_sweep(args):
     kind, objects = load_document(args.input, args.kind)
-    parts = args.pair.split(":")
-    if len(parts) != 2 or not all(parts):
+    if not args.pair or "," in args.pair:
         raise InputError(f"malformed --pair {args.pair!r}; expected 'name1:name2'")
-    for name in parts:
-        if name not in objects:
-            raise InputError(f"unknown object name {name!r}")
+    ((first, second),) = _parse_pairs(args.pair, objects)
     alphas = _parse_alphas(args.alphas)
     rule = gauss_legendre_rule(args.nodes)
-    x, y = objects[parts[0]], objects[parts[1]]
+    x, y = objects[first], objects[second]
 
     limit_family, ref_column = _SWEEP_LIMITS[kind]
     limit = _evaluate(kind, limit_family, x, y, None, None, rule)
@@ -393,8 +398,9 @@ def build_parser():
         "--tolerance",
         type=float,
         default=None,
-        help="override the per-suite default tolerance "
-        "(classical 1e-9, quantum 1e-8, recovery 1e-4)",
+        help="override the per-suite default tolerance ("
+        + ", ".join(f"{name} {tol:g}" for name, tol in suites.SUITE_TOLERANCES.items())
+        + ")",
     )
     p_ver.add_argument("--out", help="write the JSON report here instead of stdout")
     p_ver.set_defaults(func=cmd_verify)
@@ -404,8 +410,8 @@ def build_parser():
     p_rec.add_argument("--kind", choices=("classical", "quantum"))
     p_rec.add_argument("--alpha", type=float)
     p_rec.add_argument("--point", required=True, help="name of the base point object")
-    p_rec.add_argument("--step", type=float, default=1e-3)
-    p_rec.add_argument("--tolerance", type=float, default=1e-4)
+    p_rec.add_argument("--step", type=float, default=recovery.DEFAULT_CFG.step)
+    p_rec.add_argument("--tolerance", type=float, default=suites.SUITE_TOLERANCES["recovery"])
     p_rec.add_argument(
         "--reference-euclidean",
         action="store_true",

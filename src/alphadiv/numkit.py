@@ -29,6 +29,7 @@ __all__ = [
     "QuadratureRule",
     "SpectralDecomposition",
     "as_hermitian",
+    "chart_exponent",
     "check_alpha",
     "check_q",
     "check_t",
@@ -95,6 +96,11 @@ def check_alpha(alpha, geodesic=False):
             "use the dedicated entropy operations for the limits"
         )
     return alpha
+
+
+def chart_exponent(alpha, geodesic=False) -> float:
+    """beta = (1 - alpha)/2 of the flat chart x -> x**beta / beta, alpha as in check_alpha."""
+    return 0.5 * (1.0 - check_alpha(alpha, geodesic))
 
 
 def check_q(q) -> float:

@@ -35,6 +35,7 @@ from .numkit import (
     QuadratureRule,
     SpectralDecomposition,
     as_hermitian,
+    chart_exponent,
     check_alpha,
     check_q,
     check_t,
@@ -221,8 +222,7 @@ def _spectral_pair(rho1: PositiveOperator, rho2: PositiveOperator):
 def alpha_embedding(rho, alpha) -> np.ndarray:
     """Flat-chart image (2/(1-alpha)) rho**((1-alpha)/2) of the operator."""
     rho = as_positive(rho)
-    alpha = check_alpha(alpha, geodesic=True)
-    beta = 0.5 * (1.0 - alpha)
+    beta = chart_exponent(alpha, geodesic=True)
     return (1.0 / beta) * rho.power(beta)
 
 
@@ -234,8 +234,7 @@ def alpha_representation(rho, x, alpha) -> np.ndarray:
     """
     rho = as_positive(rho)
     x = _tangent_at(rho, x)
-    alpha = check_alpha(alpha, geodesic=True)
-    beta = 0.5 * (1.0 - alpha)
+    beta = chart_exponent(alpha, geodesic=True)
     return (1.0 / beta) * frechet_from_decomposition(rho.spectral, beta, x)
 
 
@@ -247,8 +246,7 @@ def alpha_parallel_transport(rho1, rho2, x, alpha) -> np.ndarray:
     """
     rho1, rho2 = _positive_pair(rho1, rho2)
     x = _tangent_at(rho1, x)
-    alpha = check_alpha(alpha, geodesic=True)
-    beta = 0.5 * (1.0 - alpha)
+    beta = chart_exponent(alpha, geodesic=True)
     image = frechet_from_decomposition(rho1.spectral, beta, x)
     u = rho2.spectral.eigenvectors
     table = power_divided_differences(rho2.eigenvalues, beta)
@@ -263,13 +261,12 @@ def alpha_geodesic_q(rho1, rho2, alpha, t) -> PositiveOperator:
     power; endpoints are returned exactly.
     """
     rho1, rho2 = _positive_pair(rho1, rho2)
-    alpha = check_alpha(alpha, geodesic=True)
+    beta = chart_exponent(alpha, geodesic=True)
     t = check_t(t)
     if t == 0.0:
         return rho1
     if t == 1.0:
         return rho2
-    beta = 0.5 * (1.0 - alpha)
     return PositiveOperator._from_chart((1.0 - t) * rho1.power(beta) + t * rho2.power(beta), beta)
 
 
@@ -298,9 +295,8 @@ def velocity_representations(rho1, rho2, alpha, t):
     pairing is the divergence integrand at the single node t, over t.
     """
     rho1, rho2 = _positive_pair(rho1, rho2)
-    alpha = check_alpha(alpha)
+    beta = chart_exponent(alpha)
     t = check_t(t)
-    beta = 0.5 * (1.0 - alpha)
     a = rho1.power(beta)
     b = rho2.power(beta)
     (u,), (wt,), (table,) = _geodesic_frame(a, b, beta, np.array([t]))
@@ -326,8 +322,7 @@ def canonical_divergence_numeric_q(rho1, rho2, alpha, rule: QuadratureRule = DEF
     arithmetic equal to :func:`quantum_alpha_divergence_closed`.
     """
     rho1, rho2 = _positive_pair(rho1, rho2)
-    alpha = check_alpha(alpha)
-    beta = 0.5 * (1.0 - alpha)
+    beta = chart_exponent(alpha)
     values = _divergence_integrand(rho1.power(beta), rho2.power(beta), beta, rule.nodes)
     return quadrature_sum(rule, values)
 
@@ -399,8 +394,7 @@ def operator_from_chart(theta, basis, alpha) -> PositiveOperator:
     in the basis; the image must be positive definite for the point to lie on
     the cone, otherwise :class:`NotPositiveDefiniteError` is raised.
     """
-    alpha = check_alpha(alpha, geodesic=True)
-    beta = 0.5 * (1.0 - alpha)
+    beta = chart_exponent(alpha, geodesic=True)
     return PositiveOperator._from_chart(beta * operator_from_theta(theta, basis), beta)
 
 
@@ -420,8 +414,7 @@ def wyd_components_theta(rho, alpha) -> np.ndarray:
     definite for positive definite rho, and the identity matrix at rho = I.
     """
     rho = as_positive(rho)
-    alpha = check_alpha(alpha)
-    beta = 0.5 * (1.0 - alpha)
+    beta = chart_exponent(alpha)
     u = rho.spectral.eigenvectors
     rotated = u.conj().T @ hermitian_basis(rho.dim) @ u
     kernel = (beta / (1.0 - beta)) * (
@@ -446,8 +439,7 @@ def quantum_alpha_divergence_closed(rho1, rho2, alpha) -> float:
     entropy and its reverse.  Returns exactly 0.0 for identical operators.
     """
     pair = _spectral_pair(*_positive_pair(rho1, rho2))
-    alpha = check_alpha(alpha)
-    beta = 0.5 * (1.0 - alpha)
+    beta = chart_exponent(alpha)
     return _bregman_power_sum(*pair, beta) / (1.0 - beta)
 
 

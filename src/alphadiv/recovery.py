@@ -23,6 +23,7 @@ import numpy as np
 from .numkit import FDConfig, NotPositiveDefiniteError, mixed_partials, stencil_gradient
 
 __all__ = [
+    "DEFAULT_CFG",
     "RecoveredStructure",
     "curvature_max",
     "duality_defect",
@@ -33,8 +34,13 @@ __all__ = [
 # Default stencils: fourth-order composites keep the truncation bias of the
 # third derivatives near 1e-7 at step 1e-2, which second-order nesting cannot
 # reach for non-polynomial divergences.
-_DEFAULT_CFG = FDConfig(step=1e-3, order=4)
+DEFAULT_CFG = FDConfig(step=1e-3, order=4)
 _DEFAULT_THIRD_CFG = FDConfig(step=1e-2, order=4)
+
+# The curvature check is refused above this many coordinates (its cost grows
+# with the fourth power), and a residual up to the bound counts as flat.
+CURVATURE_MAX_DIM = 4
+FLATNESS_BOUND = 1e-3
 
 # A recovered metric whose smallest eigenvalue falls below this floor
 # (relative to its largest entry) is indistinguishable from stencil noise and
@@ -95,7 +101,7 @@ def _checked_metric(divergence, point, cfg: FDConfig) -> np.ndarray:
 def recover_structure(
     divergence,
     point,
-    cfg: FDConfig = _DEFAULT_CFG,
+    cfg: FDConfig = DEFAULT_CFG,
     third_cfg: FDConfig = _DEFAULT_THIRD_CFG,
 ) -> RecoveredStructure:
     """Recover (metric, connection, dual connection) from a divergence.
@@ -131,7 +137,7 @@ def recover_structure(
 def duality_defect(
     structure: RecoveredStructure,
     divergence,
-    cfg: FDConfig = _DEFAULT_CFG,
+    cfg: FDConfig = DEFAULT_CFG,
     third_cfg: FDConfig = _DEFAULT_THIRD_CFG,
 ) -> float:
     """Worst violation of d_k g_ij = Gamma_kij + Gamma*_kji at the point.
@@ -156,7 +162,7 @@ def _raised_christoffel(divergence, point, cfg: FDConfig, third_cfg: FDConfig):
 def curvature_max(
     divergence,
     point,
-    cfg: FDConfig = _DEFAULT_CFG,
+    cfg: FDConfig = DEFAULT_CFG,
     third_cfg: FDConfig = _DEFAULT_THIRD_CFG,
 ) -> float:
     """Max-abs component of the curvature of the recovered connection.
@@ -168,9 +174,9 @@ def curvature_max(
     """
     point = np.asarray(point, dtype=float)
     n = point.size
-    if n > 4:
+    if n > CURVATURE_MAX_DIM:
         raise ValueError(
-            f"curvature check is limited to dimension <= 4, got {n}"
+            f"curvature check is limited to dimension <= {CURVATURE_MAX_DIM}, got {n}"
         )
     gamma_up = _raised_christoffel(divergence, point, cfg, third_cfg)
     # d_gamma[i, j, k, l] = d_i G^l_jk

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import classical, quantum, recovery
-from .numkit import NotPositiveDefiniteError
+from .numkit import NotPositiveDefiniteError, chart_exponent
 
 __all__ = [
     "ALPHA_GRID",
@@ -63,9 +63,16 @@ def tsallis_gap(pairs, tsallis, closed, qparams):
         for qp in qparams:
             a = 1.0 - 2.0 * qp
             lhs = tsallis(x, y, qp)
-            rhs = 0.5 * (1.0 - a) * closed(x, y, a)
+            rhs = chart_exponent(a) * closed(x, y, a)
             worst = max(worst, abs(lhs - rhs))
     return worst
+
+
+def _limit_check(closed, x, y, limit):
+    """Record whether |closed(x, y, alpha) - limit| shrinks as alpha = -1 + 10**-k, k = 2..6."""
+    gaps = [abs(closed(x, y, -1.0 + 10.0**-k) - limit) for k in range(2, 7)]
+    monotone = all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
+    return _check("limit approach is monotone", 0.0 if monotone else 1.0, 0.5)
 
 
 def structure_errors(points, alphas):
@@ -121,8 +128,7 @@ def spectral_reduction_gap(p, q):
     )
 
 
-def run_classical_suite(trials, seed, tolerance=None):
-    tol = SUITE_TOLERANCES["classical"] if tolerance is None else tolerance
+def run_classical_suite(trials, seed, tol):
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -169,12 +175,8 @@ def run_classical_suite(trials, seed, tolerance=None):
 
     p = np.array([2.0, 1.0])
     q = np.array([1.0, 1.0])
-    gaps = [
-        abs(classical.alpha_divergence_closed(p, q, -1.0 + 10.0**-k) - classical.kl_extended(p, q))
-        for k in range(2, 7)
-    ]
-    monotone = all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
-    checks.append(_check("limit approach is monotone", 0.0 if monotone else 1.0, 0.5))
+    limit = classical.kl_extended(p, q)
+    checks.append(_limit_check(classical.alpha_divergence_closed, p, q, limit))
 
     worst = 0.0
     for p, q in pairs[:10]:
@@ -190,8 +192,7 @@ def run_classical_suite(trials, seed, tolerance=None):
     return checks
 
 
-def run_quantum_suite(trials, seed, tolerance=None):
-    tol = SUITE_TOLERANCES["quantum"] if tolerance is None else tolerance
+def run_quantum_suite(trials, seed, tol):
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -260,18 +261,12 @@ def run_quantum_suite(trials, seed, tolerance=None):
     r1 = quantum.PositiveOperator(np.array([[2.0, 1.0], [1.0, 2.0]]))
     r2 = quantum.PositiveOperator(np.diag([1.0, 2.0]))
     ref = quantum.quantum_relative_entropy(r1, r2, extended=True)
-    gaps = [
-        abs(quantum.quantum_alpha_divergence_closed(r1, r2, -1.0 + 10.0**-k) - ref)
-        for k in range(2, 7)
-    ]
-    monotone = all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
-    checks.append(_check("limit approach is monotone", 0.0 if monotone else 1.0, 0.5))
+    checks.append(_limit_check(quantum.quantum_alpha_divergence_closed, r1, r2, ref))
 
     return checks
 
 
-def run_recovery_suite(trials, seed, tolerance=None):
-    tol = SUITE_TOLERANCES["recovery"] if tolerance is None else tolerance
+def run_recovery_suite(trials, seed, tol):
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -288,7 +283,7 @@ def run_recovery_suite(trials, seed, tolerance=None):
     for p in points[:2]:
         for a in (0.0, 0.5):
             curv = max(curv, recovery.curvature_max(_classical_alpha_div(a), p))
-    checks.append(_check("flatness (curvature residual)", curv, 1e-3))
+    checks.append(_check("flatness (curvature residual)", curv, recovery.FLATNESS_BOUND))
 
     p0 = np.array([1.0, 1.0])
     structure = recovery.recover_structure(recovery.half_squared_distance, p0)
@@ -353,12 +348,10 @@ def run_suite(name, trials, seed, tolerance=None):
     """Run one named suite (or 'all') and return its check records."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if name == "all":
-        records = []
-        for key in ("classical", "quantum", "recovery"):
-            for record in _RUNNERS[key](trials, seed, tolerance):
-                records.append({**record, "suite": key})
-        return records
-    if name not in _RUNNERS:
+    if name != "all" and name not in _RUNNERS:
         raise ValueError(f"unknown suite {name!r}")
-    return [{**record, "suite": name} for record in _RUNNERS[name](trials, seed, tolerance)]
+    records = []
+    for key in _RUNNERS if name == "all" else (name,):
+        tol = SUITE_TOLERANCES[key] if tolerance is None else tolerance
+        records.extend({**record, "suite": key} for record in _RUNNERS[key](trials, seed, tol))
+    return records

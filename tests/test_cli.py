@@ -1,10 +1,17 @@
 import csv
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from alphadiv.cli import load_document, main
+from alphadiv.cli import _parse_alphas, load_document, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -316,6 +323,40 @@ class TestSweepCommand:
             ["sweep", classical_doc, "--pair", "p:q", "--alphas", "1.0", "--out", str(out)]
         )
         assert rc == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pair", ["a:", "p:q,q:p", "", "p:zz"])
+    def test_malformed_or_unknown_pair_refused(self, classical_doc, tmp_path, capsys, pair):
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", classical_doc, "--pair", pair, "--alphas=0", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_readme_grid_values(self):
+        assert _parse_alphas("-0.99:0.99:0.03") == [(3 * k - 99) / 100 for k in range(67)]
+
+    @pytest.mark.parametrize("alphas", ["0:inf:0.5", "-0.5:0.5:1e-300"])
+    def test_unbounded_range_refused_promptly(self, classical_doc, tmp_path, alphas):
+        # a child process under a 1 GB address-space limit: a range that never
+        # ends fails this test by the timeout instead of hanging the suite
+        def limit_memory():
+            _, hard = resource.getrlimit(resource.RLIMIT_AS)
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, hard))
+
+        out = tmp_path / "sweep.csv"
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "alphadiv.cli", "sweep", classical_doc, "--pair", "p:q",
+             f"--alphas={alphas}", "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=limit_memory,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: alpha ")
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from alphadiv.numkit import (
     QuadratureRule,
     SpectralDecomposition,
     as_hermitian,
+    chart_exponent,
     check_alpha,
     check_q,
     frechet_from_decomposition,
@@ -370,6 +373,21 @@ class TestCheckAlpha:
         assert check_alpha(-1.0, geodesic=True) == -1.0
         with pytest.raises(ValueError):
             check_alpha(1.0, geodesic=True)
+
+    @pytest.mark.parametrize("geodesic", [False, True])
+    def test_chart_exponent_validates_like_check_alpha(self, geodesic):
+        for alpha in (-1.5, -1.0, -0.5, 0, 0.3, np.float64(0.9), 1.0, 2.0, np.inf, np.nan):
+            try:
+                checked = check_alpha(alpha, geodesic=geodesic)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    chart_exponent(alpha, geodesic=geodesic)
+            else:
+                beta = chart_exponent(alpha, geodesic=geodesic)
+                assert type(beta) is float and beta == 0.5 * (1.0 - checked)
+
+    def test_chart_exponent_at_the_mixture_endpoint(self):
+        assert chart_exponent(-1.0, geodesic=True) == 1.0
 
 
 class TestCheckQ:

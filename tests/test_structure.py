@@ -5,6 +5,8 @@ so every decomposition must be that attribute call, made in one of the two
 places that decompose: ``numkit.hermitian_eig`` for single matrices and the
 geodesic frame for the batched interpolant.  Operators that skip
 ``PositiveOperator.__init__`` are built in one place, the inverse chart.
+Each convention shared by several operations, such as the chart exponent
+beta = (1 - alpha)/2, is written once.
 """
 
 import ast
@@ -58,3 +60,24 @@ def test_positive_operator_bypasses_init_only_in_the_inverse_chart():
         )
 
     assert sites(bypass) == [("quantum", "PositiveOperator._from_chart")]
+
+
+def test_chart_exponent_is_written_once():
+    def beta(n):  # 0.5 * (1.0 - <anything>)
+        return (
+            isinstance(n, ast.BinOp)
+            and isinstance(n.op, ast.Mult)
+            and isinstance(n.left, ast.Constant)
+            and n.left.value == 0.5
+            and isinstance(n.right, ast.BinOp)
+            and isinstance(n.right.op, ast.Sub)
+            and isinstance(n.right.left, ast.Constant)
+            and n.right.left.value == 1.0
+        )
+
+    assert sites(beta) == [("numkit", "chart_exponent")]
+
+
+def test_entropy_limit_check_is_built_once():
+    named = sites(lambda n: isinstance(n, ast.Constant) and n.value == "limit approach is monotone")
+    assert named == [("suites", "_limit_check")]
