@@ -13,7 +13,9 @@ Hermiticity and positivity once and caches the spectral decomposition.
 Powers are taken through that cache, and the closed forms are the classical
 kernels on the Nussbaum-Szkola pair built from two cached eigensystems.  The
 inverse of the flat chart (geodesic points, :func:`operator_from_chart`) is
-built from the decomposition of the chart matrix, not decomposed again.  The
+built from the decomposition of the chart matrix, not decomposed again, and
+:func:`operator_from_chart` keeps the last 64 points it built: a repeated chart
+point returns the one shared immutable instance built for it first.  The
 quadrature integrand and the velocity pushforwards share one batched
 eigenframe of the geodesic interpolant; the velocity pairing is the integrand
 at one node.  Instances are immutable and safe to share between threads.
@@ -21,6 +23,7 @@ at one node.  Instances are immutable and safe to share between threads.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
@@ -76,6 +79,13 @@ __all__ = [
 # Traces of Hermitian products are real in exact arithmetic; an imaginary
 # part beyond this is an internal inconsistency, never silently discarded.
 IMAG_RTOL = 1e-10
+
+# Entries of the inverse-chart memo behind operator_from_chart.  A finite-
+# difference stencil revisits each chart point from many directions; 64
+# entries hold the working set of the dim-2 and dim-3 recoveries (32 would
+# miss half of the dim-3 calls), and each entry holds its chart point, a
+# reference to the basis bytes it shares with the others, and one operator.
+CHART_MEMO_SIZE = 64
 
 
 def _require_real(z, context):
@@ -393,8 +403,33 @@ def operator_from_chart(theta, basis, alpha) -> PositiveOperator:
     The coefficients describe the chart image (2/(1-alpha)) rho**((1-alpha)/2)
     in the basis; the image must be positive definite for the point to lie on
     the cone, otherwise :class:`NotPositiveDefiniteError` is raised.
+
+    The last CHART_MEMO_SIZE results are kept, keyed on the bytes, shapes and
+    dtypes of theta and basis and on beta: a call that repeats a point
+    returns the shared immutable instance built for it first, which the
+    computation without the memo reproduces bit for bit.  Refusals are not
+    kept.
     """
     beta = chart_exponent(alpha, geodesic=True)
+    theta = np.asarray(theta, dtype=float)
+    basis = np.asarray(basis)
+    return _chart_operator(
+        theta.tobytes(), theta.shape, _shared(basis.tobytes()), basis.shape, basis.dtype, beta
+    )
+
+
+@functools.lru_cache(maxsize=1)
+def _shared(data):
+    """The bytes object first seen with this content, so that memo entries on
+    one basis hold one copy of it (n**4 complex entries) instead of 64."""
+    return data
+
+
+@functools.lru_cache(maxsize=CHART_MEMO_SIZE)
+def _chart_operator(theta_bytes, theta_shape, basis_bytes, basis_shape, basis_dtype, beta):
+    """The inverse chart at the point the key spells out, rebuilt from its bytes."""
+    theta = np.frombuffer(theta_bytes).reshape(theta_shape)
+    basis = np.frombuffer(basis_bytes, dtype=basis_dtype).reshape(basis_shape)
     return PositiveOperator._from_chart(beta * operator_from_theta(theta, basis), beta)
 
 

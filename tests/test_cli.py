@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from alphadiv.cli import _parse_alphas, load_document, main
+from alphadiv.quantum import wyd_components_theta
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -269,6 +270,53 @@ class TestRecoverCommand:
         rc = main(["recover", str(path), "--alpha", "0.2", "--point", "tiny"])
         assert rc == 3
         assert "numerical error" in capsys.readouterr().err
+
+
+    def test_quantum_chart_recovery(self, quantum_doc, tmp_path):
+        # the README operator document: in the alpha-chart the recovered
+        # metric is the WYD metric's components, and the chart is flat
+        outs = [tmp_path / "first.json", tmp_path / "rerun.json"]
+        for out in outs:
+            argv = ["recover", quantum_doc, "--alpha", "0.5", "--point", "rho1", "--out", str(out)]
+            assert main(argv) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        report = json.loads(outs[0].read_text())
+        assert report["summary"] == {"defect_within": True, "curvature_within": True}
+        rho = load_document(quantum_doc)[1]["rho1"]
+        expected = wyd_components_theta(rho, 0.5)
+        assert np.max(np.abs(np.array(report["metric"]) - expected)) <= 1e-5
+
+
+class TestNodeCount:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["divergence", "--family", "canonical", "--alpha", "0", "--nodes", "100000"],
+            ["sweep", "--pair", "p:q", "--alphas=0", "--nodes", "100000"],
+        ],
+        ids=["divergence", "sweep"],
+    )
+    def test_node_count_above_the_cap_refused_promptly(self, classical_doc, tmp_path, argv):
+        # a child process under a 1 GB address-space limit: an uncapped rule
+        # of 100,000 nodes would ask for about 80 GB, or run into the timeout
+        def limit_memory():
+            _, hard = resource.getrlimit(resource.RLIMIT_AS)
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, hard))
+
+        out = tmp_path / "out"
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        command, *flags = argv
+        proc = subprocess.run(
+            [sys.executable, "-m", "alphadiv.cli", command, classical_doc, *flags, "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=limit_memory,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "error: quadrature order must be at most 1024, got 100000\n"
+        assert not out.exists()
 
 
 class TestSweepCommand:

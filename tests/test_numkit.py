@@ -5,6 +5,7 @@ import pytest
 
 from alphadiv.numkit import (
     FDConfig,
+    MAX_NODES,
     NotPositiveDefiniteError,
     NumericalDomainError,
     QuadratureRule,
@@ -48,6 +49,11 @@ class TestGaussLegendre:
     def test_zero_order_rejected(self):
         with pytest.raises(ValueError):
             gauss_legendre_rule(0)
+
+    def test_node_count_capped(self):
+        assert len(gauss_legendre_rule(MAX_NODES)) == 1024
+        with pytest.raises(ValueError, match="at most 1024"):
+            gauss_legendre_rule(MAX_NODES + 1)
 
     def test_monomial_exactness_through_degree(self):
         # n-point rule integrates t**k exactly for k <= 2n - 1

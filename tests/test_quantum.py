@@ -1,12 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from alphadiv import classical as cl
 from alphadiv import quantum as qm
+from alphadiv import recovery as rc
 from alphadiv.numkit import (
+    FDConfig,
     NotPositiveDefiniteError,
     NumericalDomainError,
     QuadratureRule,
+    chart_exponent,
     hermitian_eig,
     hermitian_part,
     power_divided_differences,
@@ -241,6 +246,122 @@ class TestOperatorsFromKnownSpectrum:
         else:
             with pytest.raises(ValueError, match="finite"):
                 qm.operator_from_chart(theta, basis, 0.9)
+
+
+class TestChartMemo:
+    """operator_from_chart builds each chart point once and shares the result."""
+
+    @staticmethod
+    def uncached(theta, basis, alpha):
+        beta = chart_exponent(alpha, geodesic=True)
+        return qm.PositiveOperator._from_chart(beta * qm.operator_from_theta(theta, basis), beta)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("alpha", ALPHAS + (-1.0,))
+    def test_bit_identical_to_the_inverse_chart(self, dim, alpha):
+        rng = np.random.default_rng(40 + dim)
+        basis = qm.hermitian_basis(dim)
+        theta = qm.theta_coordinates(qm.alpha_embedding(rand_pd(rng, dim), alpha), basis)
+        expected = self.uncached(theta, basis, alpha)
+        first = qm.operator_from_chart(theta, basis, alpha)
+        assert qm.operator_from_chart(theta.copy(), basis.copy(), alpha) is first
+        assert np.array_equal(first.matrix, expected.matrix)
+        assert np.array_equal(first.eigenvalues, expected.eigenvalues)
+        assert np.array_equal(first.spectral.eigenvectors, expected.spectral.eigenvectors)
+
+    def test_refusal_is_raised_again(self):
+        basis = qm.hermitian_basis(2)
+        theta = qm.theta_coordinates(np.diag([1.0, -2.0]), basis)
+        for _ in range(2):
+            with pytest.raises(NotPositiveDefiniteError):
+                qm.operator_from_chart(theta, basis, 0.5)
+
+    def test_basis_and_alpha_are_part_of_the_key(self):
+        basis = qm.hermitian_basis(2)
+        theta = qm.theta_coordinates(np.array([[1.3, 0.4], [0.4, 1.1]]), basis)
+        rho = qm.operator_from_chart(theta, basis, 0.5)
+        swapped = basis[[1, 0, 2, 3]]
+        for other in (
+            qm.operator_from_chart(theta, swapped, 0.5),
+            qm.operator_from_chart(theta, basis, 0.0),
+        ):
+            assert not np.array_equal(other.matrix, rho.matrix)
+        assert np.array_equal(
+            qm.operator_from_chart(theta, swapped, 0.5).matrix,
+            self.uncached(theta, swapped, 0.5).matrix,
+        )
+
+    def test_mutating_the_callers_theta_does_not_reach_the_memo(self):
+        basis = qm.hermitian_basis(2)
+        theta = qm.theta_coordinates(np.array([[1.2, 0.3j], [-0.3j, 0.8]]), basis)
+        original = theta.copy()
+        first = qm.operator_from_chart(theta, basis, 0.3)
+        theta *= 1.5
+        moved = qm.operator_from_chart(theta, basis, 0.3)
+        assert np.array_equal(moved.matrix, self.uncached(theta, basis, 0.3).matrix)
+        assert not np.array_equal(moved.matrix, first.matrix)
+        assert qm.operator_from_chart(original, basis, 0.3) is first
+        assert np.array_equal(first.matrix, self.uncached(original, basis, 0.3).matrix)
+
+    def test_shared_result_is_read_only_and_the_memo_bounded(self):
+        basis = qm.hermitian_basis(2)
+        theta = qm.theta_coordinates(np.array([[1.7, 0.1], [0.1, 0.6]]), basis)
+        rho = qm.operator_from_chart(theta, basis, 0.5)
+        for array in (rho.matrix, rho.eigenvalues, rho.spectral.eigenvectors):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        for k in range(100):
+            qm.operator_from_chart(theta + 1e-3 * k, basis, 0.5)
+        info = qm._chart_operator.cache_info()
+        assert info.maxsize == qm.CHART_MEMO_SIZE == 64
+        assert info.currsize == 64
+
+    def test_entries_share_one_copy_of_the_basis(self):
+        # the dim-8 basis takes 64 KB: a copy in each of 64 entries would hold 4 MB
+        basis = qm.hermitian_basis(8)
+        theta = qm.theta_coordinates(np.eye(8), basis)
+        qm._chart_operator.cache_clear()
+        tracemalloc.start()
+        try:
+            for k in range(100):
+                qm.operator_from_chart(theta * (1.0 + 1e-3 * k), basis, 0.5)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 10 * basis.nbytes
+
+    def test_dim2_recovery_builds_each_chart_point_about_once(self, monkeypatch):
+        # the contrast of `alphadiv recover` on an operator document, through
+        # the structure and duality stages: 12,545 evaluations that visit a
+        # few hundred distinct chart points (417 in the benchmark's chart job)
+        builds = []
+        from_chart = qm.PositiveOperator._from_chart
+
+        def counted(m, beta):
+            builds.append(beta)
+            return from_chart(m, beta)
+
+        monkeypatch.setattr(qm.PositiveOperator, "_from_chart", staticmethod(counted))
+        qm._chart_operator.cache_clear()
+        basis = qm.hermitian_basis(2)
+        alpha = 0.5
+        rho = qm.PositiveOperator(np.array([[1.4, 0.3 - 0.2j], [0.3 + 0.2j, 0.9]]))
+        points = set()
+        evals = []
+
+        def divergence(x, y):
+            points.update((x.tobytes(), y.tobytes()))
+            evals.append(1)
+            r1 = qm.operator_from_chart(x, basis, alpha)
+            r2 = qm.operator_from_chart(y, basis, alpha)
+            return qm.quantum_alpha_divergence_closed(r1, r2, alpha)
+
+        cfg = FDConfig(step=1e-3, order=4)
+        point = qm.theta_coordinates(qm.alpha_embedding(rho, alpha), basis)
+        structure = rc.recover_structure(divergence, point, cfg)
+        rc.duality_defect(structure, divergence, cfg)
+        assert len(evals) == 12545
+        assert len(builds) <= 2 * len(points) <= 2 * 417
 
 
 class TestVelocityRepresentations:

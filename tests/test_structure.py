@@ -4,7 +4,8 @@ The benchmark counts eigendecompositions by rebinding ``numpy.linalg.eigh``,
 so every decomposition must be that attribute call, made in one of the two
 places that decompose: ``numkit.hermitian_eig`` for single matrices and the
 geodesic frame for the batched interpolant.  Operators that skip
-``PositiveOperator.__init__`` are built in one place, the inverse chart.
+``PositiveOperator.__init__`` are built in one place, the inverse chart, and
+chart inverses reach it only through the memo of ``operator_from_chart``.
 Each convention shared by several operations, such as the chart exponent
 beta = (1 - alpha)/2, is written once.
 """
@@ -60,6 +61,14 @@ def test_positive_operator_bypasses_init_only_in_the_inverse_chart():
         )
 
     assert sites(bypass) == [("quantum", "PositiveOperator._from_chart")]
+
+
+def test_inverse_chart_is_reached_through_the_memo_or_the_geodesic():
+    calls = sites(lambda n: isinstance(n, ast.Call) and dotted(n.func) == "PositiveOperator._from_chart")
+    assert sorted(calls) == [("quantum", "_chart_operator"), ("quantum", "alpha_geodesic_q")]
+    # a bare reference (an alias, a getattr target) would escape the check
+    mentions = sites(lambda n: isinstance(n, ast.Attribute) and n.attr == "_from_chart")
+    assert sorted(mentions) == sorted(calls)
 
 
 def test_chart_exponent_is_written_once():
