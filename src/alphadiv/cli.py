@@ -30,7 +30,7 @@ import sys
 
 import numpy as np
 
-from . import classical, quantum, recovery, suites
+from . import classical, numkit, quantum, recovery, suites
 from .numkit import NumericalDomainError, gauss_legendre_rule
 
 __all__ = ["load_document", "main"]
@@ -131,7 +131,7 @@ def _parse_alphas(text):
             start, stop, step = (float(x) for x in parts)
         except ValueError as exc:
             raise InputError(f"malformed alpha range {text!r}") from exc
-        if step <= 0:
+        if not step > 0:  # NaN too
             raise InputError("alpha range step must be positive")
         x = start
         while x <= stop + 1e-12:
@@ -221,7 +221,7 @@ def cmd_divergence(args):
     method = args.method or default_method
     _check_family_flags(args, method)
     pairs = _parse_pairs(args.pairs, list(objects))
-    rule = gauss_legendre_rule(args.nodes)
+    rule = numkit.DEFAULT_RULE if args.nodes is None else gauss_legendre_rule(args.nodes)
     closed = "alpha" if args.family == "canonical" else args.family
     cases = []
     for a, b in pairs:
@@ -263,7 +263,7 @@ def cmd_verify(args):
     records = suites.run_suite(args.suite, args.trials, args.seed, args.tolerance)
     failed = [r for r in records if not r["pass"]]
     worst = max(
-        records, key=lambda r: r["max_error"] / r["tolerance"] if r["tolerance"] else 0.0
+        failed or records, key=lambda r: r["max_error"] / r["tolerance"] if r["tolerance"] else 0.0
     )
     report = {
         "suite": args.suite,
@@ -297,9 +297,13 @@ def cmd_recover(args):
             point = quantum.theta_coordinates(objects[args.point].matrix, basis)
     elif kind == "classical":
         point = objects[args.point]
+        numkit.check_alpha(alpha)
 
         def divergence(x, y):
-            return classical.alpha_divergence_closed(x, y, alpha)
+            try:  # alpha is valid, so this refuses a stencil point off the cone
+                return classical.alpha_divergence_closed(x, y, alpha)
+            except ValueError as exc:
+                raise numkit.NotPositiveDefiniteError(f"stencil left the cone: {exc}") from exc
 
     else:
         rho = objects[args.point]
@@ -341,7 +345,7 @@ def cmd_sweep(args):
         raise InputError(f"malformed --pair {args.pair!r}; expected 'name1:name2'")
     ((first, second),) = _parse_pairs(args.pair, objects)
     alphas = _parse_alphas(args.alphas)
-    rule = gauss_legendre_rule(args.nodes)
+    rule = numkit.DEFAULT_RULE if args.nodes is None else gauss_legendre_rule(args.nodes)
     x, y = objects[first], objects[second]
 
     limit_family, ref_column = _SWEEP_LIMITS[kind]
@@ -367,6 +371,17 @@ def _emit(payload, out):
         print(text)
 
 
+def _tolerance(text):
+    """argparse type of ``--tolerance``: a finite, nonnegative float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and nonnegative, got {text!r}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="alphadiv",
@@ -382,9 +397,9 @@ def build_parser():
     p_div.add_argument("--alpha", type=float)
     p_div.add_argument("--q", type=float)
     p_div.add_argument("--method", choices=("closed", "quadrature", "both"))
-    p_div.add_argument("--nodes", type=int, default=64)
+    p_div.add_argument("--nodes", type=int)
     p_div.add_argument("--pairs", help="comma-separated name1:name2 pairs (default: all)")
-    p_div.add_argument("--tolerance", type=float, default=1e-8)
+    p_div.add_argument("--tolerance", type=_tolerance, default=1e-8)
     p_div.add_argument("--out", help="write the JSON report here instead of stdout")
     p_div.set_defaults(func=cmd_divergence)
 
@@ -396,7 +411,7 @@ def build_parser():
     p_ver.add_argument("--seed", type=int, required=True)
     p_ver.add_argument(
         "--tolerance",
-        type=float,
+        type=_tolerance,
         default=None,
         help="override the per-suite default tolerance ("
         + ", ".join(f"{name} {tol:g}" for name, tol in suites.SUITE_TOLERANCES.items())
@@ -411,7 +426,7 @@ def build_parser():
     p_rec.add_argument("--alpha", type=float)
     p_rec.add_argument("--point", required=True, help="name of the base point object")
     p_rec.add_argument("--step", type=float, default=recovery.DEFAULT_CFG.step)
-    p_rec.add_argument("--tolerance", type=float, default=suites.SUITE_TOLERANCES["recovery"])
+    p_rec.add_argument("--tolerance", type=_tolerance, default=suites.SUITE_TOLERANCES["recovery"])
     p_rec.add_argument(
         "--reference-euclidean",
         action="store_true",
@@ -425,7 +440,7 @@ def build_parser():
     p_swp.add_argument("--kind", choices=("classical", "quantum"))
     p_swp.add_argument("--pair", required=True, help="name1:name2")
     p_swp.add_argument("--alphas", required=True, help="'start:stop:step' or 'a,b,c'")
-    p_swp.add_argument("--nodes", type=int, default=64)
+    p_swp.add_argument("--nodes", type=int)
     p_swp.add_argument("--out", required=True, help="CSV output path")
     p_swp.set_defaults(func=cmd_sweep)
 

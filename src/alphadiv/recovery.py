@@ -31,11 +31,12 @@ __all__ = [
     "recover_structure",
 ]
 
-# Default stencils: fourth-order composites keep the truncation bias of the
-# third derivatives near 1e-7 at step 1e-2, which second-order nesting cannot
-# reach for non-polynomial divergences.
+# Stencils: the metric's default, then the fixed third-derivative ones (step
+# 1e-2 against roundoff, which grows as one over step cubed; fourth order keeps
+# the truncation bias near 1e-7, out of second-order nesting's reach).
 DEFAULT_CFG = FDConfig(step=1e-3, order=4)
-_DEFAULT_THIRD_CFG = FDConfig(step=1e-2, order=4)
+_CONNECTION_CFG = FDConfig(step=1e-2, order=4)
+_CURVATURE_CFG = FDConfig(step=1e-2, order=2)
 
 # The curvature check is refused above this many coordinates (its cost grows
 # with the fourth power), and a residual up to the bound counts as flat.
@@ -98,19 +99,12 @@ def _checked_metric(divergence, point, cfg: FDConfig) -> np.ndarray:
     return g
 
 
-def recover_structure(
-    divergence,
-    point,
-    cfg: FDConfig = DEFAULT_CFG,
-    third_cfg: FDConfig = _DEFAULT_THIRD_CFG,
-) -> RecoveredStructure:
+def recover_structure(divergence, point, cfg: FDConfig = DEFAULT_CFG) -> RecoveredStructure:
     """Recover (metric, connection, dual connection) from a divergence.
 
     ``divergence`` is a real function of two coordinate vectors, smooth near
-    (point, point) and vanishing on the diagonal.  ``cfg`` controls the
-    second-derivative stencil for the metric, ``third_cfg`` the third-order
-    stencils for the connection coefficients (which want a larger step, since
-    their roundoff error scales as one over step cubed).
+    (point, point) and vanishing on the diagonal.  ``cfg`` is the metric's
+    stencil; the connection coefficients use the module's fixed one.
 
     Raises :class:`NotPositiveDefiniteError` when the recovered metric is
     degenerate at stencil resolution, and ValueError when D(point, point) is
@@ -123,8 +117,8 @@ def recover_structure(
             f"divergence must vanish on the diagonal, got D(p, p) = {at_diag!r}"
         )
     metric = _checked_metric(divergence, point, cfg)
-    gamma = -mixed_partials(divergence, point, point, "ppq", third_cfg)
-    gamma_dual = -mixed_partials(divergence, point, point, "qqp", third_cfg)
+    gamma = -mixed_partials(divergence, point, point, "ppq", _CONNECTION_CFG)
+    gamma_dual = -mixed_partials(divergence, point, point, "qqp", _CONNECTION_CFG)
     return RecoveredStructure(
         metric=metric,
         christoffel=gamma,
@@ -134,12 +128,7 @@ def recover_structure(
     )
 
 
-def duality_defect(
-    structure: RecoveredStructure,
-    divergence,
-    cfg: FDConfig = DEFAULT_CFG,
-    third_cfg: FDConfig = _DEFAULT_THIRD_CFG,
-) -> float:
+def duality_defect(structure: RecoveredStructure, divergence, cfg: FDConfig = DEFAULT_CFG) -> float:
     """Worst violation of d_k g_ij = Gamma_kij + Gamma*_kji at the point.
 
     The metric gradient comes from finite differences of recovered metrics at
@@ -147,24 +136,21 @@ def duality_defect(
     :func:`recover_structure`, so the returned number measures pure
     finite-difference noise for any smooth contrast function.
     """
-    dg = stencil_gradient(lambda x: _checked_metric(divergence, x, cfg), structure.point, third_cfg)
+    dg = stencil_gradient(
+        lambda x: _checked_metric(divergence, x, cfg), structure.point, _CONNECTION_CFG
+    )
     paired = structure.christoffel + np.swapaxes(structure.christoffel_dual, 1, 2)
     return float(np.max(np.abs(dg - paired)))
 
 
-def _raised_christoffel(divergence, point, cfg: FDConfig, third_cfg: FDConfig):
+def _raised_christoffel(divergence, point, cfg: FDConfig):
     """Gamma^l_ij = g^{lm} Gamma_ijm at the point, with the checked metric."""
     g = _checked_metric(divergence, point, cfg)
-    gamma = -mixed_partials(divergence, point, point, "ppq", third_cfg)
+    gamma = -mixed_partials(divergence, point, point, "ppq", _CONNECTION_CFG)
     return np.einsum("lm,ijm->ijl", np.linalg.inv(g), gamma)
 
 
-def curvature_max(
-    divergence,
-    point,
-    cfg: FDConfig = DEFAULT_CFG,
-    third_cfg: FDConfig = _DEFAULT_THIRD_CFG,
-) -> float:
+def curvature_max(divergence, point, cfg: FDConfig = DEFAULT_CFG) -> float:
     """Max-abs component of the curvature of the recovered connection.
 
     R^l_ijk = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik with
@@ -178,12 +164,10 @@ def curvature_max(
         raise ValueError(
             f"curvature check is limited to dimension <= {CURVATURE_MAX_DIM}, got {n}"
         )
-    gamma_up = _raised_christoffel(divergence, point, cfg, third_cfg)
+    gamma_up = _raised_christoffel(divergence, point, cfg)
     # d_gamma[i, j, k, l] = d_i G^l_jk
     d_gamma = stencil_gradient(
-        lambda x: _raised_christoffel(divergence, x, cfg, third_cfg),
-        point,
-        FDConfig(step=third_cfg.step, order=2),
+        lambda x: _raised_christoffel(divergence, x, cfg), point, _CURVATURE_CFG
     )
 
     quad = np.einsum("iml,jkm->ijkl", gamma_up, gamma_up)

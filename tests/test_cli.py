@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from alphadiv import numkit
 from alphadiv.cli import _parse_alphas, load_document, main
 from alphadiv.quantum import wyd_components_theta
 
@@ -221,6 +222,20 @@ class TestVerifyCommand:
         report = json.loads(out.read_text())
         assert report["summary"]["pass"] is False
 
+    def test_zero_tolerance_names_a_failing_check_as_worst(self, tmp_path, capsys):
+        # a zero tolerance leaves no error ratio to rank by; the worst case
+        # reported must still be a check that failed
+        out = tmp_path / "r.json"
+        rc = main(
+            ["verify", "--suite", "classical", "--trials", "3", "--seed", "1",
+             "--tolerance", "0", "--out", str(out)]
+        )
+        assert rc == 1
+        worst = json.loads(out.read_text())["summary"]["worst"]
+        assert worst["pass"] is False
+        err = capsys.readouterr().err
+        assert err == f"verification failed, worst case: {json.dumps(worst)}\n"
+
     @pytest.mark.parametrize("suite", ["classical", "quantum"])
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_trials_below_one_is_usage_error(self, tmp_path, capsys, suite, trials):
@@ -271,6 +286,22 @@ class TestRecoverCommand:
         assert rc == 3
         assert "numerical error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "alpha, code, prefix", [("0.2", 3, "numerical error: "), ("1.0", 2, "error: alpha ")]
+    )
+    def test_classical_stencil_leaving_the_cone_is_numerical_error(
+        self, tmp_path, capsys, alpha, code, prefix
+    ):
+        # the stencil around a near-zero entry steps below zero: a
+        # numerical-domain failure as on the quantum path, while an invalid
+        # alpha stays a usage error
+        path = tmp_path / "edge.json"
+        path.write_text(
+            json.dumps({"kind": "classical", "objects": {"p": [1e-4, 1.0], "q": [1.0, 2.0]}})
+        )
+        rc = main(["recover", str(path), "--alpha", alpha, "--point", "p"])
+        assert rc == code
+        assert capsys.readouterr().err.startswith(prefix)
 
     def test_quantum_chart_recovery(self, quantum_doc, tmp_path):
         # the README operator document: in the alpha-chart the recovered
@@ -287,7 +318,37 @@ class TestRecoverCommand:
         assert np.max(np.abs(np.array(report["metric"]) - expected)) <= 1e-5
 
 
+class TestToleranceFlag:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["divergence", "{doc}", "--family", "kl"],
+            ["verify", "--suite", "classical", "--trials", "1", "--seed", "7"],
+            ["recover", "{doc}", "--alpha", "0", "--point", "p"],
+        ],
+        ids=["divergence", "verify", "recover"],
+    )
+    def test_non_finite_or_negative_refused(self, classical_doc, tmp_path, capsys, argv, value):
+        out = tmp_path / "r.json"
+        argv = [classical_doc if a == "{doc}" else a for a in argv]
+        rc = main([*argv, f"--tolerance={value}", "--out", str(out)])
+        assert rc == 2
+        assert "tolerance must be finite and nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestNodeCount:
+    def test_default_is_the_library_rule(self, classical_doc, capsys, monkeypatch):
+        # without --nodes the CLI integrates with numkit.DEFAULT_RULE, so a
+        # change of the library's default reaches the command line
+        argv = ["divergence", classical_doc, "--family", "canonical", "--alpha", "0.3"]
+        assert main([*argv, "--nodes", "2"]) == 0
+        two = capsys.readouterr().out
+        monkeypatch.setattr(numkit, "DEFAULT_RULE", numkit.gauss_legendre_rule(2))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == two
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -384,7 +445,7 @@ class TestSweepCommand:
     def test_readme_grid_values(self):
         assert _parse_alphas("-0.99:0.99:0.03") == [(3 * k - 99) / 100 for k in range(67)]
 
-    @pytest.mark.parametrize("alphas", ["0:inf:0.5", "-0.5:0.5:1e-300"])
+    @pytest.mark.parametrize("alphas", ["0:inf:0.5", "-0.5:0.5:1e-300", "-0.5:0.5:nan"])
     def test_unbounded_range_refused_promptly(self, classical_doc, tmp_path, alphas):
         # a child process under a 1 GB address-space limit: a range that never
         # ends fails this test by the timeout instead of hanging the suite

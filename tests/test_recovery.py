@@ -198,8 +198,7 @@ class TestQuantumChartRecovery:
 
         rho = qm.PositiveOperator(np.array([[1.5, 0.2], [0.2, 1.0]]))
         theta = qm.theta_coordinates(qm.alpha_embedding(rho, a), basis)
-        cheap = FDConfig(1e-2, 2)
-        assert rc.curvature_max(chart_div, theta, third_cfg=cheap) <= 1e-3
+        assert rc.curvature_max(chart_div, theta) <= 1e-3
 
     def test_recovered_metric_matches_wyd_pairing(self):
         # push each chart basis direction back to a tangent vector and pair
