@@ -1,8 +1,9 @@
 """Shared numerical kernels.
 
-Gauss-Legendre quadrature on [0, 1], the Hermiticity and positivity checks,
-Hermitian eigendecompositions, divided-difference derivatives of matrix power
-functions, and one central-difference gradient that mixed partials fold.
+Gauss-Legendre quadrature on [0, 1], the Hermiticity check and the one
+positivity gate, Hermitian eigendecompositions, divided-difference derivatives
+of matrix power functions, and one central-difference gradient that mixed
+partials fold; a contrast's ValueError on a stencil is a numerical-domain error.
 
 Every function here is a pure function of its inputs and deterministic for
 identical inputs, so results are safe to share between threads.  Reductions
@@ -46,7 +47,7 @@ __all__ = [
 
 # Smallest eigenvalue must exceed this fraction of the largest one for an
 # operator to count as positive definite; keeps negative fractional powers
-# bounded.
+# bounded.  require_positive is the one gate that reads it.
 POSITIVITY_RTOL = 1e-12
 
 # Relative eigenvalue gap below which divided differences switch to the
@@ -200,8 +201,8 @@ def quadrature_sum(rule: QuadratureRule, values) -> float:
 # ---------------------------------------------------------------------------
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(m + m^dagger)/2."""
-    return 0.5 * (m + m.conj().T)
+    """m/2 + m^dagger/2, halved before the sum so that finite input stays finite."""
+    return 0.5 * m + 0.5 * m.conj().T
 
 
 def as_hermitian(m) -> np.ndarray:
@@ -249,10 +250,6 @@ class SpectralDecomposition:
         object.__setattr__(self, "eigenvalues", w)
         object.__setattr__(self, "eigenvectors", u)
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.size
-
     def matrix_function(self, fn) -> np.ndarray:
         """U diag(fn(eigenvalues)) U^dagger, hermitized."""
         vals = np.asarray(fn(self.eigenvalues))
@@ -271,17 +268,22 @@ def hermitian_eig(h) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, eigenvectors=u)
 
 
-def require_positive(spectral: SpectralDecomposition) -> SpectralDecomposition:
-    """Gate a decomposition on positive definiteness of its spectrum."""
-    w = spectral.eigenvalues
-    smallest, largest = float(w[0]), float(w[-1])
-    if largest <= 0.0 or smallest <= POSITIVITY_RTOL * largest:
-        raise NotPositiveDefiniteError(
-            f"operator is not positive definite: smallest eigenvalue {smallest:.6e} "
-            f"(largest {largest:.6e})",
-            smallest=smallest,
-        )
-    return spectral
+def require_positive(spectrum, what="operator"):
+    """The one positivity gate, on a SpectralDecomposition or ascending eigenvalues
+    (a batch of spectra along the first axis); returns its argument.
+
+    Each spectrum needs largest > 0 and smallest > POSITIVITY_RTOL * largest,
+    so a NaN one is refused; the error reports the first refused spectrum.
+    """
+    w = np.atleast_2d(getattr(spectrum, "eigenvalues", spectrum))
+    for smallest, largest in zip(w[:, 0].tolist(), w[:, -1].tolist()):
+        if not (largest > 0.0 and smallest > POSITIVITY_RTOL * largest):
+            raise NotPositiveDefiniteError(
+                f"{what} is not positive definite: smallest eigenvalue {smallest:.6e} "
+                f"(largest {largest:.6e})",
+                smallest=smallest,
+            )
+    return spectrum
 
 
 def power_divided_differences(eigenvalues, s) -> np.ndarray:
@@ -374,8 +376,8 @@ def mixed_partials(f, p, q, pattern, cfg: FDConfig | None = None) -> np.ndarray:
     same block twice (p == q is the standard use) is supported.  Each
     character wraps f in one more :func:`stencil_gradient`, the last innermost.
 
-    A non-finite value of f anywhere on the stencil raises
-    :class:`NumericalDomainError`.
+    A non-finite value of f on the stencil, or a ValueError f raises there (a
+    point off its domain), raises :class:`NumericalDomainError` naming the point.
     """
     cfg = cfg if cfg is not None else FDConfig()
     p = np.asarray(p, dtype=float)
@@ -386,7 +388,12 @@ def mixed_partials(f, p, q, pattern, cfg: FDConfig | None = None) -> np.ndarray:
         raise ValueError(f"pattern must be 1-3 characters over 'p'/'q', got {pattern!r}")
 
     def value(p, q):
-        v = float(f(p, q))
+        try:
+            v = float(f(p, q))
+        except ValueError as exc:
+            raise NumericalDomainError(
+                f"function is undefined on the stencil at p={p!r}, q={q!r}: {exc}"
+            ) from exc
         if not math.isfinite(v):
             raise NumericalDomainError(
                 f"function value is not finite on the stencil at p={p!r}, q={q!r}"

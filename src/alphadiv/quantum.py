@@ -32,9 +32,7 @@ import numpy as np
 from .classical import _bregman_power_sum, _kl_sum
 from .numkit import (
     DEFAULT_RULE,
-    NotPositiveDefiniteError,
     NumericalDomainError,
-    POSITIVITY_RTOL,
     QuadratureRule,
     SpectralDecomposition,
     as_hermitian,
@@ -87,6 +85,8 @@ IMAG_RTOL = 1e-10
 # reference to the basis bytes it shares with the others, and one operator.
 CHART_MEMO_SIZE = 64
 
+RANDOM_SPECTRUM = (0.2, 4.0)  # eigenvalue range of the seeded random operators
+
 
 def _require_real(z, context):
     """Re z, refusing |Im z| > IMAG_RTOL (1 + |Re z|) (Frobenius norms on arrays)."""
@@ -110,9 +110,10 @@ class PositiveOperator:
     Validation happens once at construction, through
     :func:`numkit.hermitian_eig` and :func:`numkit.require_positive`: the
     matrix must be Hermitian relative to its Frobenius norm, its spectrum must
-    satisfy smallest > 1e-12 * largest, and the stored symmetrized matrix is
-    frozen.  The inverse of the flat chart, :meth:`_from_chart`, keeps the
-    decomposition of the chart matrix instead and passes the same checks.
+    satisfy largest > 0 and smallest > 1e-12 * largest (NaN fails), and the
+    stored symmetrized matrix is frozen.  The inverse of the flat chart,
+    :meth:`_from_chart`, keeps the decomposition of the chart matrix instead
+    and passes the same checks.
     """
 
     def __init__(self, matrix):
@@ -131,17 +132,10 @@ class PositiveOperator:
         float max / 4, below which no entry of the matrix can overflow.
         """
         spectral = require_positive(hermitian_eig(m))
-        s = 1.0 / beta
-        try:
-            fits = float(spectral.eigenvalues[-1]) ** s <= sys.float_info.max / 4
-        except OverflowError:
-            fits = False
-        if not fits:
+        if not float(spectral.eigenvalues[-1]) <= (sys.float_info.max / 4) ** beta:
             raise ValueError("matrix entries must be finite")
-        power = SpectralDecomposition(spectral.eigenvalues**s, spectral.eigenvectors)
+        power = SpectralDecomposition(spectral.eigenvalues ** (1.0 / beta), spectral.eigenvectors)
         matrix = power.matrix_function(lambda w: w)
-        if not np.isfinite(matrix).all():
-            raise ValueError("matrix entries must be finite")
         matrix.setflags(write=False)
         op = object.__new__(PositiveOperator)
         op._spectral = require_positive(power)
@@ -282,14 +276,11 @@ def alpha_geodesic_q(rho1, rho2, alpha, t) -> PositiveOperator:
 
 def _geodesic_frame(a, b, beta, ts):
     """U, U^dagger (B - A) U and the divided differences of x**((1-beta)/beta)
-    on w, where M(t) = (1-t)A + tB = U diag(w) U^dagger at each node t."""
+    on w, where M(t) = (1-t)A + tB = U diag(w) U^dagger at each node t; every
+    spectrum w passes the positivity gate of numkit.require_positive."""
     m = (1.0 - ts)[:, None, None] * a[None] + ts[:, None, None] * b[None]
     evals, vecs = np.linalg.eigh(m)
-    if np.any(evals[:, 0] <= POSITIVITY_RTOL * evals[:, -1]):
-        raise NotPositiveDefiniteError(
-            "geodesic interpolant lost positive definiteness",
-            smallest=float(evals[:, 0].min()),
-        )
+    require_positive(evals, "geodesic interpolant")
     wt = np.swapaxes(vecs.conj(), 1, 2) @ (b - a)[None] @ vecs
     tables = power_divided_differences(evals, (1.0 - beta) / beta)
     return vecs, wt, tables
@@ -549,16 +540,16 @@ def random_hermitian(rng: np.random.Generator, dim) -> np.ndarray:
     return hermitian_part(g)
 
 
-def random_positive_operator(rng: np.random.Generator, dim, spectrum=(0.2, 4.0)) -> PositiveOperator:
-    """Seeded positive operator: uniform spectrum conjugated by a QR unitary."""
-    lam = rng.uniform(spectrum[0], spectrum[1], size=dim)
+def random_positive_operator(rng: np.random.Generator, dim) -> PositiveOperator:
+    """Seeded positive operator: uniform RANDOM_SPECTRUM draw conjugated by a QR unitary."""
+    lam = rng.uniform(*RANDOM_SPECTRUM, size=dim)
     u = _random_unitary(rng, dim)
     return PositiveOperator((u * lam) @ u.conj().T)
 
 
-def random_density_operator(rng: np.random.Generator, dim, spectrum=(0.2, 4.0)) -> DensityOperator:
-    """Seeded density operator: normalized uniform spectrum, QR unitary."""
-    lam = rng.uniform(spectrum[0], spectrum[1], size=dim)
+def random_density_operator(rng: np.random.Generator, dim) -> DensityOperator:
+    """Seeded density operator: normalized uniform RANDOM_SPECTRUM draw, QR unitary."""
+    lam = rng.uniform(*RANDOM_SPECTRUM, size=dim)
     lam = lam / lam.sum()
     u = _random_unitary(rng, dim)
     return DensityOperator((u * lam) @ u.conj().T)

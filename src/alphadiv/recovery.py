@@ -61,15 +61,13 @@ class RecoveredStructure:
     """Metric and lowered connection coefficients recovered at a point.
 
     ``christoffel[i, j, k]`` holds Gamma_ijk = g(nabla_i d_j, d_k) and
-    ``christoffel_dual`` its dual counterpart; ``step`` is the metric stencil
-    step used.
+    ``christoffel_dual`` its dual counterpart.
     """
 
     metric: np.ndarray
     christoffel: np.ndarray
     christoffel_dual: np.ndarray
     point: np.ndarray
-    step: float
 
 
 def _checked_metric(divergence, point, cfg: FDConfig) -> np.ndarray:
@@ -108,11 +106,12 @@ def recover_structure(divergence, point, cfg: FDConfig = DEFAULT_CFG) -> Recover
 
     Raises :class:`NotPositiveDefiniteError` when the recovered metric is
     degenerate at stencil resolution, and ValueError when D(point, point) is
-    not numerically zero.
+    not numerically zero (NaN included).  A ValueError of the divergence at
+    the point itself propagates; on the stencil it is a NumericalDomainError.
     """
     point = np.asarray(point, dtype=float)
     at_diag = float(divergence(point, point))
-    if abs(at_diag) > 1e-10:
+    if not abs(at_diag) <= 1e-10:
         raise ValueError(
             f"divergence must vanish on the diagonal, got D(p, p) = {at_diag!r}"
         )
@@ -124,7 +123,6 @@ def recover_structure(divergence, point, cfg: FDConfig = DEFAULT_CFG) -> Recover
         christoffel=gamma,
         christoffel_dual=gamma_dual,
         point=point,
-        step=cfg.step,
     )
 
 

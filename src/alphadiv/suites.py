@@ -15,6 +15,7 @@ from .numkit import NotPositiveDefiniteError, chart_exponent
 __all__ = [
     "ALPHA_GRID",
     "SUITE_TOLERANCES",
+    "gate_error",
     "quadrature_gap",
     "random_measure",
     "run_suite",
@@ -45,14 +46,17 @@ def random_measure(rng, dim, lo=0.1, hi=5.0):
     return rng.uniform(lo, hi, size=dim)
 
 
+def gate_error(value, reference):
+    """|value - reference| / (1 + |reference|): the error the quadrature gates bound."""
+    return abs(value - reference) / (1.0 + abs(reference))
+
+
 def quadrature_gap(pairs, closed, quadrature):
-    """Worst |quadrature - closed| / (1 + |closed|) over pairs and ALPHA_GRID."""
+    """Worst gate_error of quadrature against closed over pairs and ALPHA_GRID."""
     worst = 0.0
     for x, y in pairs:
         for a in ALPHA_GRID:
-            reference = closed(x, y, a)
-            numeric = quadrature(x, y, a)
-            worst = max(worst, abs(numeric - reference) / (1.0 + abs(reference)))
+            worst = max(worst, gate_error(quadrature(x, y, a), closed(x, y, a)))
     return worst
 
 
@@ -79,21 +83,22 @@ def structure_errors(points, alphas):
     """Worst recovery errors of the classical alpha-divergences over points x alphas.
 
     Returns (metric error relative to the largest Fisher entry, connection
-    error against Gamma_iii = -(1 + alpha)/(2 p_i**2), duality defect).
+    error against the library's alpha-connection lowered by the Fisher metric,
+    duality defect).
     """
     metric_err = christoffel_err = defect_err = 0.0
     for p in points:
+        basis = np.eye(p.size)
+        fisher = np.array([[classical.fisher_metric(p, x, y) for y in basis] for x in basis])
         for a in alphas:
             div = _classical_alpha_div(a)
             structure = recovery.recover_structure(div, p)
-            fisher = np.diag(1.0 / p)
             metric_err = max(
                 metric_err,
                 float(np.max(np.abs(structure.metric - fisher)) / np.max(np.abs(fisher))),
             )
-            expected = np.zeros_like(structure.christoffel)
-            idx = np.arange(p.size)
-            expected[idx, idx, idx] = -0.5 * (1.0 + a) / p**2
+            # Gamma_ijk = Gamma^k_ij g_kk, the Fisher metric being diag(1/p)
+            expected = classical.alpha_christoffel(p, a) / p
             christoffel_err = max(
                 christoffel_err, float(np.max(np.abs(structure.christoffel - expected)))
             )
@@ -146,8 +151,7 @@ def run_classical_suite(trials, seed, tol):
     for p, q in pairs[:25]:
         for a in ALPHA_GRID:
             dual = classical.dual_canonical_divergence(p, q, a)
-            swapped = classical.canonical_divergence_numeric(q, p, a)
-            worst = max(worst, abs(dual - swapped) / (1.0 + abs(swapped)))
+            worst = max(worst, gate_error(dual, classical.canonical_divergence_numeric(q, p, a)))
     checks.append(_check("dual equals argument swap", worst, 1e-9))
 
     worst = 0.0

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from alphadiv import numkit
+from alphadiv import numkit, suites
 from alphadiv.cli import _parse_alphas, load_document, main
 from alphadiv.quantum import wyd_components_theta
 
@@ -66,6 +66,19 @@ class TestDocumentLoading:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="invalid"):
             load_document(str(path))
+
+    def test_entries_near_the_float_max_refused_at_load(self, tmp_path, capsys):
+        # symmetrizing diag(1e308, 1) stays finite, and its spectrum fails the
+        # positivity ratio: a usage error at load, not a NaN later
+        path = tmp_path / "huge.json"
+        doc = {
+            "kind": "quantum",
+            "objects": {"h": [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+        }
+        path.write_text(json.dumps(doc))
+        rc = main(["divergence", str(path), "--family", "alpha", "--alpha", "0", "--pairs", "h:h"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: object 'h' is invalid: operator is not")
 
     def test_complex_entries_parsed(self, tmp_path):
         path = tmp_path / "cpx.json"
@@ -236,6 +249,37 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err == f"verification failed, worst case: {json.dumps(worst)}\n"
 
+    def test_worst_case_ranks_zero_tolerance_failures_first_then_by_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def record(check, error, tolerance):
+            return {"check": check, "max_error": error, "tolerance": tolerance,
+                    "pass": error <= tolerance, "suite": "recovery"}
+
+        records = [
+            record("passes at zero", 0.0, 0.0),
+            record("small miss at zero", 3.6e-15, 0.0),
+            record("large ratio", 2e-3, 1e-5),
+            record("large miss at zero", 1.3e-6, 0.0),
+            record("passes", 1e-7, 1e-4),
+        ]
+        monkeypatch.setattr(suites, "run_suite", lambda *args: records)
+        out = tmp_path / "r.json"
+        assert main(["verify", "--seed", "1", "--tolerance", "0", "--out", str(out)]) == 1
+        assert json.loads(out.read_text())["summary"]["worst"]["check"] == "large miss at zero"
+        capsys.readouterr()
+        # all passing: the largest ratio is named, the zero-tolerance pass last
+        monkeypatch.setattr(suites, "run_suite", lambda *args: [records[0], records[4]])
+        assert main(["verify", "--seed", "1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["summary"]["worst"]["check"] == "passes"
+
+    def test_recovery_suite_passes(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["verify", "--suite", "recovery", "--seed", "7", "--out", str(out)]) == 0
+        checks = json.loads(out.read_text())["checks"]
+        assert len(checks) == 8
+        assert all(c["pass"] and c["suite"] == "recovery" for c in checks)
+
     @pytest.mark.parametrize("suite", ["classical", "quantum"])
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_trials_below_one_is_usage_error(self, tmp_path, capsys, suite, trials):
@@ -265,6 +309,16 @@ class TestRecoverCommand:
         assert np.max(np.abs(np.array(report["metric"]) - np.eye(2))) <= 1e-5
         assert np.max(np.abs(np.array(report["christoffel"]))) <= 1e-5
         assert np.max(np.abs(np.array(report["christoffel_dual"]))) <= 1e-5
+
+    def test_builtin_euclidean_on_an_operator_document(self, quantum_doc, capsys):
+        # the half squared distance in the Hermitian-basis coordinates of rho1
+        rc = main(["recover", quantum_doc, "--point", "rho1", "--reference-euclidean"])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        assert np.max(np.abs(np.array(report["metric"]) - np.eye(4))) <= 1e-5
+        assert np.max(np.abs(np.array(report["christoffel"]))) <= 1e-5
+        assert np.max(np.abs(np.array(report["christoffel_dual"]))) <= 1e-5
+        assert report["summary"] == {"defect_within": True, "curvature_within": True}
 
     def test_alpha_required_for_divergence_recovery(self, classical_doc):
         assert main(["recover", classical_doc, "--point", "p"]) == 2

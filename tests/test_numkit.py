@@ -17,8 +17,10 @@ from alphadiv.numkit import (
     frechet_from_decomposition,
     gauss_legendre_rule,
     hermitian_eig,
+    hermitian_part,
     mixed_partials,
     quadrature_sum,
+    require_positive,
     stencil_gradient,
 )
 from alphadiv.quantum import PositiveOperator, alpha_representation
@@ -167,6 +169,42 @@ class TestHermitianEig:
                 residual = np.linalg.norm((u * w) @ u.conj().T - h)
                 assert residual <= 1e-11 * np.linalg.norm(h)
                 assert np.linalg.norm(u.conj().T @ u - np.eye(dim)) <= 1e-12
+
+
+class TestPositivityGate:
+    def test_one_spectrum_or_a_batch(self):
+        spectral = hermitian_eig(np.diag([1.0, 2.0]))
+        assert require_positive(spectral) is spectral
+        batch = np.array([[1.0, 2.0], [0.5, 4.0]])
+        assert require_positive(batch) is batch
+
+    @pytest.mark.parametrize(
+        "spectrum, smallest",
+        [
+            ([0.0, 1.0], 0.0),
+            ([-1.0, -0.5], -1.0),
+            ([1e-13, 1.0], 1e-13),
+            ([np.nan, np.nan], None),
+            ([1.0, np.nan], 1.0),
+            ([np.nan, 1.0], None),
+        ],
+    )
+    def test_refuses_nonpositive_and_nan_spectra(self, spectrum, smallest):
+        with pytest.raises(NotPositiveDefiniteError, match="^operator is not positive definite"):
+            require_positive(np.array(spectrum))
+        batch = np.array([[1.0, 2.0], spectrum, [np.nan, np.nan]])
+        with pytest.raises(NotPositiveDefiniteError, match="^interpolant is not") as info:
+            require_positive(batch, "interpolant")
+        # the first refused spectrum is the one reported
+        if smallest is None:
+            assert np.isnan(info.value.smallest)
+        else:
+            assert info.value.smallest == smallest
+
+
+def test_hermitian_part_stays_finite_near_the_float_max():
+    m = np.array([[1e308, 1e308], [1e308, 1.0]], dtype=complex)
+    assert np.array_equal(hermitian_part(m), m)
 
 
 class TestMatrixPower:
@@ -342,6 +380,19 @@ class TestMixedPartials:
         assert np.isfinite(f(p, p))
         with pytest.raises(NumericalDomainError, match="not finite on the stencil"):
             mixed_partials(f, p, p, pattern)
+
+    def test_refused_stencil_point_is_a_domain_error(self):
+        # the function refuses x_0 <= 0, which the stencil around 1e-4 reaches
+        def f(x, y):
+            if x[0] <= 0.0:
+                raise ValueError("off the domain")
+            return float(x @ y)
+
+        p = np.array([1e-4, 1.0])
+        with pytest.raises(NumericalDomainError, match=r"undefined on the stencil at p=") as info:
+            mixed_partials(f, p, p, "pq")
+        assert isinstance(info.value.__cause__, ValueError)
+        assert "off the domain" in str(info.value)
 
     def test_stencil_gradient_of_array_field(self):
         # field(x) = (x_0 x_1, x_1**2): gradient rows d_k, exact for quadratics

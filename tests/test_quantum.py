@@ -28,8 +28,11 @@ WORKED_PAIR = (
 WORKED_VALUE = 14.0 - 2.0 * (np.sqrt(3.0) + np.sqrt(6.0) + 1.0 + np.sqrt(2.0))
 
 
-def rand_pd(rng, dim, spectrum=(0.2, 4.0)):
-    return qm.random_positive_operator(rng, dim, spectrum)
+def rand_pd(rng, dim, spectrum=qm.RANDOM_SPECTRUM):
+    """random_positive_operator's seeded draw with eigenvalues uniform on ``spectrum``."""
+    lam = rng.uniform(*spectrum, size=dim)
+    u = qm._random_unitary(rng, dim)
+    return qm.PositiveOperator((u * lam) @ u.conj().T)
 
 
 class TestOperatorTypes:
@@ -43,6 +46,12 @@ class TestOperatorTypes:
     def test_positivity_threshold_is_relative(self):
         with pytest.raises(NotPositiveDefiniteError):
             qm.PositiveOperator(np.diag([1.0, 1e-14]))
+
+    def test_entries_near_the_float_max_are_refused_not_nan(self):
+        # symmetrizing must not overflow: the spectrum is (1, 1e308), whose
+        # ratio is below the positivity threshold
+        with pytest.raises(NotPositiveDefiniteError, match="largest 1.000000e[+]308"):
+            qm.PositiveOperator(np.diag([1e308, 1.0]))
 
     def test_matrix_is_frozen(self):
         rho = qm.PositiveOperator(np.eye(2))
@@ -412,19 +421,22 @@ class TestVelocityRepresentations:
                     pairing = t * np.einsum("ij,ji->", va, vd).real
                     assert abs(value - pairing) <= 4e-15 * abs(pairing)
 
-    def test_non_positive_interpolant_refused(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "spoil", [lambda w: w - w[..., -1:], lambda w: w * np.nan], ids=["shifted", "nan"]
+    )
+    def test_non_positive_interpolant_refused(self, monkeypatch, spoil):
         # an interpolant whose computed spectrum lost positivity, by a shift
-        # of every eigenvalue the decomposition returns; the pushforwards and
-        # the quadrature share the gate
+        # of every eigenvalue the decomposition returns, or turned NaN; the
+        # pushforwards and the quadrature share the gate
         r1 = qm.PositiveOperator(WORKED_PAIR[0])
         r2 = qm.PositiveOperator(WORKED_PAIR[1])
         eigh = np.linalg.eigh
 
-        def shifted(m):
+        def spoiled(m):
             w, u = eigh(m)
-            return w - w[..., -1:], u
+            return spoil(w), u
 
-        monkeypatch.setattr(np.linalg, "eigh", shifted)
+        monkeypatch.setattr(np.linalg, "eigh", spoiled)
         with pytest.raises(NotPositiveDefiniteError, match="geodesic interpolant"):
             qm.velocity_representations(r1, r2, 0.5, 0.3)
         with pytest.raises(NotPositiveDefiniteError, match="geodesic interpolant"):

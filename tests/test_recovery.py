@@ -4,7 +4,14 @@ import pytest
 from alphadiv import classical as cl
 from alphadiv import quantum as qm
 from alphadiv import recovery as rc
-from alphadiv.numkit import FDConfig, NotPositiveDefiniteError, mixed_partials
+from alphadiv.numkit import FDConfig, NotPositiveDefiniteError, NumericalDomainError, mixed_partials
+
+
+def operator_on(rng, dim, spectrum):
+    """random_positive_operator's seeded draw with eigenvalues uniform on ``spectrum``."""
+    lam = rng.uniform(*spectrum, size=dim)
+    u = qm._random_unitary(rng, dim)
+    return qm.PositiveOperator((u * lam) @ u.conj().T)
 
 
 def alpha_div(alpha):
@@ -100,6 +107,29 @@ class TestDegenerateContrast:
         with pytest.raises(ValueError, match="diagonal"):
             rc.recover_structure(lambda x, y: 1.0 + rc.half_squared_distance(x, y), np.ones(2))
 
+    def test_nan_on_the_diagonal_rejected(self):
+        # NaN only at (p, p), which no stencil entry evaluates
+        p = np.array([1.0, 2.0])
+
+        def div(x, y):
+            if np.array_equal(x, p) and np.array_equal(y, p):
+                return float("nan")
+            return rc.half_squared_distance(x, y)
+
+        with pytest.raises(ValueError, match="diagonal"):
+            rc.recover_structure(div, p)
+
+    def test_stencil_leaving_the_cone_is_a_domain_error_for_library_callers(self):
+        # the alpha-divergence refuses a measure entry below zero with a
+        # ValueError; on the stencil around 1e-4 that is a domain error,
+        # while an invalid alpha is refused at the point itself
+        p = np.array([1e-4, 1.0])
+        with pytest.raises(NumericalDomainError, match="undefined on the stencil") as info:
+            rc.recover_structure(alpha_div(0.2), p)
+        assert isinstance(info.value.__cause__, ValueError)
+        with pytest.raises(ValueError, match="^alpha must lie"):
+            rc.recover_structure(alpha_div(1.0), p)
+
     def test_asymmetric_metric_rejected_by_every_entry_point(self):
         # -d_i d'_j D = I + 0.1 (E_10 - E_01): mixed partials not symmetric
         def skewed(x, y):
@@ -160,7 +190,7 @@ class TestQuantumChartRecovery:
     def test_alpha_zero_chart_metric_is_euclidean(self):
         # at alpha = 0 the chart pairing is Tr(A_i A_j) for every base point
         rng = np.random.default_rng(23)
-        rho = qm.random_positive_operator(rng, 2, (0.5, 2.0))
+        rho = operator_on(rng, 2, (0.5, 2.0))
         basis = qm.hermitian_basis(2)
 
         def chart_div(x, y):
@@ -204,7 +234,7 @@ class TestQuantumChartRecovery:
         # push each chart basis direction back to a tangent vector and pair
         # with the metric; must match the finite-difference recovery
         rng = np.random.default_rng(24)
-        rho = qm.random_positive_operator(rng, 2, (0.5, 2.0))
+        rho = operator_on(rng, 2, (0.5, 2.0))
         basis = qm.hermitian_basis(2)
         a = 0.5
         beta = 0.5 * (1.0 - a)

@@ -7,7 +7,9 @@ geodesic frame for the batched interpolant.  Operators that skip
 ``PositiveOperator.__init__`` are built in one place, the inverse chart, and
 chart inverses reach it only through the memo of ``operator_from_chart``.
 Each convention shared by several operations, such as the chart exponent
-beta = (1 - alpha)/2, is written once.
+beta = (1 - alpha)/2, is written once, and so is each refusal: the positivity
+gate, the gate error of the quadrature checks, and the refusal of a stencil
+point off a contrast's domain, which no command re-decides.
 """
 
 import ast
@@ -90,3 +92,40 @@ def test_chart_exponent_is_written_once():
 def test_entropy_limit_check_is_built_once():
     named = sites(lambda n: isinstance(n, ast.Constant) and n.value == "limit approach is monotone")
     assert named == [("suites", "_limit_check")]
+
+
+def test_positivity_threshold_is_read_only_by_the_gate():
+    reads = sites(
+        lambda n: (isinstance(n, ast.Name) and n.id == "POSITIVITY_RTOL" and isinstance(n.ctx, ast.Load))
+        or (isinstance(n, ast.Attribute) and n.attr == "POSITIVITY_RTOL")
+        or (isinstance(n, ast.alias) and n.name == "POSITIVITY_RTOL")
+    )
+    assert reads == [("numkit", "require_positive")]
+
+
+def test_gate_error_normalization_is_written_once():
+    def one_plus_abs(n):  # 1 + abs(<anything>)
+        return (
+            isinstance(n, ast.BinOp)
+            and isinstance(n.op, ast.Add)
+            and isinstance(n.left, ast.Constant)
+            and n.left.value == 1
+            and isinstance(n.right, ast.Call)
+            and dotted(n.right.func) == "abs"
+        )
+
+    assert sites(one_plus_abs) == [("suites", "gate_error")]
+
+
+def test_cli_catches_value_errors_only_to_map_input_errors():
+    # main maps ValueError to exit 2, and the document loader and the two text
+    # parsers re-raise it as an input error; a contrast's refusal at a stencil
+    # point is decided in numkit.mixed_partials
+    def catches_value_error(n):
+        if not isinstance(n, ast.ExceptHandler) or n.type is None:
+            return False
+        names = n.type.elts if isinstance(n.type, ast.Tuple) else [n.type]
+        return any(dotted(t) == "ValueError" for t in names)
+
+    handlers = sorted({scope for module, scope in sites(catches_value_error) if module == "cli"})
+    assert handlers == ["_parse_alphas", "_tolerance", "load_document", "main"]
