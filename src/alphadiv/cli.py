@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -259,10 +260,14 @@ def cmd_divergence(args):
 
 
 def _severity(r):
-    """max_error / tolerance, then max_error; a failure at zero tolerance ranks first."""
+    """A NaN max_error first, then max_error / tolerance, then max_error; a
+    failure at zero tolerance ranks above every finite ratio."""
+    error = r["max_error"]
+    if math.isnan(error):
+        return True, 0.0, 0.0
     if r["tolerance"]:
-        return r["max_error"] / r["tolerance"], r["max_error"]
-    return (0.0 if r["pass"] else float("inf")), r["max_error"]
+        return False, error / r["tolerance"], error
+    return False, (0.0 if r["pass"] else float("inf")), error
 
 
 def cmd_verify(args):

@@ -369,12 +369,14 @@ def stencil_gradient(field, x, cfg: FDConfig) -> np.ndarray:
 def mixed_partials(f, p, q, pattern, cfg: FDConfig | None = None) -> np.ndarray:
     """Central-difference estimate of a mixed partial derivative of f(p, q).
 
-    ``pattern`` is a string over {'p', 'q'} with one character per derivative;
-    axis k of the result indexes the coordinate that the k-th derivative acts
-    on.  "pq" gives the matrix d^2 f / dp_i dq_j, "ppq" the rank-3 array
-    d^3 f / dp_i dp_j dq_k, and "qqp" its primed-block mirror.  Evaluating the
-    same block twice (p == q is the standard use) is supported.  Each
-    character wraps f in one more :func:`stencil_gradient`, the last innermost.
+    ``pattern`` is a string of 1-4 characters over {'p', 'q'}, one per
+    derivative; axis k of the result indexes the coordinate that the k-th
+    derivative acts on.  "pq" gives the matrix d^2 f / dp_i dq_j, "ppq" the
+    rank-3 array d^3 f / dp_i dp_j dq_k, "qqp" its primed-block mirror, and
+    "ppqq" the rank-4 array of the curvature check.  Evaluating the same block
+    twice (p == q is the standard use) is supported.  Each character wraps f
+    in one more :func:`stencil_gradient`, the last innermost, so a pattern of
+    k characters over n coordinates evaluates f (n * len(stencil))**k times.
 
     A non-finite value of f on the stencil, or a ValueError f raises there (a
     point off its domain), raises :class:`NumericalDomainError` naming the point.
@@ -384,8 +386,8 @@ def mixed_partials(f, p, q, pattern, cfg: FDConfig | None = None) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if p.ndim != 1 or q.ndim != 1:
         raise ValueError("coordinate blocks must be 1-D vectors")
-    if not (1 <= len(pattern) <= 3) or any(c not in "pq" for c in pattern):
-        raise ValueError(f"pattern must be 1-3 characters over 'p'/'q', got {pattern!r}")
+    if not (1 <= len(pattern) <= 4) or any(c not in "pq" for c in pattern):
+        raise ValueError(f"pattern must be 1-4 characters over 'p'/'q', got {pattern!r}")
 
     def value(p, q):
         try:

@@ -31,9 +31,11 @@ __all__ = [
     "recover_structure",
 ]
 
-# Stencils: the metric's default, then the fixed third-derivative ones (step
-# 1e-2 against roundoff, which grows as one over step cubed; fourth order keeps
-# the truncation bias near 1e-7, out of second-order nesting's reach).
+# Stencils: the metric's default, then the fixed connection and curvature ones
+# (step 1e-2 against roundoff, which grows as one over step cubed for the
+# connection's third derivatives and to the fourth for curvature's "ppqq"
+# block; the connection's fourth order keeps its truncation bias near 1e-7,
+# out of second-order nesting's reach).
 DEFAULT_CFG = FDConfig(step=1e-3, order=4)
 _CONNECTION_CFG = FDConfig(step=1e-2, order=4)
 _CURVATURE_CFG = FDConfig(step=1e-2, order=2)
@@ -141,20 +143,20 @@ def duality_defect(structure: RecoveredStructure, divergence, cfg: FDConfig = DE
     return float(np.max(np.abs(dg - paired)))
 
 
-def _raised_christoffel(divergence, point, cfg: FDConfig):
-    """Gamma^l_ij = g^{lm} Gamma_ijm at the point, with the checked metric."""
-    g = _checked_metric(divergence, point, cfg)
-    gamma = -mixed_partials(divergence, point, point, "ppq", _CONNECTION_CFG)
-    return np.einsum("lm,ijm->ijl", np.linalg.inv(g), gamma)
-
-
 def curvature_max(divergence, point, cfg: FDConfig = DEFAULT_CFG) -> float:
     """Max-abs component of the curvature of the recovered connection.
 
     R^l_ijk = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik with
-    G^l = g^{-1} Gamma recovered at stencil-shifted points.  Supported for
-    up to four coordinates (the cost grows with the fourth power of the
-    dimension).
+    G = g^{-1} Gamma from :func:`recover_structure` at the point.  Its
+    derivative comes from one fourth-order block P = d_a d_b d'_c d'_d D:
+
+        d_i G^l_jk = -g^{ls} P_jkis - g^{la} (Gamma_iab + Gamma*_iba) G^b_jk
+                     - g^{ls} d_i d_j d_k d'_s D,
+
+    using d_m g_ab = Gamma_mab + Gamma*_mba, an identity of D's derivatives
+    on the diagonal.  The last term is symmetric in (i, j), so it cancels in
+    R and is never formed.  Supported for up to four coordinates (P has n**4
+    entries); otherwise raises as :func:`recover_structure` does.
     """
     point = np.asarray(point, dtype=float)
     n = point.size
@@ -162,10 +164,14 @@ def curvature_max(divergence, point, cfg: FDConfig = DEFAULT_CFG) -> float:
         raise ValueError(
             f"curvature check is limited to dimension <= {CURVATURE_MAX_DIM}, got {n}"
         )
-    gamma_up = _raised_christoffel(divergence, point, cfg)
-    # d_gamma[i, j, k, l] = d_i G^l_jk
-    d_gamma = stencil_gradient(
-        lambda x: _raised_christoffel(divergence, x, cfg), point, _CURVATURE_CFG
+    structure = recover_structure(divergence, point, cfg)
+    g_inv = np.linalg.inv(structure.metric)
+    gamma_up = np.einsum("lm,ijm->ijl", g_inv, structure.christoffel)
+    dg = structure.christoffel + np.swapaxes(structure.christoffel_dual, 1, 2)
+    fourth = mixed_partials(divergence, point, point, "ppqq", _CURVATURE_CFG)
+    # d_gamma[i, j, k, l] = d_i G^l_jk, less the term symmetric in (i, j)
+    d_gamma = -np.einsum("ls,jkis->ijkl", g_inv, fourth) - np.einsum(
+        "la,iab,jkb->ijkl", g_inv, dg, gamma_up
     )
 
     quad = np.einsum("iml,jkm->ijkl", gamma_up, gamma_up)

@@ -7,6 +7,8 @@ tolerance, and pass flag.  Randomness is fully determined by the seed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import classical, quantum, recovery
@@ -32,6 +34,20 @@ _QPARAMS = (0.25, 0.3, 0.5, 0.7, 0.75)
 SUITE_TOLERANCES = {"classical": 1e-9, "quantum": 1e-8, "recovery": 1e-4}
 
 
+def _worst(errors, start=0.0):
+    """max(start, *errors), except that one NaN error makes the result NaN.
+
+    The builtin max keeps its running value against a NaN (every comparison
+    with NaN is false), which would read a NaN error as a pass.  Every error
+    is consumed, so a NaN does not change which inputs a suite draws.
+    """
+    worst = start
+    for error in errors:
+        if error > worst or math.isnan(error):
+            worst = error
+    return worst
+
+
 def _check(name, error, tolerance):
     return {
         "check": name,
@@ -39,6 +55,11 @@ def _check(name, error, tolerance):
         "tolerance": float(tolerance),
         "pass": bool(error <= tolerance),
     }
+
+
+def _negativity(values):
+    """-min(0.0, *values), NaN when a value is NaN."""
+    return _worst((-v for v in values), start=-0.0)
 
 
 def random_measure(rng, dim, lo=0.1, hi=5.0):
@@ -53,23 +74,21 @@ def gate_error(value, reference):
 
 def quadrature_gap(pairs, closed, quadrature):
     """Worst gate_error of quadrature against closed over pairs and ALPHA_GRID."""
-    worst = 0.0
-    for x, y in pairs:
-        for a in ALPHA_GRID:
-            worst = max(worst, gate_error(quadrature(x, y, a), closed(x, y, a)))
-    return worst
+    return _worst(
+        gate_error(quadrature(x, y, a), closed(x, y, a)) for x, y in pairs for a in ALPHA_GRID
+    )
 
 
 def tsallis_gap(pairs, tsallis, closed, qparams):
     """Worst |D_q - ((1 - alpha)/2) D_alpha| at alpha = 1 - 2q over pairs and q."""
-    worst = 0.0
+    gaps = []
     for x, y in pairs:
         for qp in qparams:
             a = 1.0 - 2.0 * qp
             lhs = tsallis(x, y, qp)
             rhs = chart_exponent(a) * closed(x, y, a)
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+            gaps.append(abs(lhs - rhs))
+    return _worst(gaps)
 
 
 def _limit_check(closed, x, y, limit):
@@ -86,24 +105,21 @@ def structure_errors(points, alphas):
     error against the library's alpha-connection lowered by the Fisher metric,
     duality defect).
     """
-    metric_err = christoffel_err = defect_err = 0.0
+    metric_errs, christoffel_errs, defects = [], [], []
     for p in points:
         basis = np.eye(p.size)
         fisher = np.array([[classical.fisher_metric(p, x, y) for y in basis] for x in basis])
         for a in alphas:
             div = _classical_alpha_div(a)
             structure = recovery.recover_structure(div, p)
-            metric_err = max(
-                metric_err,
-                float(np.max(np.abs(structure.metric - fisher)) / np.max(np.abs(fisher))),
+            metric_errs.append(
+                float(np.max(np.abs(structure.metric - fisher)) / np.max(np.abs(fisher)))
             )
             # Gamma_ijk = Gamma^k_ij g_kk, the Fisher metric being diag(1/p)
             expected = classical.alpha_christoffel(p, a) / p
-            christoffel_err = max(
-                christoffel_err, float(np.max(np.abs(structure.christoffel - expected)))
-            )
-            defect_err = max(defect_err, recovery.duality_defect(structure, div))
-    return metric_err, christoffel_err, defect_err
+            christoffel_errs.append(float(np.max(np.abs(structure.christoffel - expected))))
+            defects.append(recovery.duality_defect(structure, div))
+    return _worst(metric_errs), _worst(christoffel_errs), _worst(defects)
 
 
 def spectral_reduction_gap(p, q):
@@ -113,10 +129,9 @@ def spectral_reduction_gap(p, q):
     entropy against extended KL, and Tsallis at q = 0.3.
     """
     d1, d2 = quantum.PositiveOperator(np.diag(p)), quantum.PositiveOperator(np.diag(q))
-    worst = 0.0
+    gaps = []
     for a in ALPHA_GRID:
-        worst = max(
-            worst,
+        gaps += [
             abs(
                 quantum.quantum_alpha_divergence_closed(d1, d2, a)
                 - classical.alpha_divergence_closed(p, q, a)
@@ -125,12 +140,14 @@ def spectral_reduction_gap(p, q):
                 quantum.canonical_divergence_numeric_q(d1, d2, a)
                 - classical.canonical_divergence_numeric(p, q, a)
             ),
-        )
-    return max(
-        worst,
-        abs(quantum.quantum_relative_entropy(d1, d2, extended=True) - classical.kl_extended(p, q)),
-        abs(quantum.quantum_q_divergence(d1, d2, 0.3) - classical.tsallis_q_divergence(p, q, 0.3)),
+        ]
+    gaps.append(
+        abs(quantum.quantum_relative_entropy(d1, d2, extended=True) - classical.kl_extended(p, q))
     )
+    gaps.append(
+        abs(quantum.quantum_q_divergence(d1, d2, 0.3) - classical.tsallis_q_divergence(p, q, 0.3))
+    )
+    return _worst(gaps)
 
 
 def run_classical_suite(trials, seed, tol):
@@ -147,30 +164,33 @@ def run_classical_suite(trials, seed, tol):
     )
     checks.append(_check("quadrature matches closed form", worst, tol))
 
-    worst = 0.0
-    for p, q in pairs[:25]:
-        for a in ALPHA_GRID:
-            dual = classical.dual_canonical_divergence(p, q, a)
-            worst = max(worst, gate_error(dual, classical.canonical_divergence_numeric(q, p, a)))
+    worst = _worst(
+        gate_error(
+            classical.dual_canonical_divergence(p, q, a),
+            classical.canonical_divergence_numeric(q, p, a),
+        )
+        for p, q in pairs[:25]
+        for a in ALPHA_GRID
+    )
     checks.append(_check("dual equals argument swap", worst, 1e-9))
 
-    worst = 0.0
-    for p, q in pairs[:10]:
-        for a in ALPHA_GRID:
-            for t in np.linspace(0.1, 0.9, 9):
-                worst = max(worst, classical.geodesic_ode_residual(p, q, a, t))
+    worst = _worst(
+        classical.geodesic_ode_residual(p, q, a, t)
+        for p, q in pairs[:10]
+        for a in ALPHA_GRID
+        for t in np.linspace(0.1, 0.9, 9)
+    )
     checks.append(_check("geodesic equation residual", worst, 1e-10))
 
-    neg = 0.0
-    ondiag = 0.0
+    values, ondiag = [], []
     for p, q in pairs:
         for a in ALPHA_GRID:
-            neg = min(neg, classical.alpha_divergence_closed(p, q, a))
-            ondiag = max(ondiag, abs(classical.alpha_divergence_closed(p, p, a)))
-        neg = min(neg, classical.kl_extended(p, q), classical.kl_extended_reversed(p, q))
-        ondiag = max(ondiag, abs(classical.kl_extended(p, p)))
-    checks.append(_check("divergences nonnegative", -neg, 1e-12))
-    checks.append(_check("divergences vanish on the diagonal", ondiag, 1e-14))
+            values.append(classical.alpha_divergence_closed(p, q, a))
+            ondiag.append(abs(classical.alpha_divergence_closed(p, p, a)))
+        values += [classical.kl_extended(p, q), classical.kl_extended_reversed(p, q)]
+        ondiag.append(abs(classical.kl_extended(p, p)))
+    checks.append(_check("divergences nonnegative", _negativity(values), 1e-12))
+    checks.append(_check("divergences vanish on the diagonal", _worst(ondiag), 1e-14))
 
     worst = tsallis_gap(
         pairs[:20], classical.tsallis_q_divergence, classical.alpha_divergence_closed, _QPARAMS
@@ -182,7 +202,7 @@ def run_classical_suite(trials, seed, tol):
     limit = classical.kl_extended(p, q)
     checks.append(_limit_check(classical.alpha_divergence_closed, p, q, limit))
 
-    worst = 0.0
+    gaps = []
     for p, q in pairs[:10]:
         for a in ALPHA_GRID:
             for t in (0.25, 0.5, 0.75):
@@ -190,8 +210,8 @@ def run_classical_suite(trials, seed, tol):
                 mid = classical.alpha_geodesic(p, q, a, t)
                 vel = classical.geodesic_velocity(p, q, a, t)
                 rhs = classical.alpha_pushforward(mid, t * vel, a)
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    checks.append(_check("transported inverse exponential identity", worst, 1e-12))
+                gaps.append(float(np.max(np.abs(lhs - rhs))))
+    checks.append(_check("transported inverse exponential identity", _worst(gaps), 1e-12))
 
     return checks
 
@@ -215,15 +235,15 @@ def run_quantum_suite(trials, seed, tol):
     )
     checks.append(_check("quadrature matches closed form", worst, tol))
 
-    worst = 0.0
+    gaps = []
     for _ in range(10):
         dim = int(rng.integers(2, 6))
         p = random_measure(rng, dim, 0.2, 4.0)
         q = random_measure(rng, dim, 0.2, 4.0)
-        worst = max(worst, spectral_reduction_gap(p, q))
-    checks.append(_check("spectral reduction to the classical cone", worst, 1e-12))
+        gaps.append(spectral_reduction_gap(p, q))
+    checks.append(_check("spectral reduction to the classical cone", _worst(gaps), 1e-12))
 
-    worst = 0.0
+    gaps = []
     for _ in range(10):
         dim = int(rng.integers(2, 5))
         ops = [quantum.random_positive_operator(rng, dim) for _ in range(3)]
@@ -232,30 +252,27 @@ def run_quantum_suite(trials, seed, tol):
             y = quantum.alpha_parallel_transport(ops[0], ops[1], x, a)
             y = quantum.alpha_parallel_transport(ops[1], ops[2], y, a)
             y = quantum.alpha_parallel_transport(ops[2], ops[0], y, a)
-            worst = max(worst, float(np.max(np.abs(y - x))))
-    checks.append(_check("parallel transport around a loop", worst, 1e-10))
+            gaps.append(float(np.max(np.abs(y - x))))
+    checks.append(_check("parallel transport around a loop", _worst(gaps), 1e-10))
 
-    worst = 0.0
+    gaps = []
     for _ in range(10):
         dim = int(rng.integers(2, 5))
         rho = quantum.random_positive_operator(rng, dim)
         x = quantum.random_hermitian(rng, dim)
         y = quantum.random_hermitian(rng, dim)
         for a in (-0.5, 0.0, 0.5):
-            worst = max(
-                worst,
-                abs(quantum.wyd_metric(rho, x, y, a) - quantum.wyd_metric(rho, y, x, a)),
-                abs(quantum.wyd_metric(rho, x, y, a) - quantum.wyd_metric(rho, y, x, -a)),
-            )
-    checks.append(_check("metric pairing symmetry and duality", worst, 1e-12))
+            gaps.append(abs(quantum.wyd_metric(rho, x, y, a) - quantum.wyd_metric(rho, y, x, a)))
+            gaps.append(abs(quantum.wyd_metric(rho, x, y, a) - quantum.wyd_metric(rho, y, x, -a)))
+    checks.append(_check("metric pairing symmetry and duality", _worst(gaps), 1e-12))
 
-    neg = 0.0
+    values = []
     for r1, r2 in pairs:
         for a in ALPHA_GRID:
-            neg = min(neg, quantum.quantum_alpha_divergence_closed(r1, r2, a))
-        neg = min(neg, quantum.quantum_relative_entropy(r1, r2, extended=True))
-        neg = min(neg, quantum.quantum_q_divergence(r1, r2, 0.4))
-    checks.append(_check("divergences nonnegative", -neg, 1e-12))
+            values.append(quantum.quantum_alpha_divergence_closed(r1, r2, a))
+        values.append(quantum.quantum_relative_entropy(r1, r2, extended=True))
+        values.append(quantum.quantum_q_divergence(r1, r2, 0.4))
+    checks.append(_check("divergences nonnegative", _negativity(values), 1e-12))
 
     worst = tsallis_gap(
         pairs[:20], quantum.quantum_q_divergence, quantum.quantum_alpha_divergence_closed, _QPARAMS
@@ -283,18 +300,19 @@ def run_recovery_suite(trials, seed, tol):
     checks.append(_check("connection coefficient recovery", christoffel_err, tol))
     checks.append(_check("duality defect", defect_err, tol))
 
-    curv = 0.0
-    for p in points[:2]:
-        for a in (0.0, 0.5):
-            curv = max(curv, recovery.curvature_max(_classical_alpha_div(a), p))
+    curv = _worst(
+        recovery.curvature_max(_classical_alpha_div(a), p) for p in points[:2] for a in (0.0, 0.5)
+    )
     checks.append(_check("flatness (curvature residual)", curv, recovery.FLATNESS_BOUND))
 
     p0 = np.array([1.0, 1.0])
     structure = recovery.recover_structure(recovery.half_squared_distance, p0)
-    euclid_err = max(
-        float(np.max(np.abs(structure.metric - np.eye(2)))),
-        float(np.max(np.abs(structure.christoffel))),
-        float(np.max(np.abs(structure.christoffel_dual))),
+    euclid_err = _worst(
+        [
+            float(np.max(np.abs(structure.metric - np.eye(2)))),
+            float(np.max(np.abs(structure.christoffel))),
+            float(np.max(np.abs(structure.christoffel_dual))),
+        ]
     )
     checks.append(_check("Euclidean reference structure", euclid_err, 1e-5))
     checks.append(
@@ -325,9 +343,11 @@ def run_recovery_suite(trials, seed, tol):
     p = np.array([1.0, 2.0])
     s_closed = recovery.recover_structure(div_closed, p)
     s_numeric = recovery.recover_structure(div_numeric, p)
-    agree = max(
-        float(np.max(np.abs(s_closed.metric - s_numeric.metric))),
-        float(np.max(np.abs(s_closed.christoffel - s_numeric.christoffel))),
+    agree = _worst(
+        [
+            float(np.max(np.abs(s_closed.metric - s_numeric.metric))),
+            float(np.max(np.abs(s_closed.christoffel - s_numeric.christoffel))),
+        ]
     )
     checks.append(_check("quadrature path recovers the same structure", agree, tol))
 

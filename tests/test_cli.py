@@ -273,6 +273,49 @@ class TestVerifyCommand:
         assert main(["verify", "--seed", "1", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["summary"]["worst"]["check"] == "passes"
 
+    @pytest.mark.parametrize("position", range(5))
+    def test_worst_case_names_a_nan_error_wherever_it_sits(
+        self, tmp_path, capsys, monkeypatch, position
+    ):
+        def record(check, error, tolerance):
+            return {"check": check, "max_error": error, "tolerance": tolerance,
+                    "pass": error <= tolerance, "suite": "recovery"}
+
+        records = [
+            record("passes", 1e-7, 1e-4),
+            record("large ratio", 2e-3, 1e-5),
+            record("miss at zero", 1.3e-6, 0.0),
+            record("infinite", float("inf"), 1e-4),
+        ]
+        records.insert(position, record("nan", float("nan"), 1e-4))
+        monkeypatch.setattr(suites, "run_suite", lambda *args: records)
+        out = tmp_path / "r.json"
+        assert main(["verify", "--seed", "1", "--out", str(out)]) == 1
+        assert json.loads(out.read_text())["summary"]["worst"]["check"] == "nan"
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "gap",
+        [
+            lambda nan: suites.quadrature_gap(
+                [(np.ones(2), np.ones(2))], lambda x, y, a: 1.0, nan
+            ),
+            lambda nan: suites.tsallis_gap(
+                [(np.ones(2), np.ones(2))], nan, lambda x, y, a: 1.0, (0.3,)
+            ),
+        ],
+        ids=["quadrature_gap", "tsallis_gap"],
+    )
+    def test_nan_error_fails_its_check(self, gap):
+        worst = gap(lambda *args: float("nan"))
+        assert np.isnan(worst)
+        assert suites._check("a check", worst, 1e-9)["pass"] is False
+
+    def test_worst_keeps_a_nan_against_later_errors(self):
+        assert np.isnan(suites._worst([1.0, float("nan"), 2.0]))
+        assert suites._worst([1.0, 3.0, 2.0]) == 3.0
+        assert suites._worst([]) == 0.0
+
     def test_recovery_suite_passes(self, tmp_path):
         out = tmp_path / "r.json"
         assert main(["verify", "--suite", "recovery", "--seed", "7", "--out", str(out)]) == 0

@@ -402,9 +402,21 @@ class TestMixedPartials:
         grad = stencil_gradient(field, np.array([1.5, -0.5]), FDConfig(2.0**-4, 2))
         assert np.array_equal(grad, [[-0.5, 0.0], [1.5, -1.0]])
 
-    def test_bad_pattern_rejected(self):
-        with pytest.raises(ValueError):
-            mixed_partials(lambda x, y: 0.0, np.ones(2), np.ones(2), "pz")
+    @pytest.mark.parametrize("pattern", ["pz", "", "ppqqp"])
+    def test_bad_pattern_rejected(self, pattern):
+        with pytest.raises(ValueError, match="pattern"):
+            mixed_partials(lambda x, y: 0.0, np.ones(2), np.ones(2), pattern)
+
+    def test_fourth_order_pattern(self):
+        # d_0 d_1 d'_0 d'_1 of x0 x1 y0 y1 is 1, every other entry 0
+        p = np.array([0.3, 0.7])
+        cfg = FDConfig(step=1e-2, order=2)
+        block = mixed_partials(lambda x, y: x[0] * x[1] * y[0] * y[1], p, p, "ppqq", cfg)
+        expected = np.zeros((2, 2, 2, 2))
+        expected[0, 1, 0, 1] = expected[1, 0, 0, 1] = 1.0
+        expected[0, 1, 1, 0] = expected[1, 0, 1, 0] = 1.0
+        assert block.shape == (2, 2, 2, 2)
+        assert np.max(np.abs(block - expected)) <= 1e-6
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

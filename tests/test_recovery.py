@@ -4,7 +4,13 @@ import pytest
 from alphadiv import classical as cl
 from alphadiv import quantum as qm
 from alphadiv import recovery as rc
-from alphadiv.numkit import FDConfig, NotPositiveDefiniteError, NumericalDomainError, mixed_partials
+from alphadiv.numkit import (
+    FDConfig,
+    NotPositiveDefiniteError,
+    NumericalDomainError,
+    mixed_partials,
+    stencil_gradient,
+)
 
 
 def operator_on(rng, dim, spectrum):
@@ -95,6 +101,56 @@ class TestClassicalRecovery:
         assert rc.curvature_max(numeric_div, p) <= 1e-3
 
 
+def hyperbolic_plane(x, y):
+    """A self-dual contrast with metric dx0**2 + exp(2 x0) dx1**2 (curvature -1)."""
+    d = x - y
+    m = 0.5 * (x + y)
+    return 0.5 * (d[0] ** 2 + np.exp(2.0 * m[0]) * d[1] ** 2)
+
+
+def skew_quadratic(x, y):
+    """D = (x - y)^T M(y) (x - y) / 2: a contrast whose Gamma and Gamma* differ."""
+    d = x - y
+    off = 0.3 * np.sin(y[0])
+    m = np.array([[1.0 + y[1] ** 2, off], [off, np.exp(y[0])]])
+    return 0.5 * float(d @ m @ d)
+
+
+def curvature_by_raised_christoffel(divergence, point):
+    """max|R| by differencing G = g^{-1} Gamma, recovered at shifted points.
+
+    The stencil-of-stencils reference: each stencil point recovers its own
+    metric and connection, and one outer stencil differences them.
+    """
+    def raised(x):
+        g = -mixed_partials(divergence, x, x, "pq", rc.DEFAULT_CFG)
+        gamma = -mixed_partials(divergence, x, x, "ppq", rc._CONNECTION_CFG)
+        return np.einsum("lm,ijm->ijl", np.linalg.inv(0.5 * (g + g.T)), gamma)
+
+    gamma_up = raised(point)
+    d_gamma = stencil_gradient(raised, point, rc._CURVATURE_CFG)
+    quad = np.einsum("iml,jkm->ijkl", gamma_up, gamma_up)
+    riemann = d_gamma - np.swapaxes(d_gamma, 0, 1) + quad - np.swapaxes(quad, 0, 1)
+    return float(np.max(np.abs(riemann)))
+
+
+class TestCurvedReferences:
+    def test_hyperbolic_plane(self):
+        # R^l_ijk = K (g_jk delta^l_i - g_ik delta^l_j) with K = -1 and
+        # g = diag(1, exp(2 x0)): the largest component is exp(2 x0)
+        p = np.array([0.3, 0.7])
+        expected = np.exp(0.6)
+        assert abs(rc.curvature_max(hyperbolic_plane, p) - expected) <= 1e-3 * expected
+
+    def test_non_self_dual_contrast_matches_raised_christoffel_differencing(self):
+        p = np.array([0.4, 0.9])
+        s = rc.recover_structure(skew_quadratic, p)
+        assert np.max(np.abs(s.christoffel - s.christoffel_dual)) > 1.0
+        reference = curvature_by_raised_christoffel(skew_quadratic, p)
+        assert reference > 1.0
+        assert abs(rc.curvature_max(skew_quadratic, p) - reference) <= 1e-4
+
+
 class TestDegenerateContrast:
     def test_quartic_rejected_instead_of_reported(self):
         def quartic(x, y):
@@ -171,6 +227,17 @@ class TestStencilCounts:
         mixed_partials(counted, self.P, self.P, "ppq", FDConfig(1e-2, 4))
         assert len(points) == 1728
         assert len(set(points)) == 876
+
+    def test_fourth_order_block(self):
+        counted, points = self.counting(alpha_div(0.5))
+        mixed_partials(counted, self.P, self.P, "ppqq", FDConfig(1e-2, 2))
+        assert len(points) == 16 * 3**4
+
+    def test_curvature_at_three_coordinates(self):
+        # recover_structure's 3,601 values + 3**4 * 2**4 for the "ppqq" block
+        counted, points = self.counting(alpha_div(0.5))
+        rc.curvature_max(counted, self.P)
+        assert len(points) == 4897
 
 
 class TestDefectOrdering:
