@@ -294,6 +294,8 @@ def cmd_recover(args):
         raise InputError(f"unknown object name {args.point!r}")
     cfg = dataclasses.replace(recovery.DEFAULT_CFG, step=args.step)
     alpha = args.alpha
+    if args.reference_euclidean and alpha is not None:
+        raise InputError("--alpha is not meaningful with --reference-euclidean")
     if alpha is None and not args.reference_euclidean:
         raise InputError("--alpha is required to recover from the alpha-divergence")
 
@@ -322,9 +324,10 @@ def cmd_recover(args):
 
     structure = recovery.recover_structure(divergence, point, cfg)
     defect = recovery.duality_defect(structure, divergence, cfg)
-    curvature = None
+    curvature = within = None  # null: the check did not run
     if point.size <= recovery.CURVATURE_MAX_DIM:
-        curvature = recovery.curvature_max(divergence, point, cfg)
+        curvature = recovery.curvature_max(divergence, structure)
+        within = curvature <= recovery.FLATNESS_BOUND
     report = {
         "kind": kind,
         "point": args.point,
@@ -337,7 +340,7 @@ def cmd_recover(args):
         "curvature_max": curvature,
         "summary": {
             "defect_within": defect <= args.tolerance,
-            "curvature_within": curvature is None or curvature <= recovery.FLATNESS_BOUND,
+            "curvature_within": within,
         },
     }
     _emit(report, args.out)

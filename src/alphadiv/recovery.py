@@ -11,7 +11,9 @@ where unprimed derivatives act on the first argument and primed ones on the
 second, everything evaluated at p = q.  This module estimates those objects
 with numkit's one central-difference stencil, checks the duality identity
 d_k g_ij = Gamma_kij + Gamma*_kji, and measures the curvature of the raised
-connection at the recovery point.
+connection at the recovery point.  Each point is recovered once:
+:func:`duality_defect` and :func:`curvature_max` read the structure that
+:func:`recover_structure` returned and add only their own stencil.
 """
 
 from __future__ import annotations
@@ -143,28 +145,31 @@ def duality_defect(structure: RecoveredStructure, divergence, cfg: FDConfig = DE
     return float(np.max(np.abs(dg - paired)))
 
 
-def curvature_max(divergence, point, cfg: FDConfig = DEFAULT_CFG) -> float:
+def curvature_max(divergence, structure: RecoveredStructure) -> float:
     """Max-abs component of the curvature of the recovered connection.
 
     R^l_ijk = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik with
-    G = g^{-1} Gamma from :func:`recover_structure` at the point.  Its
-    derivative comes from one fourth-order block P = d_a d_b d'_c d'_d D:
+    G = g^{-1} Gamma from ``structure``, which :func:`recover_structure`
+    returned for the same divergence; the point is ``structure.point``.  The
+    derivative of G comes from one fourth-order block P = d_a d_b d'_c d'_d D:
 
         d_i G^l_jk = -g^{ls} P_jkis - g^{la} (Gamma_iab + Gamma*_iba) G^b_jk
                      - g^{ls} d_i d_j d_k d'_s D,
 
     using d_m g_ab = Gamma_mab + Gamma*_mba, an identity of D's derivatives
     on the diagonal.  The last term is symmetric in (i, j), so it cancels in
-    R and is never formed.  Supported for up to four coordinates (P has n**4
-    entries); otherwise raises as :func:`recover_structure` does.
+    R and is never formed.  P is the only stencil evaluated here, at the
+    module's fixed curvature stencil.  Supported for up to
+    ``CURVATURE_MAX_DIM`` coordinates (P has n**4 entries); above that raises
+    ValueError.  A stencil point off the contrast's domain raises as in
+    :func:`recover_structure`.
     """
-    point = np.asarray(point, dtype=float)
+    point = structure.point
     n = point.size
     if n > CURVATURE_MAX_DIM:
         raise ValueError(
             f"curvature check is limited to dimension <= {CURVATURE_MAX_DIM}, got {n}"
         )
-    structure = recover_structure(divergence, point, cfg)
     g_inv = np.linalg.inv(structure.metric)
     gamma_up = np.einsum("lm,ijm->ijl", g_inv, structure.christoffel)
     dg = structure.christoffel + np.swapaxes(structure.christoffel_dual, 1, 2)

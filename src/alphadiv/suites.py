@@ -103,15 +103,17 @@ def structure_errors(points, alphas):
 
     Returns (metric error relative to the largest Fisher entry, connection
     error against the library's alpha-connection lowered by the Fisher metric,
-    duality defect).
+    duality defect, structures), where ``structures[i][a]`` is the structure
+    recovered at ``points[i]`` for alpha ``a``, for checks that read it further.
     """
-    metric_errs, christoffel_errs, defects = [], [], []
+    metric_errs, christoffel_errs, defects, structures = [], [], [], []
     for p in points:
         basis = np.eye(p.size)
         fisher = np.array([[classical.fisher_metric(p, x, y) for y in basis] for x in basis])
+        structures.append({})
         for a in alphas:
             div = _classical_alpha_div(a)
-            structure = recovery.recover_structure(div, p)
+            structure = structures[-1][a] = recovery.recover_structure(div, p)
             metric_errs.append(
                 float(np.max(np.abs(structure.metric - fisher)) / np.max(np.abs(fisher)))
             )
@@ -119,7 +121,7 @@ def structure_errors(points, alphas):
             expected = classical.alpha_christoffel(p, a) / p
             christoffel_errs.append(float(np.max(np.abs(structure.christoffel - expected))))
             defects.append(recovery.duality_defect(structure, div))
-    return _worst(metric_errs), _worst(christoffel_errs), _worst(defects)
+    return _worst(metric_errs), _worst(christoffel_errs), _worst(defects), structures
 
 
 def spectral_reduction_gap(p, q):
@@ -295,13 +297,17 @@ def run_recovery_suite(trials, seed, tol):
     for _ in range(10):
         dim = int(rng.integers(2, 4))
         points.append(rng.uniform(0.5, 3.0, size=dim))
-    metric_err, christoffel_err, defect_err = structure_errors(points, (-0.5, 0.0, 0.5))
+    metric_err, christoffel_err, defect_err, structures = structure_errors(
+        points, (-0.5, 0.0, 0.5)
+    )
     checks.append(_check("Fisher metric recovery (relative)", metric_err, 1e-5))
     checks.append(_check("connection coefficient recovery", christoffel_err, tol))
     checks.append(_check("duality defect", defect_err, tol))
 
     curv = _worst(
-        recovery.curvature_max(_classical_alpha_div(a), p) for p in points[:2] for a in (0.0, 0.5)
+        recovery.curvature_max(_classical_alpha_div(a), recovered[a])
+        for recovered in structures[:2]
+        for a in (0.0, 0.5)
     )
     checks.append(_check("flatness (curvature residual)", curv, recovery.FLATNESS_BOUND))
 

@@ -172,14 +172,14 @@ def test_structure_recovery():
     for _ in range(6):
         dim = int(rng.integers(2, 4))
         points.append(rng.uniform(0.5, 3.0, size=dim))
-    metric_rel, christ_abs, defect = structure_errors(points, (-0.5, 0.0, 0.5))
+    metric_rel, christ_abs, defect, structures = structure_errors(points, (-0.5, 0.0, 0.5))
     curvature = 0.0
-    for p in points[:2]:
+    for recovered in structures[:2]:
         for a in (0.0, 0.5):
             def div(x, y, _a=a):
                 return cl.alpha_divergence_closed(x, y, _a)
 
-            curvature = max(curvature, rc.curvature_max(div, p))
+            curvature = max(curvature, rc.curvature_max(div, recovered[a]))
     ok = metric_rel <= 1e-5 and christ_abs <= 1e-4 and defect <= 1e-4 and curvature <= 1e-3
     _report(
         "structure recovery (Fisher metric, connections, duality, flatness)",

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from alphadiv import numkit, suites
+from alphadiv import classical, numkit, suites
 from alphadiv.cli import _parse_alphas, load_document, main
 from alphadiv.quantum import wyd_components_theta
 
@@ -365,6 +365,47 @@ class TestRecoverCommand:
 
     def test_alpha_required_for_divergence_recovery(self, classical_doc):
         assert main(["recover", classical_doc, "--point", "p"]) == 2
+
+    def test_alpha_refused_with_the_euclidean_reference(self, classical_doc, tmp_path, capsys):
+        # the half squared distance has no alpha to take
+        out = tmp_path / "r.json"
+        argv = ["recover", classical_doc, "--point", "p", "--reference-euclidean"]
+        assert main([*argv, "--alpha", "0.7", "--out", str(out)]) == 2
+        assert "--alpha is not meaningful with --reference-euclidean" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_skipped_curvature_check_reads_null(self, tmp_path, capsys):
+        # five coordinates exceed CURVATURE_MAX_DIM: the check does not run,
+        # so its flag is neither a pass nor a fail
+        path = tmp_path / "dim5.json"
+        path.write_text(
+            json.dumps({"kind": "classical", "objects": {"p": [1.5, 0.8, 2.2, 1.1, 0.9]}})
+        )
+        assert main(["recover", str(path), "--point", "p", "--reference-euclidean"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["curvature_max"] is None
+        assert report["summary"] == {"defect_within": True, "curvature_within": None}
+
+    def test_each_point_recovered_once(self, tmp_path, capsys, monkeypatch):
+        # recover_structure 3,601 + duality_defect 1,728 + the curvature
+        # check's "ppqq" block 16 * 3**4 = 1,296 contrast evaluations; a
+        # second recovery inside the curvature check would add 3,601
+        calls = []
+        closed = classical.alpha_divergence_closed
+
+        def counted(x, y, alpha):
+            calls.append(alpha)
+            return closed(x, y, alpha)
+
+        monkeypatch.setattr(classical, "alpha_divergence_closed", counted)
+        path = tmp_path / "dim3.json"
+        path.write_text(json.dumps({"kind": "classical", "objects": {"p": [1.5, 0.8, 2.2]}}))
+        assert main(["recover", str(path), "--alpha", "0.5", "--point", "p"]) == 0
+        assert json.loads(capsys.readouterr().out)["summary"] == {
+            "defect_within": True,
+            "curvature_within": True,
+        }
+        assert len(calls) == 3601 + 1728 + 1296
 
     def test_unknown_point(self, classical_doc):
         assert main(["recover", classical_doc, "--alpha", "0", "--point", "zz"]) == 2

@@ -40,7 +40,8 @@ class TestEuclideanReference:
         assert rc.duality_defect(s, rc.half_squared_distance) <= 1e-5
 
     def test_curvature(self):
-        assert rc.curvature_max(rc.half_squared_distance, np.array([1.0, 2.0])) <= 1e-4
+        s = rc.recover_structure(rc.half_squared_distance, np.array([1.0, 2.0]))
+        assert rc.curvature_max(rc.half_squared_distance, s) <= 1e-4
 
 
 class TestClassicalRecovery:
@@ -87,7 +88,8 @@ class TestClassicalRecovery:
 
     def test_flatness(self):
         for a in (-0.5, 0.0, 0.5):
-            assert rc.curvature_max(alpha_div(a), np.array([1.0, 2.0])) <= 1e-3
+            s = rc.recover_structure(alpha_div(a), np.array([1.0, 2.0]))
+            assert rc.curvature_max(alpha_div(a), s) <= 1e-3
 
     def test_quadrature_path_agrees(self):
         def numeric_div(x, y):
@@ -98,7 +100,7 @@ class TestClassicalRecovery:
         s_numeric = rc.recover_structure(numeric_div, p)
         assert np.max(np.abs(s_closed.metric - s_numeric.metric)) <= 1e-4
         assert np.max(np.abs(s_closed.christoffel - s_numeric.christoffel)) <= 1e-4
-        assert rc.curvature_max(numeric_div, p) <= 1e-3
+        assert rc.curvature_max(numeric_div, s_numeric) <= 1e-3
 
 
 def hyperbolic_plane(x, y):
@@ -140,7 +142,8 @@ class TestCurvedReferences:
         # g = diag(1, exp(2 x0)): the largest component is exp(2 x0)
         p = np.array([0.3, 0.7])
         expected = np.exp(0.6)
-        assert abs(rc.curvature_max(hyperbolic_plane, p) - expected) <= 1e-3 * expected
+        s = rc.recover_structure(hyperbolic_plane, p)
+        assert abs(rc.curvature_max(hyperbolic_plane, s) - expected) <= 1e-3 * expected
 
     def test_non_self_dual_contrast_matches_raised_christoffel_differencing(self):
         p = np.array([0.4, 0.9])
@@ -148,7 +151,7 @@ class TestCurvedReferences:
         assert np.max(np.abs(s.christoffel - s.christoffel_dual)) > 1.0
         reference = curvature_by_raised_christoffel(skew_quadratic, p)
         assert reference > 1.0
-        assert abs(rc.curvature_max(skew_quadratic, p) - reference) <= 1e-4
+        assert abs(rc.curvature_max(skew_quadratic, s) - reference) <= 1e-4
 
 
 class TestDegenerateContrast:
@@ -194,8 +197,6 @@ class TestDegenerateContrast:
         p = np.array([1.0, 2.0])
         with pytest.raises(ValueError, match="symmetric"):
             rc.recover_structure(skewed, p)
-        with pytest.raises(ValueError, match="symmetric"):
-            rc.curvature_max(skewed, p)
         structure = rc.recover_structure(rc.half_squared_distance, p)
         with pytest.raises(ValueError, match="symmetric"):
             rc.duality_defect(structure, skewed)
@@ -234,10 +235,24 @@ class TestStencilCounts:
         assert len(points) == 16 * 3**4
 
     def test_curvature_at_three_coordinates(self):
-        # recover_structure's 3,601 values + 3**4 * 2**4 for the "ppqq" block
+        # the "ppqq" block's 3**4 * 2**4 values on an already recovered structure
+        structure = rc.recover_structure(alpha_div(0.5), self.P)
         counted, points = self.counting(alpha_div(0.5))
-        rc.curvature_max(counted, self.P)
-        assert len(points) == 4897
+        rc.curvature_max(counted, structure)
+        assert len(points) == 16 * 3**4
+
+
+class TestCurvatureDimension:
+    def test_refused_above_the_bound(self):
+        n = rc.CURVATURE_MAX_DIM + 1
+        structure = rc.RecoveredStructure(
+            metric=np.eye(n),
+            christoffel=np.zeros((n, n, n)),
+            christoffel_dual=np.zeros((n, n, n)),
+            point=np.ones(n),
+        )
+        with pytest.raises(ValueError, match="limited to dimension"):
+            rc.curvature_max(rc.half_squared_distance, structure)
 
 
 class TestDefectOrdering:
@@ -295,7 +310,8 @@ class TestQuantumChartRecovery:
 
         rho = qm.PositiveOperator(np.array([[1.5, 0.2], [0.2, 1.0]]))
         theta = qm.theta_coordinates(qm.alpha_embedding(rho, a), basis)
-        assert rc.curvature_max(chart_div, theta) <= 1e-3
+        s = rc.recover_structure(chart_div, theta)
+        assert rc.curvature_max(chart_div, s) <= 1e-3
 
     def test_recovered_metric_matches_wyd_pairing(self):
         # push each chart basis direction back to a tangent vector and pair
