@@ -13,6 +13,8 @@ All operations are pure functions of immutable inputs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .numkit import (
@@ -39,9 +41,21 @@ __all__ = [
 ]
 
 
+# Longest vector that as_measure checks in plain Python before numpy.  A
+# passing vector costs about 1.0 us at 4 entries and 3.6 us at 32 in Python,
+# against 4.4-5.7 us at any size through numpy's checks; the two meet near 48
+# entries (numpy 2.4, Python 3.11, 2-vCPU Xeon VM, best of interleaved runs).
+_SMALL = 32
+
+
 def as_measure(p) -> np.ndarray:
     """Validate and return a strictly positive measure as a float vector."""
     p = np.asarray(p, dtype=float)
+    # each entry is compared on its own, so a NaN fails here (a min or max over
+    # the entries can skip one); a vector that fails goes on to the numpy
+    # checks, which name what is wrong with it
+    if p.ndim == 1 and 0 < p.size <= _SMALL and all(0.0 < x < math.inf for x in p.tolist()):
+        return p
     if p.ndim != 1 or p.size == 0:
         raise ValueError("a measure must be a nonempty 1-D vector")
     if not np.isfinite(p).all():

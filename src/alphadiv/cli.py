@@ -46,6 +46,9 @@ FAMILIES = ("canonical", "alpha", "kl", "tsallis", "relative-entropy", "furuichi
 # Most values an alpha range may expand to, whatever its stop and step.
 MAX_ALPHA_VALUES = 10_000
 
+# what json.load makes of a JSON number
+_NUMBER_TYPES = frozenset((int, float))
+
 
 class InputError(ValueError):
     """Malformed document, unknown name, or inconsistent flags."""
@@ -85,6 +88,7 @@ def load_document(path, expected_kind=None):
     loaded = {}
     for name, raw in objects.items():
         try:
+            _require_numbers(raw)
             if kind == "classical":
                 loaded[name] = classical.as_measure(raw)
             else:
@@ -92,6 +96,22 @@ def load_document(path, expected_kind=None):
         except (ValueError, ArithmeticError) as exc:
             raise InputError(f"object {name!r} is invalid: {exc}") from exc
     return kind, loaded
+
+
+def _require_numbers(raw):
+    """Refuse any entry of a (nested) JSON array that is not a JSON number.
+
+    numpy's float conversion would read "2" as 2.0 and true as 1.0.  A list
+    of numbers passes in one C-level pass; any other list is walked.
+    """
+    pending = [raw]
+    while pending:
+        item = pending.pop()
+        if type(item) is not list:
+            if type(item) not in _NUMBER_TYPES:  # bool is not a JSON number
+                raise ValueError(f"entries must be JSON numbers, got {item!r}")
+        elif not _NUMBER_TYPES.issuperset(map(type, item)):
+            pending.extend(reversed(item))  # first bad entry in document order
 
 
 def _complex_matrix(raw):

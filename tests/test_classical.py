@@ -22,6 +22,51 @@ class TestValidation:
             with pytest.raises(ValueError, match=message):
                 cl.as_measure(bad)
 
+    # sizes on both sides of the plain-Python check's cutoff
+    @pytest.mark.parametrize("n", [1, cl._SMALL, cl._SMALL + 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.0, -2.0])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_bad_entry_refused_at_every_size_and_position(self, n, bad, where):
+        vec = [1.5] * n
+        vec[{"first": 0, "middle": n // 2, "last": n - 1}[where]] = bad
+        if np.isfinite(bad):
+            expected = f"measure entries must be strictly positive, got {np.asarray(vec)!r}"
+        else:
+            expected = "measure entries must be finite"
+        with pytest.raises(ValueError) as exc:
+            cl.as_measure(vec)
+        assert str(exc.value) == expected
+        # the second argument of a closed form goes through the same check
+        with pytest.raises(ValueError) as exc:
+            cl.alpha_divergence_closed([1.5] * n, vec, 0.3)
+        assert str(exc.value) == expected
+
+    @pytest.mark.parametrize("n", [1, cl._SMALL, cl._SMALL + 1])
+    def test_non_finite_reported_before_nonpositive(self, n):
+        vec = [1.5] * n
+        vec[0] = -1.0
+        vec[-1] = np.nan
+        with pytest.raises(ValueError, match="^measure entries must be finite$"):
+            cl.as_measure(vec)
+
+    @pytest.mark.parametrize("n", [cl._SMALL, cl._SMALL + 1])
+    def test_same_float_vector_on_both_sides_of_the_cutoff(self, n):
+        ints = list(range(1, n + 1))
+        out = cl.as_measure(ints)
+        assert out.dtype == np.float64 and out.shape == (n,)
+        assert np.array_equal(out, np.arange(1.0, n + 1.0))
+        arr = np.arange(1.0, n + 1.0)
+        assert cl.as_measure(arr) is arr
+
+    def test_small_vectors_skip_the_numpy_checks(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy check reached")
+
+        monkeypatch.setattr(cl.np, "isfinite", refuse)
+        cl.as_measure([1.0] * cl._SMALL)
+        with pytest.raises(AssertionError, match="numpy check reached"):
+            cl.as_measure([1.0] * (cl._SMALL + 1))
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             cl.fisher_metric([1.0, 2.0], [1.0], [1.0, 0.0])

@@ -80,6 +80,50 @@ class TestDocumentLoading:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: object 'h' is invalid: operator is not")
 
+    @pytest.mark.parametrize(
+        "doc, name, shown",
+        [
+            ({"kind": "classical", "objects": {"p": [1, "2"], "q": [True, 1]}}, "p", "'2'"),
+            ({"kind": "classical", "objects": {"q": [True, 1]}}, "q", "True"),
+            ({"kind": "classical", "objects": {"p": [1.0, None]}}, "p", "None"),
+            ({"kind": "classical", "objects": {"p": {"a": 1.0}}}, "p", "{'a': 1.0}"),
+            (
+                {
+                    "kind": "quantum",
+                    "objects": {"rho": [[[2.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], ["2", 0.0]]]},
+                },
+                "rho",
+                "'2'",
+            ),
+            (
+                {
+                    "kind": "quantum",
+                    "objects": {"rho": [[[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2, 0]]]},
+                },
+                "rho",
+                "True",
+            ),
+        ],
+        ids=[
+            "classical-string", "classical-bool", "classical-null", "classical-object",
+            "quantum-string", "quantum-bool",
+        ],
+    )
+    def test_non_numeric_entries_refused(self, tmp_path, capsys, doc, name, shown):
+        # numpy's float conversion would read "2" as 2.0 and true as 1.0
+        path = tmp_path / "strings.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["divergence", str(path), "--family", "alpha", "--alpha", "0.3", "--pairs", f"{name}:{name}"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: object {name!r} is invalid: entries must be JSON numbers, got {shown}\n"
+        )
+
+    def test_integer_entries_accepted(self, tmp_path):
+        path = tmp_path / "ints.json"
+        path.write_text('{"kind": "classical", "objects": {"p": [1, 2]}}')
+        assert np.array_equal(load_document(str(path))[1]["p"], [1.0, 2.0])
+
     def test_complex_entries_parsed(self, tmp_path):
         path = tmp_path / "cpx.json"
         doc = {
