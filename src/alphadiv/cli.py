@@ -433,7 +433,13 @@ def build_parser():
 
     p_ver = sub.add_parser("verify", help="run the seeded invariant suites")
     p_ver.add_argument("--suite", choices=(*suites.SUITE_TOLERANCES, "all"), default="all")
-    p_ver.add_argument("--trials", type=int, default=100)
+    p_ver.add_argument(
+        "--trials",
+        type=int,
+        default=100,
+        help="seeded draws of the classical and quantum suites (default 100); the recovery "
+        "suite always recovers at its ten seeded points and does not read it",
+    )
     p_ver.add_argument("--seed", type=int, required=True)
     p_ver.add_argument(
         "--tolerance",

@@ -1,7 +1,13 @@
+import math
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alphadiv import classical as cl
+from alphadiv.numkit import chart_exponent
 
 ALPHAS = (-0.9, -0.5, 0.0, 0.5, 0.9)
 
@@ -297,6 +303,78 @@ class TestClosedForm:
             p, q = random_pair(rng, 5)
             for a in ALPHAS:
                 assert cl.alpha_divergence_closed(p, q, a) >= -1e-12
+
+
+def numpy_kernel_terms(p, q, beta):
+    """The three terms of the shared closed-form kernel, as numpy arrays."""
+    a = p**beta
+    b = q**beta
+    mexp = 1.0 / beta
+    mm1 = (1.0 - beta) / beta
+    return a**mexp, b**mexp, mexp * b**mm1 * (a - b)
+
+
+# components log-uniform in [1e-3, 1e3]; beta over (1e-3, 1 - 1e-3), with
+# draws held within 1e-3 of each end, where one power amplifies roundoff 1/beta
+# times
+COMPONENTS = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+BETAS = st.one_of(
+    st.floats(1e-3, 1.0 - 1e-3), st.floats(1e-3, 2e-3), st.floats(1.0 - 2e-3, 1.0 - 1e-3)
+)
+
+
+@st.composite
+def kernel_arguments(draw):
+    n = draw(st.integers(1, cl._SMALL + 1))
+    p = np.array(draw(st.lists(COMPONENTS, min_size=n, max_size=n)))
+    q = np.array(draw(st.lists(COMPONENTS, min_size=n, max_size=n)))
+    return p, q, draw(BETAS)
+
+
+class _NoPower(np.ndarray):
+    def __pow__(self, other):
+        raise AssertionError("numpy power reached")
+
+
+class TestSharedKernel:
+    """`_bregman_power_sum`: plain Python up to `_SMALL` entries, numpy above."""
+
+    # the bound is fixed in advance: 4 n eps (1 + 1/beta) times the sum of the
+    # terms' magnitudes
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(kernel_arguments())
+    def test_both_branches_within_roundoff_of_the_numpy_expression(self, args):
+        p, q, beta = args
+        terms = numpy_kernel_terms(p, q, beta)
+        reference = float((terms[0] - terms[1] - terms[2]).sum())
+        scale = float(sum(np.abs(t).sum() for t in terms))
+        bound = 4.0 * p.size * np.finfo(float).eps * (1.0 + 1.0 / beta) * scale
+        assert abs(cl._bregman_power_sum(p, q, beta) - reference) <= bound
+
+    @pytest.mark.parametrize("n", [1, cl._SMALL, cl._SMALL + 1])
+    def test_identical_arguments_exactly_zero(self, n):
+        p = np.random.default_rng(n).uniform(1e-3, 1e3, n)
+        for a in ALPHAS:
+            assert cl.alpha_divergence_closed(p, p.copy(), a) == 0.0
+        assert cl.tsallis_q_divergence(p, p.copy(), 0.3) == 0.0
+
+    def test_short_vectors_skip_numpy(self):
+        p = np.full(cl._SMALL + 1, 1.5).view(_NoPower)
+        q = np.full(cl._SMALL + 1, 2.5).view(_NoPower)
+        assert cl._bregman_power_sum(p[: cl._SMALL], q[: cl._SMALL], 0.3) > 0.0
+        with pytest.raises(AssertionError, match="numpy power reached"):
+            cl._bregman_power_sum(p, q, 0.3)
+
+    def test_overflow_falls_back_to_numpy(self):
+        p, q = [sys.float_info.max, 1.0], [1.0, 2.0]
+        beta = chart_exponent(0.98)
+        # a Python power raises where numpy's returns inf
+        with pytest.raises(OverflowError):
+            (p[0] ** beta) ** (1.0 / beta)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            cl.alpha_divergence_closed(p, q, 0.98)
+        with np.errstate(over="ignore"):
+            assert cl.alpha_divergence_closed(p, q, 0.98) == math.inf
 
 
 class TestKL:

@@ -16,6 +16,12 @@ from alphadiv.quantum import wyd_components_theta
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def read_rows(path):
+    """The rows of a sweep CSV, read through a handle that is closed again."""
+    with path.open(newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 @pytest.fixture
 def classical_doc(tmp_path):
     path = tmp_path / "classical.json"
@@ -241,6 +247,23 @@ class TestDivergenceCommand:
         assert rc == 3
         assert out == ""
         assert "not finite" in err
+
+    def test_power_overflow_in_the_short_vector_kernel_is_numerical_error(
+        self, tmp_path, capsys
+    ):
+        # a Python float power raises OverflowError here; the kernel falls back
+        # to numpy, whose inf the divergence command refuses
+        path = tmp_path / "overflow.json"
+        path.write_text(
+            json.dumps(
+                {"kind": "classical", "objects": {"p": [sys.float_info.max, 1.0], "q": [1.0, 2.0]}}
+            )
+        )
+        rc = main(["divergence", str(path), "--family", "alpha", "--alpha", "0.98"])
+        out, err = capsys.readouterr()
+        assert rc == 3
+        assert out == ""
+        assert err == "numerical error: alpha value is not finite: inf\n"
 
     def test_exit_code_contract_for_missing_file(self):
         assert main(["divergence", "/nonexistent.json", "--family", "kl"]) == 2
@@ -569,7 +592,7 @@ class TestSweepCommand:
             ["sweep", classical_doc, "--pair", "p:q", "--alphas=0.5,-0.5,0", "--out", str(out)]
         )
         assert rc == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = read_rows(out)
         assert list(rows[0].keys()) == [
             "alpha", "canonical_numeric", "closed", "kl_reference", "abs_gap_to_limit",
         ]
@@ -583,14 +606,14 @@ class TestSweepCommand:
              "--out", str(out)]
         )
         assert rc == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = read_rows(out)
         gaps = [float(r["abs_gap_to_limit"]) for r in rows]
         assert gaps[0] < gaps[1]
 
     def test_numeric_matches_closed_in_rows(self, classical_doc, tmp_path):
         out = tmp_path / "sweep.csv"
         main(["sweep", classical_doc, "--pair", "p:q", "--alphas", "0", "--out", str(out)])
-        row = next(csv.DictReader(out.open()))
+        row = read_rows(out)[0]
         assert abs(float(row["canonical_numeric"]) - float(row["closed"])) <= 1e-10
 
     def test_quantum_reference_column(self, quantum_doc, tmp_path):
@@ -599,7 +622,7 @@ class TestSweepCommand:
             ["sweep", quantum_doc, "--pair", "rho1:rho2", "--alphas=-0.5,0.5", "--out", str(out)]
         )
         assert rc == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = read_rows(out)
         assert "relative_entropy_reference" in rows[0]
 
     def test_empty_alpha_list_is_usage_error(self, classical_doc, tmp_path):
@@ -657,7 +680,7 @@ class TestSweepCommand:
         doc = request.getfixturevalue(f"{kind}_doc")
         out = tmp_path / "sweep.csv"
         assert main(["sweep", doc, "--pair", pair, "--alphas=-0.3", "--out", str(out)]) == 0
-        row = next(csv.DictReader(out.open()))
+        row = read_rows(out)[0]
         rc = main(
             ["divergence", doc, "--family", "alpha", "--alpha", "-0.3", "--method", "both",
              "--pairs", pair]

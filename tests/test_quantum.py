@@ -571,6 +571,16 @@ class TestQuantumClosedForm:
         for a in ALPHAS:
             assert qm.quantum_alpha_divergence_closed(rho, same, a) == 0.0
 
+    # identical operators reach the shared kernel as (l, l): dims on both
+    # sides of its plain-Python cutoff
+    @pytest.mark.parametrize("dim", [1, cl._SMALL, cl._SMALL + 1])
+    def test_identical_operators_exactly_zero_at_every_size(self, dim):
+        rng = np.random.default_rng(dim)
+        rho = rand_pd(rng, dim)
+        same = qm.PositiveOperator(rho.matrix)
+        for a in ALPHAS:
+            assert qm.quantum_alpha_divergence_closed(rho, same, a) == 0.0
+
     def test_commuting_equals_classical(self):
         rng = np.random.default_rng(14)
         for _ in range(10):
