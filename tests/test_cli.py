@@ -231,39 +231,30 @@ class TestDivergenceCommand:
         assert main(["divergence", doc] + argv) == 2
         assert f"is not defined on {kind} documents" in capsys.readouterr().err
 
+    # the last case overflows a Python float power inside the short-vector
+    # kernel, which falls back to numpy; the divergence command refuses the inf
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
-        "argv",
-        [["--family", "alpha", "--alpha", "-0.5"], ["--family", "kl"]],
-        ids=["alpha", "kl"],
+        "first, argv, family",
+        [
+            (1e308, ["--family", "alpha", "--alpha", "-0.5"], "alpha"),
+            (1e308, ["--family", "kl"], "kl"),
+            (sys.float_info.max, ["--family", "alpha", "--alpha", "0.98"], "alpha"),
+        ],
+        ids=["alpha", "kl", "alpha-python-power"],
     )
-    def test_overflowing_closed_form_is_numerical_error(self, tmp_path, capsys, argv):
+    def test_overflowing_closed_form_is_numerical_error(
+        self, tmp_path, capsys, first, argv, family
+    ):
         path = tmp_path / "huge.json"
         path.write_text(
-            json.dumps({"kind": "classical", "objects": {"p": [1e308, 1.0], "q": [1.0, 2.0]}})
+            json.dumps({"kind": "classical", "objects": {"p": [first, 1.0], "q": [1.0, 2.0]}})
         )
         rc = main(["divergence", str(path), "--pairs", "p:q"] + argv)
         out, err = capsys.readouterr()
         assert rc == 3
         assert out == ""
-        assert "not finite" in err
-
-    def test_power_overflow_in_the_short_vector_kernel_is_numerical_error(
-        self, tmp_path, capsys
-    ):
-        # a Python float power raises OverflowError here; the kernel falls back
-        # to numpy, whose inf the divergence command refuses
-        path = tmp_path / "overflow.json"
-        path.write_text(
-            json.dumps(
-                {"kind": "classical", "objects": {"p": [sys.float_info.max, 1.0], "q": [1.0, 2.0]}}
-            )
-        )
-        rc = main(["divergence", str(path), "--family", "alpha", "--alpha", "0.98"])
-        out, err = capsys.readouterr()
-        assert rc == 3
-        assert out == ""
-        assert err == "numerical error: alpha value is not finite: inf\n"
+        assert err == f"numerical error: {family} value is not finite: inf\n"
 
     def test_exit_code_contract_for_missing_file(self):
         assert main(["divergence", "/nonexistent.json", "--family", "kl"]) == 2
