@@ -25,7 +25,6 @@ from .classical import (
     dual_canonical_divergence,
     fisher_metric,
     geodesic_velocity,
-    inverse_exponential,
     kl_extended,
     kl_extended_reversed,
     tsallis_q_divergence,
@@ -41,14 +40,12 @@ from .numkit import (
     mixed_partials,
 )
 from .quantum import (
-    DensityOperator,
     PositiveOperator,
     alpha_embedding,
     alpha_geodesic_q,
     alpha_parallel_transport,
     alpha_representation,
     canonical_divergence_numeric_q,
-    density_alpha_divergence,
     furuichi_q_divergence,
     quantum_alpha_divergence_closed,
     quantum_q_divergence,
@@ -60,7 +57,6 @@ from .recovery import RecoveredStructure, curvature_max, duality_defect, recover
 __version__ = "0.1.0"
 
 __all__ = [
-    "DensityOperator",
     "FDConfig",
     "NotPositiveDefiniteError",
     "NumericalDomainError",
@@ -78,7 +74,6 @@ __all__ = [
     "canonical_divergence_numeric",
     "canonical_divergence_numeric_q",
     "curvature_max",
-    "density_alpha_divergence",
     "dual_canonical_divergence",
     "duality_defect",
     "fisher_metric",
@@ -86,7 +81,6 @@ __all__ = [
     "gauss_legendre_rule",
     "geodesic_velocity",
     "hermitian_eig",
-    "inverse_exponential",
     "kl_extended",
     "kl_extended_reversed",
     "mixed_partials",

@@ -34,7 +34,6 @@ __all__ = [
     "fisher_metric",
     "geodesic_ode_residual",
     "geodesic_velocity",
-    "inverse_exponential",
     "kl_extended",
     "kl_extended_reversed",
     "tsallis_q_divergence",
@@ -163,11 +162,6 @@ def geodesic_ode_residual(p, q, alpha, t) -> float:
     vel = (1.0 / beta) * m ** ((1.0 - beta) / beta) * delta
     acc = ((1.0 - beta) / beta**2) * m ** ((1.0 - 2.0 * beta) / beta) * delta**2
     return float(np.max(np.abs(acc - (1.0 - beta) * vel**2 / gamma)))
-
-
-def inverse_exponential(p, q, alpha) -> np.ndarray:
-    """Initial velocity of the alpha-geodesic from p to q (t = 0)."""
-    return geodesic_velocity(p, q, alpha, 0.0)
 
 
 def alpha_coordinates(p, alpha) -> np.ndarray:

@@ -234,6 +234,8 @@ def _check_family_flags(args, method):
         raise InputError(
             f"family {args.family!r} has no quadrature path; use --method closed"
         )
+    if method == "closed" and args.nodes is not None:
+        raise InputError("--nodes is only meaningful with --method quadrature or both")
 
 
 def cmd_divergence(args):

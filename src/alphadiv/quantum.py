@@ -37,7 +37,6 @@ from .numkit import (
     SpectralDecomposition,
     as_hermitian,
     chart_exponent,
-    check_alpha,
     check_q,
     check_t,
     frechet_from_decomposition,
@@ -49,7 +48,6 @@ from .numkit import (
 )
 
 __all__ = [
-    "DensityOperator",
     "PositiveOperator",
     "alpha_embedding",
     "alpha_geodesic_q",
@@ -57,7 +55,6 @@ __all__ = [
     "alpha_representation",
     "as_positive",
     "canonical_divergence_numeric_q",
-    "density_alpha_divergence",
     "furuichi_q_divergence",
     "hermitian_basis",
     "operator_from_chart",
@@ -65,7 +62,6 @@ __all__ = [
     "quantum_alpha_divergence_closed",
     "quantum_q_divergence",
     "quantum_relative_entropy",
-    "random_density_operator",
     "random_hermitian",
     "random_positive_operator",
     "theta_coordinates",
@@ -97,11 +93,6 @@ def _require_real(z, context):
             f"{context}: imaginary residue {residue:.3e} exceeds {IMAG_RTOL:g} * (1 + {scale:.3e})"
         )
     return z.real
-
-
-def _require_unit_trace(op, name):
-    if abs(op.trace - 1.0) > 1e-12:
-        raise ValueError(f"{name} must be a density operator (unit trace), got trace {op.trace!r}")
 
 
 class PositiveOperator:
@@ -171,14 +162,6 @@ class PositiveOperator:
 
     def __repr__(self):
         return f"PositiveOperator(dim={self.dim}, trace={self.trace:.6g})"
-
-
-class DensityOperator(PositiveOperator):
-    """A positive operator with unit trace (within 1e-12)."""
-
-    def __init__(self, matrix):
-        super().__init__(matrix)
-        _require_unit_trace(self, "operator")
 
 
 def as_positive(rho) -> PositiveOperator:
@@ -510,19 +493,6 @@ def furuichi_q_divergence(rho1, rho2, qparam) -> float:
     return float(p.sum() - (p**qparam * q ** (1.0 - qparam)).sum()) / (1.0 - qparam)
 
 
-def density_alpha_divergence(rho1, rho2, alpha) -> float:
-    """Alpha-divergence restricted to density operators.
-
-    (4/(1-alpha^2)) (1 - Tr(rho1**((1-alpha)/2) rho2**((1+alpha)/2))).
-    Both arguments must have unit trace within 1e-12.
-    """
-    rho1, rho2 = _positive_pair(rho1, rho2)
-    alpha = check_alpha(alpha)
-    _require_unit_trace(rho1, "first argument")
-    _require_unit_trace(rho2, "second argument")
-    return quantum_alpha_divergence_closed(rho1, rho2, alpha)
-
-
 # ---------------------------------------------------------------------------
 # Seeded random operators (verification plumbing)
 # ---------------------------------------------------------------------------
@@ -545,11 +515,3 @@ def random_positive_operator(rng: np.random.Generator, dim) -> PositiveOperator:
     lam = rng.uniform(*RANDOM_SPECTRUM, size=dim)
     u = _random_unitary(rng, dim)
     return PositiveOperator((u * lam) @ u.conj().T)
-
-
-def random_density_operator(rng: np.random.Generator, dim) -> DensityOperator:
-    """Seeded density operator: normalized uniform RANDOM_SPECTRUM draw, QR unitary."""
-    lam = rng.uniform(*RANDOM_SPECTRUM, size=dim)
-    lam = lam / lam.sum()
-    u = _random_unitary(rng, dim)
-    return DensityOperator((u * lam) @ u.conj().T)

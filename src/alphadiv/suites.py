@@ -286,6 +286,15 @@ def run_quantum_suite(trials, seed, tol):
     ref = quantum.quantum_relative_entropy(r1, r2, extended=True)
     checks.append(_limit_check(quantum.quantum_alpha_divergence_closed, r1, r2, ref))
 
+    gaps = []
+    for r1, r2 in pairs[:10]:
+        for a in ALPHA_GRID:
+            e1, e2 = quantum.alpha_embedding(r1, a), quantum.alpha_embedding(r2, a)
+            for t in (0.25, 0.5, 0.75):
+                mid = quantum.alpha_embedding(quantum.alpha_geodesic_q(r1, r2, a, t), a)
+                gaps.append(float(np.max(np.abs(mid - ((1.0 - t) * e1 + t * e2)))))
+    checks.append(_check("alpha-geodesic is the straight chart line", _worst(gaps), 1e-12))
+
     return checks
 
 

@@ -221,7 +221,7 @@ def test_divergence_axioms():
     ]
     density_divs = [
         lambda a, b: qm.furuichi_q_divergence(a, b, 0.3),
-        lambda a, b: qm.density_alpha_divergence(a, b, 0.5),
+        lambda a, b: qm.quantum_alpha_divergence_closed(a, b, 0.5),
         lambda a, b: qm.quantum_relative_entropy(a, b),
     ]
     for _ in range(1000):
@@ -232,9 +232,9 @@ def test_divergence_axioms():
         for div in quantum_divs:
             most_negative = min(most_negative, div(r1, r2))
             worst_diag = max(worst_diag, abs(div(r1, same)))
-        d1 = qm.random_density_operator(rng, dim)
-        d2 = qm.random_density_operator(rng, dim)
-        same_d = qm.DensityOperator(d1.matrix)
+        d1, d2 = (qm.random_positive_operator(rng, dim) for _ in range(2))
+        d1, d2 = (qm.PositiveOperator(d.matrix / d.trace) for d in (d1, d2))
+        same_d = qm.PositiveOperator(d1.matrix)
         for div in density_divs:
             most_negative = min(most_negative, div(d1, d2))
             worst_diag = max(worst_diag, abs(div(d1, same_d)))
@@ -268,11 +268,14 @@ def test_spectral_reduction():
         )
         # density restriction on normalized spectra
         ps, qs = p / p.sum(), q / q.sum()
-        dd1 = qm.DensityOperator(np.diag(ps))
-        dd2 = qm.DensityOperator(np.diag(qs))
+        dd1 = qm.PositiveOperator(np.diag(ps))
+        dd2 = qm.PositiveOperator(np.diag(qs))
         worst = max(
             worst,
-            abs(qm.density_alpha_divergence(dd1, dd2, 0.5) - cl.alpha_divergence_closed(ps, qs, 0.5)),
+            abs(
+                qm.quantum_alpha_divergence_closed(dd1, dd2, 0.5)
+                - cl.alpha_divergence_closed(ps, qs, 0.5)
+            ),
         )
     _report(
         "spectral reduction of every quantum divergence",

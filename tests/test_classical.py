@@ -198,15 +198,15 @@ class TestGeodesicEquation:
 class TestInverseExponential:
     def test_mixture_case(self):
         p, q = np.array([1.0, 3.0]), np.array([2.0, 0.5])
-        assert np.allclose(cl.inverse_exponential(p, q, -1.0), q - p, atol=1e-15, rtol=0)
+        assert np.allclose(cl.geodesic_velocity(p, q, -1.0, 0.0), q - p, atol=1e-15, rtol=0)
 
     def test_equal_points(self):
         p = np.array([1.0, 2.0])
-        assert np.all(cl.inverse_exponential(p, p, 0.3) == 0.0)
+        assert np.all(cl.geodesic_velocity(p, p, 0.3, 0.0) == 0.0)
 
     def test_alpha_zero_value(self):
         # 2 sqrt(p) (sqrt(q) - sqrt(p)) at p=1, q=4
-        assert cl.inverse_exponential([1.0], [4.0], 0.0)[0] == pytest.approx(2.0, abs=1e-14)
+        assert cl.geodesic_velocity([1.0], [4.0], 0.0, 0.0)[0] == pytest.approx(2.0, abs=1e-14)
 
 
 class TestCanonicalDivergence:

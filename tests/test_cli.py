@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from alphadiv import classical, numkit, suites
+from alphadiv import classical, numkit, quantum, suites
 from alphadiv.cli import _parse_alphas, load_document, main
 from alphadiv.quantum import wyd_components_theta
 
@@ -381,6 +381,18 @@ class TestVerifyCommand:
         assert len(checks) == 8
         assert all(c["pass"] and c["suite"] == "recovery" for c in checks)
 
+    def test_geodesic_check_fails_on_the_wrong_geodesic(self, tmp_path, monkeypatch):
+        # the mixture (alpha = -1) geodesic is straight in another chart only
+        geodesic = quantum.alpha_geodesic_q
+        monkeypatch.setattr(
+            quantum, "alpha_geodesic_q", lambda r1, r2, alpha, t: geodesic(r1, r2, -1.0, t)
+        )
+        out = tmp_path / "r.json"
+        argv = ["verify", "--suite", "quantum", "--trials", "10", "--seed", "7", "--out", str(out)]
+        assert main(argv) == 1
+        failed = [c["check"] for c in json.loads(out.read_text())["checks"] if not c["pass"]]
+        assert failed == ["alpha-geodesic is the straight chart line"]
+
     @pytest.mark.parametrize("suite", ["classical", "quantum"])
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_trials_below_one_is_usage_error(self, tmp_path, capsys, suite, trials):
@@ -544,6 +556,19 @@ class TestNodeCount:
         monkeypatch.setattr(numkit, "DEFAULT_RULE", numkit.gauss_legendre_rule(2))
         assert main(argv) == 0
         assert capsys.readouterr().out == two
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--family", "alpha", "--alpha", "0.5", "--method", "closed"], ["--family", "kl"]],
+        ids=["alpha-closed", "kl"],
+    )
+    def test_nodes_refused_without_quadrature(self, classical_doc, tmp_path, capsys, flags):
+        # a closed form integrates nothing, so a node count there is a mistake
+        out = tmp_path / "r.json"
+        assert main(["divergence", classical_doc, *flags, "--nodes", "7", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--nodes is only meaningful with --method quadrature or both" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",

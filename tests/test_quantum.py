@@ -35,6 +35,12 @@ def rand_pd(rng, dim, spectrum=qm.RANDOM_SPECTRUM):
     return qm.PositiveOperator((u * lam) @ u.conj().T)
 
 
+def rand_density(rng, dim):
+    """random_positive_operator's seeded draw scaled to unit trace."""
+    op = qm.random_positive_operator(rng, dim)
+    return qm.PositiveOperator(op.matrix / op.trace)
+
+
 class TestOperatorTypes:
     def test_positive_operator_validates(self):
         with pytest.raises(ValueError):
@@ -57,11 +63,6 @@ class TestOperatorTypes:
         rho = qm.PositiveOperator(np.eye(2))
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 5.0
-
-    def test_density_operator_trace(self):
-        qm.DensityOperator(np.diag([0.25, 0.75]))
-        with pytest.raises(ValueError):
-            qm.DensityOperator(np.diag([0.5, 0.75]))
 
     def test_cached_powers_compose(self):
         rng = np.random.default_rng(0)
@@ -622,8 +623,8 @@ class TestQuantumRelativeEntropy:
     def test_alpha_limit_on_densities(self):
         rng = np.random.default_rng(16)
         for _ in range(5):
-            r1 = qm.random_density_operator(rng, 3)
-            r2 = qm.random_density_operator(rng, 3)
+            r1 = rand_density(rng, 3)
+            r2 = rand_density(rng, 3)
             close = qm.quantum_alpha_divergence_closed(r1, r2, -1.0 + 1e-6)
             target = qm.quantum_relative_entropy(r1, r2, extended=True)
             assert abs(close - target) <= 1e-4
@@ -686,8 +687,8 @@ class TestFuruichi:
     def test_agrees_with_q_divergence_on_densities(self):
         rng = np.random.default_rng(18)
         for _ in range(10):
-            r1 = qm.random_density_operator(rng, 3)
-            r2 = qm.random_density_operator(rng, 3)
+            r1 = rand_density(rng, 3)
+            r2 = rand_density(rng, 3)
             for qp in (0.3, 0.5, 0.7):
                 lhs = qm.furuichi_q_divergence(r1, r2, qp)
                 rhs = qm.quantum_q_divergence(r1, r2, qp)
@@ -702,43 +703,34 @@ class TestFuruichi:
 
 
 class TestDensityAlphaDivergence:
-    def test_requires_unit_trace(self):
-        with pytest.raises(ValueError, match="unit trace"):
-            qm.density_alpha_divergence(*WORKED_PAIR, 0.5)
-
-    def test_unit_trace_refusals_share_one_message(self):
-        density = qm.DensityOperator(np.diag([0.3, 0.7]))
-        for call, name in (
-            (lambda: qm.DensityOperator(np.diag([0.5, 0.75])), "operator"),
-            (lambda: qm.density_alpha_divergence(WORKED_PAIR[1], density, 0.5), "first argument"),
-            (lambda: qm.density_alpha_divergence(density, WORKED_PAIR[1], 0.5), "second argument"),
-        ):
-            with pytest.raises(ValueError, match=f"^{name} must be a density operator \\(unit trace\\)"):
-                call()
+    """The alpha-divergence on unit-trace operators."""
 
     def test_zero_on_diagonal(self):
-        rho = qm.DensityOperator(np.diag([0.3, 0.7]))
-        same = qm.DensityOperator(np.diag([0.3, 0.7]))
-        assert qm.density_alpha_divergence(rho, same, 0.5) == 0.0
+        rho = qm.PositiveOperator(np.diag([0.3, 0.7]))
+        same = qm.PositiveOperator(np.diag([0.3, 0.7]))
+        assert qm.quantum_alpha_divergence_closed(rho, same, 0.5) == 0.0
 
     def test_equals_general_form_on_densities(self):
+        # on unit trace the closed form is (4/(1 - a^2)) (1 - Tr(r1**b r2**(1-b)))
         rng = np.random.default_rng(19)
         for _ in range(10):
-            r1 = qm.random_density_operator(rng, 3)
-            r2 = qm.random_density_operator(rng, 3)
+            r1 = rand_density(rng, 3)
+            r2 = rand_density(rng, 3)
             for a in ALPHAS:
-                lhs = qm.density_alpha_divergence(r1, r2, a)
-                rhs = qm.quantum_alpha_divergence_closed(r1, r2, a)
+                b = chart_exponent(a)
+                mixed = np.einsum("ij,ji->", r1.power(b), r2.power(1.0 - b)).real
+                lhs = qm.quantum_alpha_divergence_closed(r1, r2, a)
+                rhs = (4.0 / (1.0 - a * a)) * (1.0 - mixed)
                 assert abs(lhs - rhs) <= 1e-13 * (1.0 + abs(rhs))
 
     def test_tsallis_scaling_on_densities(self):
         rng = np.random.default_rng(20)
-        r1 = qm.random_density_operator(rng, 3)
-        r2 = qm.random_density_operator(rng, 3)
+        r1 = rand_density(rng, 3)
+        r2 = rand_density(rng, 3)
         for qp in (0.25, 0.5, 0.75):
             a = 1.0 - 2.0 * qp
             tsallis = qm.furuichi_q_divergence(r1, r2, qp)
-            assert abs(qm.density_alpha_divergence(r1, r2, a) - tsallis / qp) <= 1e-12
+            assert abs(qm.quantum_alpha_divergence_closed(r1, r2, a) - tsallis / qp) <= 1e-12
 
 
 def matrix_function_references(r1, r2):
@@ -784,7 +776,8 @@ def closed_form_errors(r1, r2, densities=False):
     for a in ALPHAS:
         b = 0.5 * (1.0 - a)
         if densities:
-            cases[f"density {a}"] = (qm.density_alpha_divergence(r1, r2, a), ref["density"](b))
+            value = qm.quantum_alpha_divergence_closed(r1, r2, a)
+            cases[f"density {a}"] = (value, ref["density"](b))
         else:
             cases[f"alpha {a}"] = (qm.quantum_alpha_divergence_closed(r1, r2, a), ref["alpha"](b))
     if not densities:
@@ -815,8 +808,8 @@ class TestClosedFormsAgainstMatrixFunctions:
         # the one 1 x 1 density operator is [1], so density pairs start at dim 2
         rng = np.random.default_rng(700 + dim)
         for _ in range(10):
-            d1 = qm.random_density_operator(rng, dim)
-            d2 = qm.random_density_operator(rng, dim)
+            d1 = rand_density(rng, dim)
+            d2 = rand_density(rng, dim)
             errors = closed_form_errors(d1, d2, densities=True)
             assert max(errors.values()) <= ORACLE_RTOL, errors
 
