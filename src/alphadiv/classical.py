@@ -18,7 +18,8 @@ import math
 import numpy as np
 
 from .numkit import (
-    DEFAULT_RULE, QuadratureRule, chart_exponent, check_alpha, check_q, check_t, quadrature_sum,
+    DEFAULT_RULE, QuadratureRule, chart_exponent, check_alpha, check_q, check_t, node_blocks,
+    quadrature_sum,
 )
 
 __all__ = [
@@ -180,13 +181,18 @@ def alpha_pushforward(p, x, alpha) -> np.ndarray:
 
 
 def _integrand_values(p, q, beta, ts):
-    """t * ||gamma_dot(t)||^2 in the Fisher norm, vectorized over nodes."""
+    """t * ||gamma_dot(t)||^2 in the Fisher norm at the nodes, vectorized over
+    one numkit.node_blocks block (n floats a node) at a time."""
     a = p**beta
     b = q**beta
     delta2 = (b - a) ** 2
-    m = (1.0 - ts)[:, None] * a[None, :] + ts[:, None] * b[None, :]
     c = (1.0 - 2.0 * beta) / beta
-    return ts * ((m**c) @ delta2) / beta**2
+    values = np.empty_like(ts)
+    for block in node_blocks(ts.size, a.nbytes):
+        t = ts[block]
+        m = (1.0 - t)[:, None] * a + t[:, None] * b
+        values[block] = t * ((m**c) @ delta2) / beta**2
+    return values
 
 
 def canonical_divergence_numeric(p, q, alpha, rule: QuadratureRule = DEFAULT_RULE) -> float:

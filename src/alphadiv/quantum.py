@@ -16,9 +16,11 @@ inverse of the flat chart (geodesic points, :func:`operator_from_chart`) is
 built from the decomposition of the chart matrix, not decomposed again, and
 :func:`operator_from_chart` keeps the last 64 points it built: a repeated chart
 point returns the one shared immutable instance built for it first.  The
-quadrature integrand and the velocity pushforwards share one batched
-eigenframe of the geodesic interpolant; the velocity pairing is the integrand
-at one node.  Instances are immutable and safe to share between threads.
+quadrature integrand and the velocity pushforwards share one eigenframe of the
+geodesic interpolant, which the quadrature decomposes in batches, one block of
+nodes at a time (:func:`numkit.node_blocks`); the velocity pairing is the
+integrand at one node.  Instances are immutable and safe to share between
+threads.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .numkit import (
     frechet_from_decomposition,
     hermitian_eig,
     hermitian_part,
+    node_blocks,
     power_divided_differences,
     quadrature_sum,
     require_positive,
@@ -291,10 +294,16 @@ def velocity_representations(rho1, rho2, alpha, t):
 
 
 def _divergence_integrand(a, b, beta, ts):
-    """t * Tr(v_alpha v_dual) over the nodes; nonnegative, as x**((1-beta)/beta) increases."""
-    _, wt, tables = _geodesic_frame(a, b, beta, ts)
-    pair = np.einsum("tij,tij->t", tables, np.abs(wt) ** 2)
-    return ts * pair / (beta * (1.0 - beta))
+    """t * Tr(v_alpha v_dual) at the nodes, from one batched eigenframe per
+    numkit.node_blocks block (an n x n complex matrix a node); nonnegative, as
+    x**((1-beta)/beta) increases."""
+    values = np.empty_like(ts)
+    for block in node_blocks(ts.size, a.nbytes):
+        t = ts[block]
+        _, wt, tables = _geodesic_frame(a, b, beta, t)
+        pair = np.einsum("tij,tij->t", tables, np.abs(wt) ** 2)
+        values[block] = t * pair / (beta * (1.0 - beta))
+    return values
 
 
 def canonical_divergence_numeric_q(rho1, rho2, alpha, rule: QuadratureRule = DEFAULT_RULE) -> float:

@@ -1,9 +1,13 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from alphadiv import classical, numkit, quantum
 from alphadiv.numkit import (
+    DEFAULT_RULE,
+    DEGENERACY_RTOL,
     FDConfig,
     MAX_NODES,
     NotPositiveDefiniteError,
@@ -19,6 +23,8 @@ from alphadiv.numkit import (
     hermitian_eig,
     hermitian_part,
     mixed_partials,
+    node_blocks,
+    power_divided_differences,
     quadrature_sum,
     require_positive,
     stencil_gradient,
@@ -106,6 +112,85 @@ class TestIntegrate:
         with pytest.raises(NumericalDomainError) as info:
             quadrature_sum(rule, values)
         assert str(info.value) == f"integrand is not finite at node t={float(rule.nodes[1])!r}"
+
+
+class TestNodeBlocks:
+    """The quadrature integrands run over node blocks sized by numkit._BLOCK_BYTES."""
+
+    def test_blocks_cover_the_nodes_in_order(self):
+        def sizes(count, per_block):
+            blocks = node_blocks(count, numkit._BLOCK_BYTES // per_block)
+            assert blocks[0].start == 0 and blocks[-1].stop == count
+            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+            return [b.stop - b.start for b in blocks]
+
+        assert sizes(64, 12) == [12, 12, 12, 12, 12, 4]
+        assert sizes(62, 12) == [12, 12, 12, 12, 14]  # never a 1- or 2-node tail
+        assert sizes(64, 10) == [8] * 8  # a multiple of four nodes
+        assert sizes(9, 1) == [4, 5]  # at least four, over the budget if need be
+        assert sizes(3, 1) == [3]
+        assert sizes(64, 100) == [64]
+
+    # tracemalloc peaks of one call with a 1024-node rule (a whole-rule
+    # integrand held 313 MB and 89 MB): 2.3 MB for 20,000 components, whose
+    # blocks are the four-node minimum, and 1.1 MB at operator dim 32
+    PEAK_BOUND = 4 * 2**20
+
+    @pytest.mark.parametrize("kind", ["classical", "quantum"])
+    def test_integrand_memory_does_not_grow_with_the_rule(self, kind):
+        rule = gauss_legendre_rule(MAX_NODES)
+        rng = np.random.default_rng(0)
+        if kind == "classical":
+            pair = rng.uniform(0.5, 2.0, size=(2, 20_000))
+            divergence = classical.canonical_divergence_numeric
+        else:
+            pair = [quantum.random_positive_operator(rng, 32) for _ in range(2)]
+            divergence = quantum.canonical_divergence_numeric_q
+        tracemalloc.start()
+        try:
+            value = divergence(*pair, 0.3, rule)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value > 0.0
+        assert peak < self.PEAK_BOUND, f"{peak / 2**20:.1f} MiB"
+
+    def test_blocks_change_no_value(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        # 32 floats a node, as many bytes as one dim-4 complex matrix
+        p, q = rng.uniform(0.2, 5.0, size=(2, 32))
+        r1, r2 = (quantum.random_positive_operator(rng, 4) for _ in range(2))
+        alphas = (-0.9, -0.3, 0.0, 0.5, 0.9)
+
+        def both():
+            return (
+                [classical.canonical_divergence_numeric(p, q, a) for a in alphas],
+                [quantum.canonical_divergence_numeric_q(r1, r2, a) for a in alphas],
+            )
+
+        whole_c, whole_q = both()  # one block at these sizes
+        budget = 12 * r1.matrix.nbytes  # 12 nodes a block, so 5 x 12 + 4 for 64
+        monkeypatch.setattr(numkit, "_BLOCK_BYTES", budget)
+        assert len(node_blocks(len(DEFAULT_RULE), p.nbytes)) == 6
+        batches = []
+        eigh = np.linalg.eigh
+
+        def recorded(m):
+            if np.ndim(m) == 3:
+                batches.append(len(m))
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        blocked_c, blocked_q = both()
+        assert blocked_q == whole_q
+        # equal under single-threaded OpenBLAS; other BLAS kernels may round a
+        # block's matrix-vector product differently (3.8e-16 relative at worst
+        # measured with blocks of 1-5 rows)
+        for w, b in zip(whole_c, blocked_c):
+            assert abs(b - w) <= 1e-15 * w
+        assert batches == [12, 12, 12, 12, 12, 4] * len(alphas)
+        assert all(k * r1.matrix.nbytes <= budget for k in batches)
+        assert sum(batches) == len(DEFAULT_RULE) * len(alphas)
 
 
 class TestHermitianEig:
@@ -299,6 +384,37 @@ class TestFrechetPower:
     def test_rejects_non_hermitian_direction(self):
         with pytest.raises(ValueError, match="Hermitian"):
             alpha_representation(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0)
+
+
+class TestDividedDifferences:
+    """power_divided_differences, against the expression that evaluated the
+    derivative on the whole grid and then kept it only at near pairs."""
+
+    @staticmethod
+    def full_grid(eigenvalues, s):
+        w = np.asarray(eigenvalues, dtype=float)
+        li = w[..., :, None]
+        lj = w[..., None, :]
+        diff = li - lj
+        near = np.abs(diff) <= DEGENERACY_RTOL * np.maximum(li, lj)
+        safe = np.where(near, 1.0, diff)
+        s = float(s)
+        return np.where(near, s * (0.5 * (li + lj)) ** (s - 1.0), (li**s - lj**s) / safe)
+
+    @pytest.mark.parametrize("s", [0.7, -0.5, 18.0])
+    def test_bit_identical_to_the_full_grid(self, s):
+        rng = np.random.default_rng(29)
+        w = np.sort(rng.uniform(0.2, 4.0, size=(16, 7)), axis=-1)
+        w[:, 1] = w[:, 0]  # an exact repeat
+        w[:, 3] = w[:, 2] * (1.0 + 0.5 * DEGENERACY_RTOL)  # inside the tolerance
+        w[:, 5] = w[:, 4] * (1.0 + 2.0 * DEGENERACY_RTOL)  # just outside it
+        near = np.abs(w[:, :, None] - w[:, None, :]) <= DEGENERACY_RTOL * np.maximum(
+            w[:, :, None], w[:, None, :]
+        )
+        assert near[:, 0, 1].all() and near[:, 2, 3].all() and not near[:, 4, 5].any()
+        for spectra in (w, w[0]):  # a stack of spectra and a single one
+            table = power_divided_differences(spectra, s)
+            assert table.tobytes() == self.full_grid(spectra, s).tobytes()
 
 
 class TestMixedPartials:
