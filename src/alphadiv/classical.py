@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .numkit import (
-    DEFAULT_RULE, QuadratureRule, chart_exponent, check_alpha, check_q, check_t, node_blocks,
+    DEFAULT_RULE, QuadratureRule, blockwise, chart_exponent, check_alpha, check_q, check_t,
     quadrature_sum,
 )
 
@@ -182,17 +182,17 @@ def alpha_pushforward(p, x, alpha) -> np.ndarray:
 
 def _integrand_values(p, q, beta, ts):
     """t * ||gamma_dot(t)||^2 in the Fisher norm at the nodes, vectorized over
-    one numkit.node_blocks block (n floats a node) at a time."""
+    one numkit.blockwise block (n floats a node) at a time."""
     a = p**beta
     b = q**beta
     delta2 = (b - a) ** 2
     c = (1.0 - 2.0 * beta) / beta
-    values = np.empty_like(ts)
-    for block in node_blocks(ts.size, a.nbytes):
-        t = ts[block]
+
+    def block(t):
         m = (1.0 - t)[:, None] * a + t[:, None] * b
-        values[block] = t * ((m**c) @ delta2) / beta**2
-    return values
+        return t * ((m**c) @ delta2) / beta**2
+
+    return blockwise(block, ts, a.nbytes)
 
 
 def canonical_divergence_numeric(p, q, alpha, rule: QuadratureRule = DEFAULT_RULE) -> float:

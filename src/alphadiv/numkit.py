@@ -32,6 +32,7 @@ __all__ = [
     "QuadratureRule",
     "SpectralDecomposition",
     "as_hermitian",
+    "blockwise",
     "chart_exponent",
     "check_alpha",
     "check_q",
@@ -41,7 +42,6 @@ __all__ = [
     "hermitian_eig",
     "hermitian_part",
     "mixed_partials",
-    "node_blocks",
     "power_divided_differences",
     "quadrature_sum",
     "stencil_gradient",
@@ -167,7 +167,7 @@ class QuadratureRule:
 # eigenproblem, n**3 in time and n**2 in memory: building the 1024-node rule
 # takes about 0.15 s and raises peak RSS by about 16 MB (8 MB of it numpy
 # arrays), while 100,000 nodes would ask for some 80 GB.  The integrands add
-# little to that, since they run in node_blocks.
+# little to that, since they run blockwise.
 MAX_NODES = 1024
 
 
@@ -188,14 +188,13 @@ def gauss_legendre_rule(n) -> QuadratureRule:
 DEFAULT_RULE = gauss_legendre_rule(64)
 
 
-# Bytes that each temporary of one block of integrand nodes may hold.  Blocks
-# this small stay in the core's cache.  Over a whole rule at once every
-# temporary holds nodes x size entries (2 MB at 4000 measure components, 1 MB
-# at operator dim 32, 164 MB for 1024 nodes at 20,000 components).
+# Bytes that each temporary of one block of integrand nodes may hold: blocks
+# this small stay in the core's cache, and an integrand's memory does not grow
+# with the node count.
 _BLOCK_BYTES = 128 * 1024
 
 
-def node_blocks(count, bytes_per_node):
+def _node_blocks(count, bytes_per_node):
     """Consecutive slices that cover range(count) in order.
 
     A block holds as many nodes as _BLOCK_BYTES allows at bytes_per_node,
@@ -207,10 +206,21 @@ def node_blocks(count, bytes_per_node):
     bit for bit as one product over all the nodes would.
     """
     step = 4 * max(1, _BLOCK_BYTES // (4 * bytes_per_node))
-    if count < step + 4:  # one block, the common case, without the general cut
-        return [slice(0, count)]
     cuts = [0, *range(step, count - 3, step), count]
     return list(map(slice, cuts, cuts[1:]))
+
+
+def blockwise(f, ts, bytes_per_node):
+    """The values f(t) over consecutive blocks t of the nodes ts, in node order.
+
+    f maps a block of nodes to its values; each of its temporaries holds
+    about bytes_per_node a node, and a block holds as many nodes as keep
+    those within _BLOCK_BYTES (see _node_blocks).
+    """
+    values = np.empty_like(ts)
+    for block in _node_blocks(ts.size, bytes_per_node):
+        values[block] = f(ts[block])
+    return values
 
 
 def quadrature_sum(rule: QuadratureRule, values) -> float:

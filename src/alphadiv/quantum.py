@@ -18,7 +18,7 @@ built from the decomposition of the chart matrix, not decomposed again, and
 point returns the one shared immutable instance built for it first.  The
 quadrature integrand and the velocity pushforwards share one eigenframe of the
 geodesic interpolant, which the quadrature decomposes in batches, one block of
-nodes at a time (:func:`numkit.node_blocks`); the velocity pairing is the
+nodes at a time (:func:`numkit.blockwise`); the velocity pairing is the
 integrand at one node.  Instances are immutable and safe to share between
 threads.
 """
@@ -38,13 +38,13 @@ from .numkit import (
     QuadratureRule,
     SpectralDecomposition,
     as_hermitian,
+    blockwise,
     chart_exponent,
     check_q,
     check_t,
     frechet_from_decomposition,
     hermitian_eig,
     hermitian_part,
-    node_blocks,
     power_divided_differences,
     quadrature_sum,
     require_positive,
@@ -295,15 +295,15 @@ def velocity_representations(rho1, rho2, alpha, t):
 
 def _divergence_integrand(a, b, beta, ts):
     """t * Tr(v_alpha v_dual) at the nodes, from one batched eigenframe per
-    numkit.node_blocks block (an n x n complex matrix a node); nonnegative, as
+    numkit.blockwise block (an n x n complex matrix a node); nonnegative, as
     x**((1-beta)/beta) increases."""
-    values = np.empty_like(ts)
-    for block in node_blocks(ts.size, a.nbytes):
-        t = ts[block]
+
+    def block(t):
         _, wt, tables = _geodesic_frame(a, b, beta, t)
         pair = np.einsum("tij,tij->t", tables, np.abs(wt) ** 2)
-        values[block] = t * pair / (beta * (1.0 - beta))
-    return values
+        return t * pair / (beta * (1.0 - beta))
+
+    return blockwise(block, ts, a.nbytes)
 
 
 def canonical_divergence_numeric_q(rho1, rho2, alpha, rule: QuadratureRule = DEFAULT_RULE) -> float:

@@ -15,6 +15,7 @@ from alphadiv.numkit import (
     QuadratureRule,
     SpectralDecomposition,
     as_hermitian,
+    blockwise,
     chart_exponent,
     check_alpha,
     check_q,
@@ -23,7 +24,6 @@ from alphadiv.numkit import (
     hermitian_eig,
     hermitian_part,
     mixed_partials,
-    node_blocks,
     power_divided_differences,
     quadrature_sum,
     require_positive,
@@ -115,14 +115,20 @@ class TestIntegrate:
 
 
 class TestNodeBlocks:
-    """The quadrature integrands run over node blocks sized by numkit._BLOCK_BYTES."""
+    """The quadrature integrands run blockwise, in node blocks sized by numkit._BLOCK_BYTES."""
 
     def test_blocks_cover_the_nodes_in_order(self):
         def sizes(count, per_block):
-            blocks = node_blocks(count, numkit._BLOCK_BYTES // per_block)
-            assert blocks[0].start == 0 and blocks[-1].stop == count
-            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
-            return [b.stop - b.start for b in blocks]
+            ts = np.linspace(0.0, 1.0, count)
+            blocks = []
+
+            def f(t):
+                blocks.append(t.size)
+                return -t
+
+            values = blockwise(f, ts, numkit._BLOCK_BYTES // per_block)
+            assert values.tobytes() == (-ts).tobytes()
+            return blocks
 
         assert sizes(64, 12) == [12, 12, 12, 12, 12, 4]
         assert sizes(62, 12) == [12, 12, 12, 12, 14]  # never a 1- or 2-node tail
@@ -171,7 +177,7 @@ class TestNodeBlocks:
         whole_c, whole_q = both()  # one block at these sizes
         budget = 12 * r1.matrix.nbytes  # 12 nodes a block, so 5 x 12 + 4 for 64
         monkeypatch.setattr(numkit, "_BLOCK_BYTES", budget)
-        assert len(node_blocks(len(DEFAULT_RULE), p.nbytes)) == 6
+        assert len(numkit._node_blocks(len(DEFAULT_RULE), p.nbytes)) == 6
         batches = []
         eigh = np.linalg.eigh
 
