@@ -194,32 +194,23 @@ DEFAULT_RULE = gauss_legendre_rule(64)
 _BLOCK_BYTES = 128 * 1024
 
 
-def _node_blocks(count, bytes_per_node):
-    """Consecutive slices that cover range(count) in order.
-
-    A block holds as many nodes as _BLOCK_BYTES allows at bytes_per_node,
-    rounded down to a multiple of four and at least four.  The last block
-    takes the rest, so it holds up to three nodes more, and never fewer than
-    four unless it is the only one.  BLAS matrix-vector kernels (OpenBLAS's
-    among them) sum a matrix's rows in groups of four and a product of one or
-    two rows another way, so blocks like these sum each row, single-threaded,
-    bit for bit as one product over all the nodes would.
-    """
-    step = 4 * max(1, _BLOCK_BYTES // (4 * bytes_per_node))
-    cuts = [0, *range(step, count - 3, step), count]
-    return list(map(slice, cuts, cuts[1:]))
-
-
 def blockwise(f, ts, bytes_per_node):
     """The values f(t) over consecutive blocks t of the nodes ts, in node order.
 
-    f maps a block of nodes to its values; each of its temporaries holds
-    about bytes_per_node a node, and a block holds as many nodes as keep
-    those within _BLOCK_BYTES (see _node_blocks).
+    f maps a block of nodes to its values, with temporaries of about
+    bytes_per_node a node.  A block holds as many nodes as _BLOCK_BYTES allows
+    at bytes_per_node, rounded down to a multiple of four and at least four.
+    The last block takes the rest, so it holds up to three nodes more, and
+    never fewer than four unless it is the only one.  BLAS matrix-vector
+    kernels (OpenBLAS's among them) sum a matrix's rows in groups of four and
+    a product of one or two rows another way, so blocks like these sum each
+    row, single-threaded, bit for bit as one product over all the nodes would.
     """
+    step = 4 * max(1, _BLOCK_BYTES // (4 * bytes_per_node))
+    cuts = [0, *range(step, ts.size - 3, step), ts.size]
     values = np.empty_like(ts)
-    for block in _node_blocks(ts.size, bytes_per_node):
-        values[block] = f(ts[block])
+    for lo, hi in zip(cuts, cuts[1:]):
+        values[lo:hi] = f(ts[lo:hi])
     return values
 
 
