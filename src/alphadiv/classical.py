@@ -208,15 +208,16 @@ def canonical_divergence_numeric(p, q, alpha, rule: QuadratureRule = DEFAULT_RUL
     return quadrature_sum(rule, _integrand_values(p, q, beta, rule.nodes))
 
 
-def dual_canonical_divergence(p, q, alpha, rule: QuadratureRule = DEFAULT_RULE) -> float:
+def dual_canonical_divergence(p, q, alpha) -> float:
     """Geodesic-integral divergence along the dual (-alpha) geodesic.
 
     Same Fisher norm, geodesic taken with alpha replaced by -alpha; equals
     canonical_divergence_numeric(q, p, alpha) by the exchange symmetry of the
-    alpha-family.
+    alpha-family.  Another rule is canonical_divergence_numeric(p, q, -alpha,
+    rule).
     """
     alpha = check_alpha(alpha)
-    return canonical_divergence_numeric(p, q, -alpha, rule)
+    return canonical_divergence_numeric(p, q, -alpha)
 
 
 def _bregman_power_sum(p, q, beta):

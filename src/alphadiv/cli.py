@@ -24,7 +24,6 @@ symmetrized on load and must be Hermitian and positive definite.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -63,11 +62,8 @@ def _reject_duplicate_keys(pairs):
     return seen
 
 
-def load_document(path, expected_kind=None):
-    """Load and validate an input document; returns (kind, {name: object}).
-
-    A given ``expected_kind`` (the ``--kind`` flag) must match the document's.
-    """
+def load_document(path):
+    """Load and validate an input document; returns (kind, {name: object})."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh, object_pairs_hook=_reject_duplicate_keys)
@@ -80,8 +76,6 @@ def load_document(path, expected_kind=None):
     kind = doc.get("kind")
     if kind not in ("classical", "quantum"):
         raise InputError(f"document kind must be 'classical' or 'quantum', got {kind!r}")
-    if expected_kind and expected_kind != kind:
-        raise InputError(f"--kind {expected_kind} does not match document kind {kind!r}")
     objects = doc.get("objects")
     if not isinstance(objects, dict) or not objects:
         raise InputError("document must provide a nonempty 'objects' mapping")
@@ -156,7 +150,9 @@ def _parse_alphas(text):
             raise InputError("alpha range step must be positive")
         x = start
         while x <= stop + 1e-12:
-            values.append(round(x, 12))
+            # rounding sheds the step's drift, but must not make a value +-1
+            rounded = round(x, 12)
+            values.append(x if abs(rounded) == 1.0 else rounded)
             if not -1.0 < values[-1] < 1.0:
                 break  # refused below
             if len(values) > MAX_ALPHA_VALUES:
@@ -239,7 +235,7 @@ def _check_family_flags(args, method):
 
 
 def cmd_divergence(args):
-    kind, objects = load_document(args.input, args.kind)
+    kind, objects = load_document(args.input)
     default_method = "quadrature" if args.family == "canonical" else "closed"
     method = args.method or default_method
     _check_family_flags(args, method)
@@ -311,10 +307,9 @@ def cmd_verify(args):
 
 
 def cmd_recover(args):
-    kind, objects = load_document(args.input, args.kind)
+    kind, objects = load_document(args.input)
     if args.point not in objects:
         raise InputError(f"unknown object name {args.point!r}")
-    cfg = dataclasses.replace(recovery.DEFAULT_CFG, step=args.step)
     alpha = args.alpha
     if args.reference_euclidean and alpha is not None:
         raise InputError("--alpha is not meaningful with --reference-euclidean")
@@ -344,8 +339,8 @@ def cmd_recover(args):
             r2 = quantum.operator_from_chart(y, basis, alpha)
             return quantum.quantum_alpha_divergence_closed(r1, r2, alpha)
 
-    structure = recovery.recover_structure(divergence, point, cfg)
-    defect = recovery.duality_defect(structure, divergence, cfg)
+    structure = recovery.recover_structure(divergence, point)
+    defect = recovery.duality_defect(structure, divergence)
     curvature = within = None  # null: the check did not run
     if point.size <= recovery.CURVATURE_MAX_DIM:
         curvature = recovery.curvature_max(divergence, structure)
@@ -354,7 +349,7 @@ def cmd_recover(args):
         "kind": kind,
         "point": args.point,
         "alpha": args.alpha,
-        "step": args.step,
+        "step": recovery.DEFAULT_CFG.step,
         "metric": structure.metric.tolist(),
         "christoffel": structure.christoffel.tolist(),
         "christoffel_dual": structure.christoffel_dual.tolist(),
@@ -370,7 +365,7 @@ def cmd_recover(args):
 
 
 def cmd_sweep(args):
-    kind, objects = load_document(args.input, args.kind)
+    kind, objects = load_document(args.input)
     if not args.pair or "," in args.pair:
         raise InputError(f"malformed --pair {args.pair!r}; expected 'name1:name2'")
     ((first, second),) = _parse_pairs(args.pair, objects)
@@ -422,7 +417,6 @@ def build_parser():
 
     p_div = sub.add_parser("divergence", help="compute divergences between named objects")
     p_div.add_argument("input", help="JSON input document")
-    p_div.add_argument("--kind", choices=("classical", "quantum"))
     p_div.add_argument("--family", choices=FAMILIES, default="alpha")
     p_div.add_argument("--alpha", type=float)
     p_div.add_argument("--q", type=float)
@@ -456,10 +450,8 @@ def build_parser():
 
     p_rec = sub.add_parser("recover", help="recover metric and connections at a point")
     p_rec.add_argument("input", help="JSON input document")
-    p_rec.add_argument("--kind", choices=("classical", "quantum"))
     p_rec.add_argument("--alpha", type=float)
     p_rec.add_argument("--point", required=True, help="name of the base point object")
-    p_rec.add_argument("--step", type=float, default=recovery.DEFAULT_CFG.step)
     p_rec.add_argument("--tolerance", type=_tolerance, default=suites.SUITE_TOLERANCES["recovery"])
     p_rec.add_argument(
         "--reference-euclidean",
@@ -471,7 +463,6 @@ def build_parser():
 
     p_swp = sub.add_parser("sweep", help="tabulate divergences over alpha values")
     p_swp.add_argument("input", help="JSON input document")
-    p_swp.add_argument("--kind", choices=("classical", "quantum"))
     p_swp.add_argument("--pair", required=True, help="name1:name2")
     p_swp.add_argument("--alphas", required=True, help="'start:stop:step' or 'a,b,c'")
     p_swp.add_argument("--nodes", type=int)

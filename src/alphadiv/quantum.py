@@ -16,11 +16,11 @@ inverse of the flat chart (geodesic points, :func:`operator_from_chart`) is
 built from the decomposition of the chart matrix, not decomposed again, and
 :func:`operator_from_chart` keeps the last 64 points it built: a repeated chart
 point returns the one shared immutable instance built for it first.  The
-quadrature integrand and the velocity pushforwards share one eigenframe of the
-geodesic interpolant, which the quadrature decomposes in batches, one block of
-nodes at a time (:func:`numkit.blockwise`); the velocity pairing is the
-integrand at one node.  Instances are immutable and safe to share between
-threads.
+quadrature integrand alone decomposes the geodesic interpolant, in batches,
+one block of nodes at a time (:func:`numkit.blockwise`); at a node t it is
+t * wyd_metric(gamma(t), v, v, alpha), v the transport from the identity to
+gamma(t) of (rho2**beta - rho1**beta)/beta.  Instances are immutable and safe
+to share between threads.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ __all__ = [
     "random_hermitian",
     "random_positive_operator",
     "theta_coordinates",
-    "velocity_representations",
     "wyd_components_theta",
     "wyd_metric",
 ]
@@ -260,46 +259,20 @@ def alpha_geodesic_q(rho1, rho2, alpha, t) -> PositiveOperator:
     return PositiveOperator._from_chart((1.0 - t) * rho1.power(beta) + t * rho2.power(beta), beta)
 
 
-def _geodesic_frame(a, b, beta, ts):
-    """U, U^dagger (B - A) U and the divided differences of x**((1-beta)/beta)
-    on w, where M(t) = (1-t)A + tB = U diag(w) U^dagger at each node t; every
-    spectrum w passes the positivity gate of numkit.require_positive."""
-    m = (1.0 - ts)[:, None, None] * a[None] + ts[:, None, None] * b[None]
-    evals, vecs = np.linalg.eigh(m)
-    require_positive(evals, "geodesic interpolant")
-    wt = np.swapaxes(vecs.conj(), 1, 2) @ (b - a)[None] @ vecs
-    tables = power_divided_differences(evals, (1.0 - beta) / beta)
-    return vecs, wt, tables
-
-
-def velocity_representations(rho1, rho2, alpha, t):
-    """(+alpha) and (-alpha) chart pushforwards of the geodesic velocity.
-
-    With A = rho1**beta, B = rho2**beta and M(t) their interpolant, the
-    (+alpha) image is the constant (2/(1-alpha)) (B - A); the (-alpha) image
-    is the derivative of the dual chart along the curve, computed through the
-    divided differences of x**((1+alpha)/(1-alpha)) at M(t).  Their trace
-    pairing is the divergence integrand at the single node t, over t.
-    """
-    rho1, rho2 = _positive_pair(rho1, rho2)
-    beta = chart_exponent(alpha)
-    t = check_t(t)
-    a = rho1.power(beta)
-    b = rho2.power(beta)
-    (u,), (wt,), (table,) = _geodesic_frame(a, b, beta, np.array([t]))
-    # the derivative of x**((1-beta)/beta) at the chart image (1/beta) M(t) in
-    # the direction (B - A)/beta: the chart constants collapse to 1/(1 - beta)
-    v_dual = hermitian_part(u @ (table * wt) @ u.conj().T) / (1.0 - beta)
-    return (b - a) / beta, v_dual
-
-
 def _divergence_integrand(a, b, beta, ts):
-    """t * Tr(v_alpha v_dual) at the nodes, from one batched eigenframe per
-    numkit.blockwise block (an n x n complex matrix a node); nonnegative, as
-    x**((1-beta)/beta) increases."""
+    """t * Tr(v_alpha v_dual) at the nodes, one numkit.blockwise block of
+    nodes at a time (an n x n complex matrix a node); nonnegative, as
+    x**((1-beta)/beta) increases.  With M(t) = (1-t)A + tB = U diag(w)
+    U^dagger, v_alpha = (B - A)/beta and v_dual the dual chart's derivative
+    along the curve, the pairing weighs |U^dagger (B - A) U|^2 by the divided
+    differences of x**((1-beta)/beta) on w, each w positivity-gated."""
 
     def block(t):
-        _, wt, tables = _geodesic_frame(a, b, beta, t)
+        m = (1.0 - t)[:, None, None] * a[None] + t[:, None, None] * b[None]
+        evals, vecs = np.linalg.eigh(m)
+        require_positive(evals, "geodesic interpolant")
+        wt = np.swapaxes(vecs.conj(), 1, 2) @ (b - a)[None] @ vecs
+        tables = power_divided_differences(evals, (1.0 - beta) / beta)
         pair = np.einsum("tij,tij->t", tables, np.abs(wt) ** 2)
         return t * pair / (beta * (1.0 - beta))
 

@@ -199,11 +199,6 @@ class TestDivergenceCommand:
             main(["divergence", classical_doc, "--family", "kl", "--pairs", "p:nope"]) == 2
         )
 
-    def test_kind_mismatch(self, classical_doc):
-        assert (
-            main(["divergence", classical_doc, "--kind", "quantum", "--family", "kl"]) == 2
-        )
-
     def test_invalid_alpha_is_usage_error(self, classical_doc):
         assert (
             main(["divergence", classical_doc, "--family", "alpha", "--alpha", "1.0"]) == 2
@@ -665,6 +660,18 @@ class TestSweepCommand:
 
     def test_readme_grid_values(self):
         assert _parse_alphas("-0.99:0.99:0.03") == [(3 * k - 99) / 100 for k in range(67)]
+
+    def test_range_value_near_one_is_not_rounded_onto_it(self, classical_doc, tmp_path, capsys):
+        # round(x, 12) would turn -0.9999999999999 into -1.0, which the list
+        # form never refuses and the range form must not either
+        assert _parse_alphas("-0.9999999999999:0:0.5") == [-0.9999999999999, -0.5, 0.0]
+        assert _parse_alphas("-0.9999999999999") == [-0.9999999999999]
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", classical_doc, "--pair", "p:q", "--out", str(out)]
+        assert main([*argv, "--alphas=-0.9999999999999:0:0.5"]) == 0
+        assert [float(r["alpha"]) for r in read_rows(out)] == [-0.9999999999999, -0.5, 0.0]
+        assert main([*argv, "--alphas=0.5:1.0000000000001:0.5000000000001"]) == 2
+        assert "got 1.0000000000001" in capsys.readouterr().err
 
     @pytest.mark.parametrize("alphas", ["0:inf:0.5", "-0.5:0.5:1e-300", "-0.5:0.5:nan"])
     def test_unbounded_range_refused_promptly(self, classical_doc, tmp_path, alphas):

@@ -374,61 +374,47 @@ class TestChartMemo:
         assert len(builds) <= 2 * len(points) <= 2 * 417
 
 
-class TestVelocityRepresentations:
-    def test_zero_for_equal_endpoints(self):
-        rho = qm.PositiveOperator(WORKED_PAIR[0])
-        va, vd = qm.velocity_representations(rho, qm.PositiveOperator(WORKED_PAIR[0]), 0.5, 0.3)
-        assert np.max(np.abs(va)) == 0.0
-        assert np.max(np.abs(vd)) == 0.0
+class TestIntegrandAtOneNode:
+    """The one-node quadrature t * Tr(v_alpha v_dual) against the public
+    geometry: the velocity is the transport from the identity of the chart
+    velocity (rho2**beta - rho1**beta)/beta, paired by wyd_metric."""
 
-    def test_near_mixture_velocity_is_difference(self):
-        r1 = qm.PositiveOperator(WORKED_PAIR[0])
-        r2 = qm.PositiveOperator(WORKED_PAIR[1])
-        va, _ = qm.velocity_representations(r1, r2, -1.0 + 1e-9, 0.4)
-        assert np.max(np.abs(va - (r2.matrix - r1.matrix))) <= 1e-8
-
-    def test_trace_pairing_reduces_classically(self):
+    def test_pairing_reduces_classically(self):
         p = np.array([0.5, 2.0, 1.0])
         q = np.array([1.5, 1.0, 0.3])
         d1, d2 = np.diag(p), np.diag(q)
         for a in (-0.5, 0.5):
             for t in (0.2, 0.7):
-                va, vd = qm.velocity_representations(d1, d2, a, t)
-                pairing = float(np.trace(va @ vd).real)
-                beta = 0.5 * (1.0 - a)
+                value = qm.canonical_divergence_numeric_q(d1, d2, a, QuadratureRule([t], [1.0]))
+                beta = chart_exponent(a)
                 m = (1 - t) * p**beta + t * q**beta
-                classic = float(
+                classic = t * float(
                     np.sum(m ** ((1 - 2 * beta) / beta) * (q**beta - p**beta) ** 2) / beta**2
                 )
-                assert abs(pairing - classic) <= 1e-12 * (1.0 + abs(classic))
-
-    def test_pairing_is_hermitian_pair(self):
-        rng = np.random.default_rng(7)
-        r1, r2 = rand_pd(rng, 3), rand_pd(rng, 3)
-        va, vd = qm.velocity_representations(r1, r2, 0.5, 0.6)
-        assert np.max(np.abs(va - va.conj().T)) <= 1e-12
-        assert np.max(np.abs(vd - vd.conj().T)) <= 1e-12
+                assert abs(value - classic) <= 1e-12 * (1.0 + abs(classic))
 
     @pytest.mark.parametrize("dim", range(2, 9))
-    def test_pairing_is_the_quadrature_integrand_at_one_node(self, dim):
-        # measured worst case 5.4e-16 relative
+    def test_integrand_is_the_wyd_norm_of_the_transported_velocity(self, dim):
+        # measured worst case 7.4e-15 relative
         rng = np.random.default_rng(100 + dim)
         for _ in range(3):
             r1, r2 = rand_pd(rng, dim), rand_pd(rng, dim)
             for a in ALPHAS:
+                beta = chart_exponent(a)
+                chart_velocity = (r2.power(beta) - r1.power(beta)) / beta
                 for t in (0.3, 0.7):
                     value = qm.canonical_divergence_numeric_q(r1, r2, a, QuadratureRule([t], [1.0]))
-                    va, vd = qm.velocity_representations(r1, r2, a, t)
-                    pairing = t * np.einsum("ij,ji->", va, vd).real
-                    assert abs(value - pairing) <= 4e-15 * abs(pairing)
+                    point = qm.alpha_geodesic_q(r1, r2, a, t)
+                    v = qm.alpha_parallel_transport(np.eye(dim), point, chart_velocity, a)
+                    expected = t * qm.wyd_metric(point, v, v, a)
+                    assert abs(value - expected) <= 1e-14 * abs(expected)
 
     @pytest.mark.parametrize(
         "spoil", [lambda w: w - w[..., -1:], lambda w: w * np.nan], ids=["shifted", "nan"]
     )
     def test_non_positive_interpolant_refused(self, monkeypatch, spoil):
         # an interpolant whose computed spectrum lost positivity, by a shift
-        # of every eigenvalue the decomposition returns, or turned NaN; the
-        # pushforwards and the quadrature share the gate
+        # of every eigenvalue the decomposition returns, or turned NaN
         r1 = qm.PositiveOperator(WORKED_PAIR[0])
         r2 = qm.PositiveOperator(WORKED_PAIR[1])
         eigh = np.linalg.eigh
@@ -438,8 +424,6 @@ class TestVelocityRepresentations:
             return spoil(w), u
 
         monkeypatch.setattr(np.linalg, "eigh", spoiled)
-        with pytest.raises(NotPositiveDefiniteError, match="geodesic interpolant"):
-            qm.velocity_representations(r1, r2, 0.5, 0.3)
         with pytest.raises(NotPositiveDefiniteError, match="geodesic interpolant"):
             qm.canonical_divergence_numeric_q(r1, r2, 0.5)
 

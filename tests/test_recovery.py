@@ -201,6 +201,24 @@ class TestDegenerateContrast:
         with pytest.raises(ValueError, match="symmetric"):
             rc.duality_defect(structure, skewed)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=NotPositiveDefiniteError,
+        reason="the symmetry bound and degeneracy floor scale by max(1, max|g|), not by the "
+        "contrast's stencil noise, so 2**-20 D is refused while D is accepted",
+    )
+    def test_metric_scales_with_the_contrast(self):
+        # scaling by a power of two is exact, so the stencil metric of 2**k D
+        # is 2**k times that of D, bit for bit
+        p = np.array([1.0, 2.0])
+        base = rc.recover_structure(alpha_div(0.5), p).metric
+        for k in (-30, -20, 0, 20):
+
+            def scaled(x, y, k=k):
+                return 2.0**k * cl.alpha_divergence_closed(x, y, 0.5)
+
+            assert np.array_equal(rc.recover_structure(scaled, p).metric, 2.0**k * base)
+
 
 class TestStencilCounts:
     """Contrast evaluations of the stencils, as the benchmark's known counts pin them."""
