@@ -199,6 +199,13 @@ class TestDivergenceCommand:
             main(["divergence", classical_doc, "--family", "kl", "--pairs", "p:nope"]) == 2
         )
 
+    def test_kind_mismatch(self, classical_doc, capsys):
+        # the document's own "kind" decides; a --kind flag is refused, not ignored
+        assert (
+            main(["divergence", classical_doc, "--kind", "quantum", "--family", "kl"]) == 2
+        )
+        assert "unrecognized arguments: --kind quantum" in capsys.readouterr().err
+
     def test_invalid_alpha_is_usage_error(self, classical_doc):
         assert (
             main(["divergence", classical_doc, "--family", "alpha", "--alpha", "1.0"]) == 2

@@ -374,12 +374,49 @@ class TestChartMemo:
         assert len(builds) <= 2 * len(points) <= 2 * 417
 
 
-class TestIntegrandAtOneNode:
-    """The one-node quadrature t * Tr(v_alpha v_dual) against the public
-    geometry: the velocity is the transport from the identity of the chart
-    velocity (rho2**beta - rho1**beta)/beta, paired by wyd_metric."""
+class TestVelocityRepresentations:
+    """The geodesic velocity through the public geometry: the transport from
+    the identity of the chart velocity (rho2**beta - rho1**beta)/beta, whose
+    two representations wyd_metric pairs into the one-node quadrature
+    t * Tr(v_alpha v_dual)."""
 
-    def test_pairing_reduces_classically(self):
+    def test_zero_for_equal_endpoints(self):
+        rho = qm.PositiveOperator(WORKED_PAIR[0])
+        same = qm.PositiveOperator(WORKED_PAIR[0])
+        for a in ALPHAS:
+            beta = chart_exponent(a)
+            chart_velocity = (same.power(beta) - rho.power(beta)) / beta
+            point = qm.alpha_geodesic_q(rho, same, a, 0.3)
+            v = qm.alpha_parallel_transport(np.eye(2), point, chart_velocity, a)
+            assert np.max(np.abs(v)) == 0.0
+            one_node = QuadratureRule([0.3], [1.0])
+            assert qm.canonical_divergence_numeric_q(rho, same, a, one_node) == 0.0
+
+    def test_near_mixture_velocity_is_difference(self):
+        # at alpha -> -1 the chart is the operator itself and the geodesic
+        # the straight line, so its velocity is rho2 - rho1
+        r1 = qm.PositiveOperator(WORKED_PAIR[0])
+        r2 = qm.PositiveOperator(WORKED_PAIR[1])
+        a = -1.0 + 1e-9
+        beta = chart_exponent(a)
+        chart_velocity = (r2.power(beta) - r1.power(beta)) / beta
+        point = qm.alpha_geodesic_q(r1, r2, a, 0.4)
+        v = qm.alpha_parallel_transport(np.eye(2), point, chart_velocity, a)
+        assert np.max(np.abs(v - (r2.matrix - r1.matrix))) <= 1e-8
+
+    def test_pairing_is_hermitian_pair(self):
+        rng = np.random.default_rng(7)
+        r1, r2 = rand_pd(rng, 3), rand_pd(rng, 3)
+        beta = chart_exponent(0.5)
+        chart_velocity = (r2.power(beta) - r1.power(beta)) / beta
+        point = qm.alpha_geodesic_q(r1, r2, 0.5, 0.6)
+        v = qm.alpha_parallel_transport(np.eye(3), point, chart_velocity, 0.5)
+        va = qm.alpha_representation(point, v, 0.5)
+        vd = qm.alpha_representation(point, v, -0.5)
+        assert np.max(np.abs(va - va.conj().T)) <= 1e-12
+        assert np.max(np.abs(vd - vd.conj().T)) <= 1e-12
+
+    def test_trace_pairing_reduces_classically(self):
         p = np.array([0.5, 2.0, 1.0])
         q = np.array([1.5, 1.0, 0.3])
         d1, d2 = np.diag(p), np.diag(q)
@@ -394,7 +431,7 @@ class TestIntegrandAtOneNode:
                 assert abs(value - classic) <= 1e-12 * (1.0 + abs(classic))
 
     @pytest.mark.parametrize("dim", range(2, 9))
-    def test_integrand_is_the_wyd_norm_of_the_transported_velocity(self, dim):
+    def test_pairing_is_the_quadrature_integrand_at_one_node(self, dim):
         # measured worst case 7.4e-15 relative
         rng = np.random.default_rng(100 + dim)
         for _ in range(3):
