@@ -150,9 +150,12 @@ def _parse_alphas(text):
             raise InputError("alpha range step must be positive")
         x = start
         while x <= stop + 1e-12:
-            # rounding sheds the step's drift, but must not make a value +-1
-            rounded = round(x, 12)
-            values.append(x if abs(rounded) == 1.0 else rounded)
+            # rounding sheds the step's drift; a value it makes +-1 is kept only
+            # as the start or stop typed, so a stop of +-1 is still refused
+            value = round(x, 12)
+            if abs(value) == 1.0:
+                value = start if x == start else stop if abs(x - stop) <= 1e-12 else value
+            values.append(value)
             if not -1.0 < values[-1] < 1.0:
                 break  # refused below
             if len(values) > MAX_ALPHA_VALUES:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from alphadiv import classical, numkit, quantum, suites
-from alphadiv.cli import _parse_alphas, load_document, main
+from alphadiv.cli import InputError, _parse_alphas, load_document, main
 from alphadiv.quantum import wyd_components_theta
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -679,6 +679,15 @@ class TestSweepCommand:
         assert [float(r["alpha"]) for r in read_rows(out)] == [-0.9999999999999, -0.5, 0.0]
         assert main([*argv, "--alphas=0.5:1.0000000000001:0.5000000000001"]) == 2
         assert "got 1.0000000000001" in capsys.readouterr().err
+        # a typed stop inside (-1, 1) is kept; a stop of 1 that the step's
+        # drift reaches as 0.9999999999999999 still rounds onto 1 and is refused
+        assert _parse_alphas("0:0.9999999999999:0.3333333333333")[-1] == 0.9999999999999
+        with pytest.raises(InputError, match=r"got 1\.0$"):
+            _parse_alphas("0:1:0.1")
+        assert main([*argv, "--alphas=0:1:0.1"]) == 2
+        assert "got 1.0\n" in capsys.readouterr().err
+        assert main([*argv, "--alphas=-1:0:0.1"]) == 2
+        assert "got -1.0\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("alphas", ["0:inf:0.5", "-0.5:0.5:1e-300", "-0.5:0.5:nan"])
     def test_unbounded_range_refused_promptly(self, classical_doc, tmp_path, alphas):
