@@ -22,11 +22,9 @@ from .classical import (
     alpha_divergence_closed,
     alpha_geodesic,
     canonical_divergence_numeric,
-    dual_canonical_divergence,
     fisher_metric,
     geodesic_velocity,
     kl_extended,
-    kl_extended_reversed,
     tsallis_q_divergence,
 )
 from .numkit import (
@@ -74,7 +72,6 @@ __all__ = [
     "canonical_divergence_numeric",
     "canonical_divergence_numeric_q",
     "curvature_max",
-    "dual_canonical_divergence",
     "duality_defect",
     "fisher_metric",
     "furuichi_q_divergence",
@@ -82,7 +79,6 @@ __all__ = [
     "geodesic_velocity",
     "hermitian_eig",
     "kl_extended",
-    "kl_extended_reversed",
     "mixed_partials",
     "quantum_alpha_divergence_closed",
     "quantum_q_divergence",

@@ -18,8 +18,7 @@ import math
 import numpy as np
 
 from .numkit import (
-    DEFAULT_RULE, QuadratureRule, blockwise, chart_exponent, check_alpha, check_q, check_t,
-    quadrature_sum,
+    DEFAULT_RULE, QuadratureRule, blockwise, chart_exponent, check_q, check_t, quadrature_sum,
 )
 
 __all__ = [
@@ -31,12 +30,10 @@ __all__ = [
     "as_measure",
     "as_tangent",
     "canonical_divergence_numeric",
-    "dual_canonical_divergence",
     "fisher_metric",
     "geodesic_ode_residual",
     "geodesic_velocity",
     "kl_extended",
-    "kl_extended_reversed",
     "tsallis_q_divergence",
 ]
 
@@ -208,18 +205,6 @@ def canonical_divergence_numeric(p, q, alpha, rule: QuadratureRule = DEFAULT_RUL
     return quadrature_sum(rule, _integrand_values(p, q, beta, rule.nodes))
 
 
-def dual_canonical_divergence(p, q, alpha) -> float:
-    """Geodesic-integral divergence along the dual (-alpha) geodesic.
-
-    Same Fisher norm, geodesic taken with alpha replaced by -alpha; equals
-    canonical_divergence_numeric(q, p, alpha) by the exchange symmetry of the
-    alpha-family.  Another rule is canonical_divergence_numeric(p, q, -alpha,
-    rule).
-    """
-    alpha = check_alpha(alpha)
-    return canonical_divergence_numeric(p, q, -alpha)
-
-
 def _bregman_power_sum(p, q, beta):
     """Sum of Bregman divergences of x**(1/beta) between p**beta and q**beta.
 
@@ -256,8 +241,7 @@ def alpha_divergence_closed(p, q, alpha) -> float:
             - (4/(1-alpha^2)) q_i**((1+alpha)/2) p_i**((1-alpha)/2) ).
 
     Nonnegative, zero exactly when p == q.  Rejects alpha = +-1; the limits
-    are :func:`kl_extended` (alpha -> -1) and :func:`kl_extended_reversed`
-    (alpha -> +1).
+    are kl_extended(p, q) (alpha -> -1) and kl_extended(q, p) (alpha -> +1).
     """
     p, q = _measure_pair(p, q)
     beta = chart_exponent(alpha)
@@ -277,15 +261,6 @@ def kl_extended(p, q) -> float:
     """
     p, q = _measure_pair(p, q)
     return _kl_sum(p, q)
-
-
-def kl_extended_reversed(p, q) -> float:
-    """sum_i (p_i - q_i - q_i log(p_i/q_i)); the alpha -> +1 limit.
-
-    Equal to kl_extended(q, p) by definition.
-    """
-    p, q = _measure_pair(p, q)
-    return _kl_sum(q, p)
 
 
 def tsallis_q_divergence(p, q, qparam) -> float:

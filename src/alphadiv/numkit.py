@@ -370,12 +370,8 @@ class FDConfig:
         if self.order not in (2, 4):
             raise ValueError(f"stencil order must be 2 or 4, got {self.order!r}")
 
-    @property
-    def stencil(self):
-        """(offsets in steps, weights per step) of the first-derivative stencil."""
-        return _STENCILS[self.order]
 
-
+# order -> (offsets in steps, weights per step) of the first-derivative stencil
 _STENCILS = {
     2: ((1, -1), (0.5, -0.5)),
     4: ((-2, -1, 1, 2), (1.0 / 12.0, -2.0 / 3.0, 2.0 / 3.0, -1.0 / 12.0)),
@@ -387,7 +383,7 @@ def stencil_gradient(field, x, cfg: FDConfig) -> np.ndarray:
 
     The one reader of the stencil table; field may be array-valued.
     """
-    offsets, coeffs = cfg.stencil
+    offsets, coeffs = _STENCILS[cfg.order]
     grad = []
     for k in range(x.size):
         acc = 0.0

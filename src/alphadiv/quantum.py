@@ -158,8 +158,6 @@ class PositiveOperator:
     def power(self, s) -> np.ndarray:
         """rho**s through the cached decomposition."""
         s = float(s)
-        if s == 0.0:
-            return np.eye(self.dim, dtype=complex)
         return self._spectral.matrix_function(lambda w: w**s)
 
     def __repr__(self):

@@ -168,7 +168,7 @@ def run_classical_suite(trials, seed, tol):
 
     worst = _worst(
         gate_error(
-            classical.dual_canonical_divergence(p, q, a),
+            classical.canonical_divergence_numeric(p, q, -a),
             classical.canonical_divergence_numeric(q, p, a),
         )
         for p, q in pairs[:25]
@@ -189,7 +189,7 @@ def run_classical_suite(trials, seed, tol):
         for a in ALPHA_GRID:
             values.append(classical.alpha_divergence_closed(p, q, a))
             ondiag.append(abs(classical.alpha_divergence_closed(p, p, a)))
-        values += [classical.kl_extended(p, q), classical.kl_extended_reversed(p, q)]
+        values += [classical.kl_extended(p, q), classical.kl_extended(q, p)]
         ondiag.append(abs(classical.kl_extended(p, p)))
     checks.append(_check("divergences nonnegative", _negativity(values), 1e-12))
     checks.append(_check("divergences vanish on the diagonal", _worst(ondiag), 1e-14))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphadiv import classical as cl
-from alphadiv.numkit import chart_exponent
+from alphadiv.numkit import NumericalDomainError, chart_exponent
 
 ALPHAS = (-0.9, -0.5, 0.0, 0.5, 0.9)
 
@@ -253,28 +253,54 @@ class TestCanonicalDivergence:
     def test_limit_toward_reversed_kl(self):
         p, q = [1.0, 1.0], [2.0, 1.0]
         value = cl.canonical_divergence_numeric(p, q, 1.0 - 1e-8)
-        assert abs(value - cl.kl_extended_reversed(p, q)) <= 1e-6
+        assert abs(value - cl.kl_extended(q, p)) <= 1e-6
+
+
+def within_gate_or_refused(p, q, alpha):
+    """The 64-node quadrature within 1e-9 relative of the closed form, or refused."""
+    closed = cl.alpha_divergence_closed(p, q, alpha)
+    try:
+        value = cl.canonical_divergence_numeric(p, q, alpha)
+    except NumericalDomainError:
+        return
+    assert abs(value - closed) <= 1e-9 * abs(closed), (value, closed)
+
+
+class TestSilentQuadratureErrors:
+    """Inputs outside verify's draws, where the quadrature answers wrong without a refusal."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="(b - a)**2 underflows for components below about 1e-162 at alpha = -0.9, "
+        "so the quadrature returns 0.0 against a closed form of 7.24e-301 (ROADMAP item 7)",
+    )
+    def test_tiny_measures_are_not_flushed_to_zero(self):
+        within_gate_or_refused([1e-300, 2e-300, 5e-301], [2e-300, 1e-300, 7e-301], -0.9)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="a component ratio of 5e6 puts the integrand's branch point just outside "
+        "[0, 1], where 64 nodes give 41.49 against 56.59 (ROADMAP item 2)",
+    )
+    def test_boundary_ratio_is_integrated_or_refused(self):
+        within_gate_or_refused([1e-6, 1.0, 5.0], [5.0, 1.0, 1e-6], -0.9)
 
 
 class TestDualDivergence:
     def test_zero_on_diagonal(self):
         p = np.array([0.7, 1.9])
-        assert cl.dual_canonical_divergence(p, p, 0.4) == 0.0
+        assert cl.canonical_divergence_numeric(p, p, -0.4) == 0.0
 
     def test_equals_argument_swap(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
             p, q = random_pair(rng, 3, 0.5, 3.0)
             for a in ALPHAS:
-                dual = cl.dual_canonical_divergence(p, q, a)
+                dual = cl.canonical_divergence_numeric(p, q, -a)
                 swapped = cl.canonical_divergence_numeric(q, p, a)
                 assert abs(dual - swapped) <= 1e-10
-
-    def test_self_dual_at_alpha_zero(self):
-        p, q = [1.0, 2.0], [2.0, 1.0]
-        assert cl.dual_canonical_divergence(p, q, 0.0) == cl.canonical_divergence_numeric(
-            p, q, 0.0
-        )
 
 
 class TestClosedForm:
@@ -381,19 +407,12 @@ class TestKL:
     def test_zero_on_diagonal(self):
         p = [0.5, 1.5, 2.5]
         assert cl.kl_extended(p, p) == 0.0
-        assert cl.kl_extended_reversed(p, p) == 0.0
 
     def test_worked_value(self):
         # -1 + 2 log 2
         assert cl.kl_extended([2.0, 1.0], [1.0, 1.0]) == pytest.approx(
             -1.0 + 2.0 * np.log(2.0), abs=1e-15
         )
-
-    def test_reversed_is_swap(self):
-        rng = np.random.default_rng(10)
-        for _ in range(20):
-            p, q = random_pair(rng, 4)
-            assert cl.kl_extended_reversed(p, q) == cl.kl_extended(q, p)
 
     def test_simplex_reduction(self):
         rng = np.random.default_rng(11)
