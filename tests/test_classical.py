@@ -302,6 +302,15 @@ class TestDualDivergence:
                 swapped = cl.canonical_divergence_numeric(q, p, a)
                 assert abs(dual - swapped) <= 1e-10
 
+    def test_self_dual_at_alpha_zero(self):
+        # alpha = 0 is the self-dual point: the divergence is symmetric in its arguments
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            p, q = random_pair(rng, 3, 0.5, 3.0)
+            forward = cl.canonical_divergence_numeric(p, q, 0.0)
+            assert forward > 0.0
+            assert abs(forward - cl.canonical_divergence_numeric(q, p, 0.0)) <= 1e-12 * forward
+
 
 class TestClosedForm:
     def test_zero_iff_equal(self):
