@@ -39,26 +39,29 @@ __all__ = [
 
 
 # Longest vector that as_measure checks, and _bregman_power_sum evaluates, in
-# plain Python rather than numpy.  A passing check costs about 1.0 us at 4
-# entries and 3.6 us at 32 in Python, against 4.4-5.7 us at any size through
-# numpy; the two meet near 48 entries.  The kernel alone meets numpy near
-# 24-28 entries.  A whole alpha_divergence_closed call at 16 / 24 entries
-# takes 18 / 22 us with the Python kernel against 24 / 25 us with numpy's;
-# at 32 it takes 29 us against 27 us, and 32 us with both on numpy, which is
-# what a lower cutoff would give it.  quantum_alpha_divergence_closed at dim 5
-# (25 pair entries) is even, 26 us either way.  (Medians of interleaved runs,
-# numpy 2.4, Python 3.11, 2-vCPU Xeon VM.)
+# plain Python rather than numpy.  A passing check (smallest entry positive,
+# sum finite) costs about 1.5 us at 4 entries and 2.3 us at 32 in Python,
+# against 6-8 us at 33-64 entries through numpy; the two meet near 64-96
+# entries.  The kernel alone meets numpy near 24-28 entries.  A whole
+# alpha_divergence_closed call at 16 / 24 entries takes 18 / 22 us with the
+# Python kernel against 24 / 25 us with numpy's; at 32 it takes 29 us against
+# 27 us, and 32 us with both on numpy, which is what a lower cutoff would give
+# it.  quantum_alpha_divergence_closed at dim 5 (25 pair entries) is even,
+# 26 us either way.  (Medians of interleaved runs, numpy 2.4, Python 3.11,
+# 2-vCPU Xeon VM; the check's figures are best of seven timeit runs.)
 _SMALL = 32
 
 
 def as_measure(p) -> np.ndarray:
     """Validate and return a strictly positive measure as a float vector."""
     p = np.asarray(p, dtype=float)
-    # each entry is compared on its own, so a NaN fails here (a min or max over
-    # the entries can skip one); a vector that fails goes on to the numpy
-    # checks, which name what is wrong with it
-    if p.ndim == 1 and 0 < p.size <= _SMALL and all(0.0 < x < math.inf for x in p.tolist()):
-        return p
+    # a min can skip a NaN, but a sum cannot: a NaN or an infinity makes the
+    # sum fail, and so does an overflow of finite entries; a vector that fails
+    # goes on to the numpy checks, which accept it or name what is wrong
+    if p.ndim == 1 and 0 < p.size <= _SMALL:
+        entries = p.tolist()
+        if 0.0 < min(entries) and sum(entries) < math.inf:
+            return p
     if p.ndim != 1 or p.size == 0:
         raise ValueError("a measure must be a nonempty 1-D vector")
     if not np.isfinite(p).all():

@@ -3,8 +3,9 @@
 Gauss-Legendre quadrature on [0, 1] and the node blocks its integrands run
 in, the Hermiticity check and the one positivity gate, Hermitian
 eigendecompositions, divided-difference derivatives of matrix power
-functions, and one central-difference gradient that mixed partials fold; a
-contrast's ValueError on a stencil is a numerical-domain error.
+functions, and central-difference mixed partials and gradients, which nest
+first-derivative stencils on one flat grid of stencil points; a contrast's
+ValueError on a stencil is a numerical-domain error.
 
 Every function here is a pure function of its inputs and deterministic for
 identical inputs, so results are safe to share between threads.  Reductions
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -378,21 +378,61 @@ _STENCILS = {
 }
 
 
+def _stencil_points(blocks, axes, shifts):
+    """Grid of nested first-derivative stencils; axes[j] is the block derivative j steps.
+
+    The grid's shape is (n_0, m, n_1, m, ...), n_j the size of derivative j's
+    block and m = len(shifts), the first derivative outermost.  At (k_0, o_0,
+    ...) each block is its vector plus shifts[o_j] at coordinate k_j for each
+    derivative j on it, added in derivative order as nested stencils add them.
+    Returns the shape and an iterator over the entries in C order, each one
+    point per block; a block's distinct points are built once.
+    """
+    shape, m = (), len(shifts)
+    points = [x[None] for x in blocks]  # rows in C order of the block's own steps
+    for axis in axes:
+        n, pts = blocks[axis].size, points[axis]
+        shape += (n, m)
+        stepped = np.broadcast_to(pts[:, None, None, :], (len(pts), n, m, n)).copy()
+        for k in range(n):
+            stepped[:, k, :, k] += shifts
+        # explicit sizes: a -1 cannot be worked out for an empty block
+        points[axis] = stepped.reshape(len(pts) * n * m, n)
+    rows = []  # each block's row at each entry, broadcast over the others' steps
+    for b, pts in enumerate(points):
+        own = [size if axes[j // 2] == b else 1 for j, size in enumerate(shape)]
+        rows.append(np.broadcast_to(np.arange(len(pts)).reshape(own), shape).ravel().tolist())
+    return shape, zip(*(map(list(pts).__getitem__, at) for pts, at in zip(points, rows)))
+
+
+def _stencil_derivative(evaluate, blocks, axes, cfg: FDConfig) -> np.ndarray:
+    """Nested stencils of evaluate(*points), one derivative per entry of axes.
+
+    Axis j of the result indexes the coordinate of blocks[axes[j]] that
+    derivative j acts on; trailing axes are those of evaluate's value.
+    evaluate runs once per grid entry, in grid order, and the offset axes are
+    then reduced innermost first with nested stencils' arithmetic, acc = acc +
+    c * v and then acc / step, over all other axes at once.  The one reader of
+    the stencil table.
+    """
+    offsets, coeffs = _STENCILS[cfg.order]
+    shape, entries = _stencil_points(blocks, axes, [off * cfg.step for off in offsets])
+    values = np.array([evaluate(*points) for points in entries])
+    values = values.reshape(shape + values.shape[1:])
+    for axis in range(2 * len(axes) - 1, 0, -2):
+        acc = 0.0
+        for o, c in enumerate(coeffs):
+            acc = acc + c * values.take(o, axis=axis)
+        values = acc / cfg.step
+    return values
+
+
 def stencil_gradient(field, x, cfg: FDConfig) -> np.ndarray:
     """``out[k] = sum_o c_o field(x + o step e_k) / step`` at a float vector x.
 
-    The one reader of the stencil table; field may be array-valued.
+    field may be array-valued, and a ValueError it raises propagates as it is.
     """
-    offsets, coeffs = _STENCILS[cfg.order]
-    grad = []
-    for k in range(x.size):
-        acc = 0.0
-        for off, c in zip(offsets, coeffs):
-            shifted = x.copy()
-            shifted[k] += off * cfg.step
-            acc = acc + c * field(shifted)
-        grad.append(acc / cfg.step)
-    return np.array(grad)
+    return _stencil_derivative(field, (x,), (0,), cfg)
 
 
 def mixed_partials(f, p, q, pattern, cfg: FDConfig | None = None) -> np.ndarray:
@@ -403,12 +443,15 @@ def mixed_partials(f, p, q, pattern, cfg: FDConfig | None = None) -> np.ndarray:
     derivative acts on.  "pq" gives the matrix d^2 f / dp_i dq_j, "ppq" the
     rank-3 array d^3 f / dp_i dp_j dq_k, "qqp" its primed-block mirror, and
     "ppqq" the rank-4 array of the curvature check.  Evaluating the same block
-    twice (p == q is the standard use) is supported.  Each character wraps f
-    in one more :func:`stencil_gradient`, the last innermost, so a pattern of
-    k characters over n coordinates evaluates f (n * len(stencil))**k times.
+    twice (p == q is the standard use) is supported.  The estimate nests one
+    first-derivative stencil per character, the first outermost, on one flat
+    grid of stencil points: a pattern of k characters over n coordinates
+    evaluates f (n * len(stencil))**k times, in the order nested stencils
+    would, and with their arithmetic.
 
     A non-finite value of f on the stencil, or a ValueError f raises there (a
-    point off its domain), raises :class:`NumericalDomainError` naming the point.
+    point off its domain), raises :class:`NumericalDomainError` naming the
+    first such point in that order.
     """
     cfg = cfg if cfg is not None else FDConfig()
     p = np.asarray(p, dtype=float)
@@ -431,11 +474,4 @@ def mixed_partials(f, p, q, pattern, cfg: FDConfig | None = None) -> np.ndarray:
             )
         return v
 
-    def partial(field, block):  # field(p, q) -> its gradient over one block
-        if block == "p":
-            return lambda p, q: stencil_gradient(lambda x: field(x, q), p, cfg)
-        return lambda p, q: stencil_gradient(lambda x: field(p, x), q, cfg)
-
-    # an empty block yields a 1-D empty gradient; the reshape restores every axis
-    shape = tuple(p.size if c == "p" else q.size for c in pattern)
-    return reduce(partial, reversed(pattern), value)(p, q).reshape(shape)
+    return _stencil_derivative(value, (p, q), ["pq".index(c) for c in pattern], cfg)

@@ -64,6 +64,15 @@ class TestValidation:
         arr = np.arange(1.0, n + 1.0)
         assert cl.as_measure(arr) is arr
 
+    @pytest.mark.parametrize("n", [2, cl._SMALL])
+    def test_finite_vector_whose_sum_overflows_is_accepted(self, n):
+        # the short check's Python sum is inf; the numpy checks accept the vector
+        vec = [1.7e308] * n
+        assert sum(vec) == np.inf
+        assert np.array_equal(cl.as_measure(vec), vec)
+        arr = np.array(vec)
+        assert cl.as_measure(arr) is arr
+
     def test_small_vectors_skip_the_numpy_checks(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("numpy check reached")

@@ -1,3 +1,5 @@
+import functools
+import math
 import re
 import tracemalloc
 
@@ -421,6 +423,124 @@ class TestDividedDifferences:
         for spectra in (w, w[0]):  # a stack of spectra and a single one
             table = power_divided_differences(spectra, s)
             assert table.tobytes() == self.full_grid(spectra, s).tobytes()
+
+
+def reference_gradient(field, x, cfg):
+    """The nested stencil's gradient: one shifted copy of x per field call."""
+    offsets, coeffs = numkit._STENCILS[cfg.order]
+    grad = []
+    for k in range(x.size):
+        acc = 0.0
+        for off, c in zip(offsets, coeffs):
+            shifted = x.copy()
+            shifted[k] += off * cfg.step
+            acc = acc + c * field(shifted)
+        grad.append(acc / cfg.step)
+    return np.array(grad)
+
+
+def reference_partials(f, p, q, pattern, cfg):
+    """mixed_partials as a fold of reference_gradient, the last character innermost."""
+
+    def value(p, q):
+        try:
+            v = float(f(p, q))
+        except ValueError as exc:
+            raise NumericalDomainError(
+                f"function is undefined on the stencil at p={p!r}, q={q!r}: {exc}"
+            ) from exc
+        if not math.isfinite(v):
+            raise NumericalDomainError(
+                f"function value is not finite on the stencil at p={p!r}, q={q!r}"
+            )
+        return v
+
+    def partial(field, block):
+        if block == "p":
+            return lambda p, q: reference_gradient(lambda x: field(x, q), p, cfg)
+        return lambda p, q: reference_gradient(lambda x: field(p, x), q, cfg)
+
+    shape = tuple(p.size if c == "p" else q.size for c in pattern)
+    return functools.reduce(partial, reversed(pattern), value)(p, q).reshape(shape)
+
+
+def outcome(estimate, f, *args):
+    """(result bytes or refusal message, the (p, q) bytes of every call of f)."""
+    calls = []
+
+    def recorded(x, y):
+        calls.append((x.tobytes(), y.tobytes()))
+        return f(x, y)
+
+    try:
+        result = estimate(recorded, *args).tobytes()
+    except NumericalDomainError as exc:
+        result = str(exc)
+    return result, calls
+
+
+class TestFlatStencilGrid:
+    """The flat grid against the nested stencils it replaced, bit for bit."""
+
+    P = np.array([0.3, 1.1])
+    Q = np.array([0.7, 0.45, 1.3])
+
+    @staticmethod
+    def smooth(x, y):
+        return float(np.exp(0.4 * x[0] - y[-1]) * np.log1p(x @ x + 0.3 * y.sum()) + x[-1] * y[0] ** 3)
+
+    @pytest.mark.parametrize("pattern", ["p", "q", "pq", "qp", "ppq", "qqp", "pqp", "ppqq"])
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("blocks", ["equal", "unequal"])
+    @pytest.mark.parametrize("kind", ["smooth", "refusing", "infinite"])
+    def test_same_calls_and_bits_as_the_nested_stencils(self, pattern, order, blocks, kind):
+        cfg = FDConfig(1e-2, order)
+        p, q = (self.P, self.P) if blocks == "equal" else (self.P, self.Q)
+        up, down = p.sum() + q.sum() + 1.5 * cfg.step, p[0] + q[0] - 1.5 * cfg.step
+
+        def refusing(x, y):  # off the domain two steps up the coordinate sum
+            if x.sum() + y.sum() > up:
+                raise ValueError("off the domain")
+            return self.smooth(x, y)
+
+        def infinite(x, y):  # infinite two steps down p_0 + q_0
+            return np.inf if x[0] + y[0] < down else self.smooth(x, y)
+
+        f = {"smooth": self.smooth, "refusing": refusing, "infinite": infinite}[kind]
+        flat = outcome(mixed_partials, f, p, q, pattern, cfg)
+        nested = outcome(reference_partials, f, p, q, pattern, cfg)
+        assert flat[0] == nested[0]
+        assert flat[1] == nested[1]
+        # a smooth f gives a value; the others refuse once two steps can reach
+        assert isinstance(flat[0], bytes) == (kind == "smooth" or (order == 2 and len(pattern) == 1))
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_gradient_of_an_array_field_matches_the_nested_stencil(self, order):
+        def field(x):
+            return np.array([[x[0] * np.sin(x[1]), np.exp(x[0] - x[2])], [x[1] ** 3, 1.0 / x[2]]])
+
+        x = np.array([0.3, 1.1, 0.7])
+        cfg = FDConfig(1e-3, order)
+        grad = stencil_gradient(field, x, cfg)
+        assert grad.shape == (3, 2, 2)
+        assert grad.tobytes() == reference_gradient(field, x, cfg).tobytes()
+
+    def test_gradient_lets_a_field_value_error_through(self):
+        # only mixed_partials maps a contrast's ValueError to a domain error
+        def field(x):
+            raise ValueError("field refused")
+
+        with pytest.raises(ValueError, match="^field refused$") as info:
+            stencil_gradient(field, np.ones(2), FDConfig())
+        assert type(info.value) is ValueError
+
+    @pytest.mark.parametrize("pattern, shape", [("pq", (2, 0)), ("qp", (0, 2)), ("ppq", (2, 2, 0))])
+    def test_empty_block_never_calls_f(self, pattern, shape):
+        def f(x, y):
+            raise AssertionError("f called")
+
+        out = mixed_partials(f, np.ones(2), np.empty(0), pattern)
+        assert out.shape == shape and out.dtype == np.float64
 
 
 class TestMixedPartials:

@@ -10,9 +10,10 @@ memo of ``operator_from_chart``.
 Each convention shared by several operations, such as the chart exponent
 beta = (1 - alpha)/2, is written once, and so is each refusal: the positivity
 gate, the gate error of the quadrature checks, and the refusal of a stencil
-point off a contrast's domain, which no command re-decides.  Every name a
-module exports is used by the package itself, except the reference metric
-the tests hold others against.
+point off a contrast's domain, which no command re-decides.  Mixed partials
+and gradients share one stencil grid, the one reader of the stencil table.
+Every name a module exports is used by the package itself, except the
+reference metric the tests hold others against.
 """
 
 import ast
@@ -58,6 +59,16 @@ def test_eigh_is_called_only_in_the_two_decomposing_places():
         or (isinstance(n, ast.alias) and n.name.split(".")[-1] == "eigh")
     )
     assert sorted(mentions) == sorted(calls)
+
+
+def test_stencil_table_is_read_in_one_place():
+    # mixed partials and the gradient share one stencil grid and contraction
+    reads = sites(
+        lambda n: (isinstance(n, ast.Name) and n.id == "_STENCILS" and isinstance(n.ctx, ast.Load))
+        or (isinstance(n, ast.Attribute) and n.attr == "_STENCILS")
+        or (isinstance(n, ast.alias) and n.name == "_STENCILS")
+    )
+    assert reads == [("numkit", "_stencil_derivative")]
 
 
 def test_positive_operator_bypasses_init_only_in_the_inverse_chart():
