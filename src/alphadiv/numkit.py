@@ -16,6 +16,7 @@ deterministic for a given input shape.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,6 +243,8 @@ def as_hermitian(m) -> np.ndarray:
     HERMITICITY_RTOL * ||m||_F; the zero matrix passes.  Both norms are taken
     on m divided by a power of two near max|m_ij|, which is exact, so the
     squares inside the norms cannot overflow and the verdict is that of m.
+    That power is at least the smallest normal float: numpy's complex
+    division takes its reciprocal, which would overflow below it.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
@@ -249,7 +252,8 @@ def as_hermitian(m) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     peak = float(abs(m).max())
-    unit = math.ldexp(0.5, math.frexp(peak)[1])  # a power of two in (peak/2, peak]
+    # a power of two in (peak/2, peak], or the smallest normal float
+    unit = max(math.ldexp(0.5, math.frexp(peak)[1]), sys.float_info.min)
     scaled = m / unit
     scale = float(np.linalg.norm(scaled))
     defect = float(np.linalg.norm(scaled - scaled.conj().T))

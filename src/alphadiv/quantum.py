@@ -11,9 +11,10 @@ alpha-divergence.
 Operators are wrapped in :class:`PositiveOperator`, which validates
 Hermiticity and positivity once and caches the spectral decomposition.
 Powers are taken through that cache, and the closed forms are the classical
-kernels on the Nussbaum-Szkola pair built from two cached eigensystems.  The
-inverse of the flat chart (geodesic points, :func:`operator_from_chart`) is
-built from the decomposition of the chart matrix, not decomposed again, and
+kernels on the Nussbaum-Szkola pair built from two cached eigensystems (its
+exact zeros dropped; with none, no copy is made).  The inverse of the flat
+chart (geodesic points, :func:`operator_from_chart`) is built from the
+decomposition of the chart matrix, not decomposed again, and
 :func:`operator_from_chart` keeps the last 64 points it built: a repeated chart
 point returns the one shared immutable instance built for it first.  The
 quadrature integrand alone decomposes the geodesic interpolant, in batches,
@@ -171,7 +172,7 @@ def as_positive(rho) -> PositiveOperator:
 def _positive_pair(rho1, rho2):
     rho1 = as_positive(rho1)
     rho2 = as_positive(rho2)
-    if rho1.dim != rho2.dim:
+    if rho1._matrix.shape != rho2._matrix.shape:
         raise ValueError(f"operators must share a dimension, got {rho1.dim} and {rho2.dim}")
     return rho1, rho2
 
@@ -183,22 +184,26 @@ def _tangent_at(rho: PositiveOperator, x) -> np.ndarray:
     return x
 
 
-def _same_operator(rho1: PositiveOperator, rho2: PositiveOperator) -> bool:
-    return rho1 is rho2 or np.array_equal(rho1.matrix, rho2.matrix)
-
-
 def _spectral_pair(rho1: PositiveOperator, rho2: PositiveOperator):
     """Nussbaum-Szkola pair p_ij = l_i |<u_i|v_j>|^2, q_ij = m_j |<u_i|v_j>|^2.
 
-    Exact zeros (orthogonal eigenvectors) are dropped; identical operators
-    give (l, l), on which the shared kernels return exactly 0.0.
+    Entries where p or q is an exact zero (orthogonal eigenvectors, or a
+    product that underflows) are dropped and the rest kept in row-major
+    order; when nothing is dropped, the pair is the two flattened tables, no
+    copy made.  Identical operators give (l, l), one array twice, on which
+    the shared kernels return exactly 0.0.
     """
-    if _same_operator(rho1, rho2):
-        return rho1.eigenvalues, rho1.eigenvalues
-    overlap = np.abs(rho1.spectral.eigenvectors.conj().T @ rho2.spectral.eigenvectors) ** 2
-    p = rho1.eigenvalues[:, None] * overlap
-    q = rho2.eigenvalues * overlap
-    keep = (p != 0.0) & (q != 0.0)
+    s1 = rho1._spectral
+    # the same stored matrix (shapes already match); -0.0 equals 0.0
+    if rho1 is rho2 or (rho1._matrix == rho2._matrix).all():
+        return s1.eigenvalues, s1.eigenvalues
+    s2 = rho2._spectral
+    overlap = np.abs(s1.eigenvectors.conj().T @ s2.eigenvectors) ** 2
+    p = s1.eigenvalues[:, None] * overlap
+    q = s2.eigenvalues * overlap
+    keep = np.logical_and(p, q)
+    if keep.all():
+        return p.ravel(), q.ravel()
     return p[keep], q[keep]
 
 
@@ -467,9 +472,9 @@ def furuichi_q_divergence(rho1, rho2, qparam) -> float:
     qparam = float(qparam)
     if not (0.0 <= qparam < 1.0):
         raise ValueError(f"q must lie in [0, 1), got {qparam}")
-    if _same_operator(rho1, rho2):
-        return 0.0
     p, q = _spectral_pair(rho1, rho2)
+    if p is q:
+        return 0.0
     return float(p.sum() - (p**qparam * q ** (1.0 - qparam)).sum()) / (1.0 - qparam)
 
 

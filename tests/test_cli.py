@@ -164,6 +164,28 @@ class TestDivergenceCommand:
         assert case["value"] == 0.0
         assert case["abs_error"] == 0.0
 
+    # a and b load as two operators with one matrix: every closed form, and
+    # the quadrature, is exactly zero on them
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--family", "alpha", "--alpha", "0.5", "--method", "both"],
+            ["--family", "relative-entropy"],
+            ["--family", "tsallis", "--q", "0.4"],
+            ["--family", "furuichi", "--q", "0.4"],
+        ],
+        ids=["alpha-both", "relative-entropy", "tsallis", "furuichi"],
+    )
+    def test_equal_operators_are_exactly_zero(self, tmp_path, capsys, argv):
+        path = tmp_path / "same.json"
+        m = [[[2.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]]]
+        path.write_text(json.dumps({"kind": "quantum", "objects": {"a": m, "b": m}}))
+        assert main(["divergence", str(path), "--pairs", "a:b"] + argv) == 0
+        [case] = json.loads(capsys.readouterr().out)["cases"]
+        assert case["value"] == 0.0
+        if "both" in argv:
+            assert case["reference"] == 0.0
+
     def test_quantum_worked_value(self, quantum_doc, capsys):
         rc = main(
             ["divergence", quantum_doc, "--family", "canonical", "--alpha", "0",

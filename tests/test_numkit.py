@@ -237,6 +237,17 @@ class TestHermitianEig:
         rho = PositiveOperator(1e200 * np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert np.allclose(rho.eigenvalues, [1e200, 3e200], rtol=1e-12, atol=0)
 
+    def test_subnormal_entries_do_not_hide_asymmetry(self):
+        # the rescaling divisor is at least the smallest normal float: the
+        # reciprocal of a smaller power of two overflows, and NaN norms would
+        # pass any matrix
+        tiny = 2.0**-1070
+        for validate in (hermitian_eig, PositiveOperator):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                validate(tiny * np.array([[1.0, 1.0], [0.0, 1.0]]))
+        rho = PositiveOperator(tiny * np.array([[2.0, 1.0], [1.0, 2.0]]))
+        assert np.array_equal(rho.matrix, tiny * np.array([[2.0, 1.0], [1.0, 2.0]]))
+
     def test_rejects_non_finite_entries(self):
         with pytest.raises(ValueError, match="^matrix entries must be finite$"):
             as_hermitian(np.array([[1.0, np.nan], [np.nan, 1.0]]))

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -867,6 +868,153 @@ class TestClosedFormsAgainstMatrixFunctions:
         for a in ALPHAS:
             values = [qm.quantum_alpha_divergence_closed(r, other, a) for r in scalars]
             assert max(values) - min(values) <= ORACLE_RTOL * abs(values[0])
+
+
+def reference_same(rho1, rho2):
+    return rho1 is rho2 or np.array_equal(rho1.matrix, rho2.matrix)
+
+
+def reference_spectral_pair(rho1, rho2):
+    """The Nussbaum-Szkola pair as two boolean-indexed copies, built through
+    the public properties: the reference qm._spectral_pair must match bit
+    for bit."""
+    if reference_same(rho1, rho2):
+        return rho1.eigenvalues, rho1.eigenvalues
+    overlap = np.abs(rho1.spectral.eigenvectors.conj().T @ rho2.spectral.eigenvectors) ** 2
+    p = rho1.eigenvalues[:, None] * overlap
+    q = rho2.eigenvalues * overlap
+    keep = (p != 0.0) & (q != 0.0)
+    return p[keep], q[keep]
+
+
+def closed_forms(rho1, rho2):
+    """Every closed form of the module on one pair, keyed by form."""
+    values = {f"alpha {a}": qm.quantum_alpha_divergence_closed(rho1, rho2, a) for a in ALPHAS}
+    for qp in (0.25, 0.5, 0.75):
+        values[f"q {qp}"] = qm.quantum_q_divergence(rho1, rho2, qp)
+    for qp in (0.0, 0.25, 0.5, 0.75):
+        values[f"furuichi {qp}"] = qm.furuichi_q_divergence(rho1, rho2, qp)
+    values["relent"] = qm.quantum_relative_entropy(rho1, rho2)
+    values["relent extended"] = qm.quantum_relative_entropy(rho1, rho2, extended=True)
+    return values
+
+
+def reference_closed_forms(rho1, rho2):
+    """closed_forms written out on the reference pair and the shared kernels."""
+    p, q = reference_spectral_pair(rho1, rho2)
+    values = {}
+    for a in ALPHAS:
+        beta = chart_exponent(a)
+        values[f"alpha {a}"] = cl._bregman_power_sum(p, q, beta) / (1.0 - beta)
+    for qp in (0.25, 0.5, 0.75):
+        values[f"q {qp}"] = qp * cl._bregman_power_sum(p, q, qp) / (1.0 - qp)
+    for qp in (0.0, 0.25, 0.5, 0.75):
+        furuichi = float(p.sum() - (p**qp * q ** (1.0 - qp)).sum()) / (1.0 - qp)
+        values[f"furuichi {qp}"] = 0.0 if reference_same(rho1, rho2) else furuichi
+    values["relent"] = float(np.sum(p * np.log(p / q)))
+    values["relent extended"] = cl._kl_sum(p, q)
+    return values
+
+
+def seeded_pairs(dim):
+    rng = np.random.default_rng(800 + dim)
+    return [(rand_pd(rng, dim), rand_pd(rng, dim)) for _ in range(3)]
+
+
+def block_diagonal_pair():
+    rng = np.random.default_rng(71)
+
+    def block_diagonal():
+        m = np.zeros((5, 5), dtype=complex)
+        m[:2, :2] = rand_pd(rng, 2).matrix
+        m[2:, 2:] = rand_pd(rng, 3).matrix
+        return qm.PositiveOperator(m)
+
+    return [(block_diagonal(), block_diagonal())]
+
+
+def commuting_pairs():
+    rng = np.random.default_rng(81)
+    return [
+        (qm.PositiveOperator(np.diag(p)), qm.PositiveOperator(np.diag(q)))
+        for p, q in rng.uniform(0.2, 4.0, (3, 2, 4))
+    ]
+
+
+def identical_instance():
+    rho = rand_pd(np.random.default_rng(82), 3)
+    return [(rho, rho)]
+
+
+def chart_and_constructor():
+    # the matrix _from_chart stores is Hermitian to the bit, so the
+    # constructor stores it unchanged but decomposes it again
+    rng = np.random.default_rng(83)
+    charted = qm.PositiveOperator._from_chart(rand_pd(rng, 3).matrix, 0.25)
+    built = qm.PositiveOperator(charted.matrix)
+    assert built.matrix.tobytes() == charted.matrix.tobytes()
+    return [(built, charted), (charted, built)]
+
+
+def underflowing_pair():
+    # eigenvalues of order 2**-1070 times small overlaps fall below 2**-1075
+    # and round to 0.0
+    rng = np.random.default_rng(900)
+    r1, r2 = (qm.PositiveOperator(2.0**-1070 * rand_pd(rng, 4).matrix) for _ in range(2))
+    overlap = np.abs(r1.spectral.eigenvectors.conj().T @ r2.spectral.eigenvectors) ** 2
+    assert (overlap != 0.0).all()
+    assert (r1.eigenvalues[:, None] * overlap == 0.0).any()
+    return [(r1, r2)]
+
+
+PAIR_CASES = {
+    **{f"dim {dim}": functools.partial(seeded_pairs, dim) for dim in range(1, 9)},
+    "block diagonal": block_diagonal_pair,
+    "commuting": commuting_pairs,
+    "identical instance": identical_instance,
+    "chart and constructor": chart_and_constructor,
+    "underflowing": underflowing_pair,
+}
+
+
+class TestSpectralPairAgainstReference:
+    """qm._spectral_pair and the closed forms on it match the reference
+    pair bit for bit, on both of its branches and both sides of the shared
+    kernel's plain-Python cutoff (dims 5 and 6: 25 and 36 entries)."""
+
+    @pytest.mark.parametrize("case", PAIR_CASES)
+    def test_pair_and_closed_forms_are_bit_identical(self, case):
+        for r1, r2 in PAIR_CASES[case]():
+            pair = qm._spectral_pair(r1, r2)
+            reference = reference_spectral_pair(r1, r2)
+            for got, want in zip(pair, reference):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            assert closed_forms(r1, r2) == reference_closed_forms(r1, r2)
+
+    @pytest.mark.parametrize(
+        "case, dropped",
+        [("block diagonal", True), ("commuting", True), ("underflowing", True), ("dim 5", False)],
+    )
+    def test_cases_reach_the_branch_they_cover(self, case, dropped):
+        for r1, r2 in PAIR_CASES[case]():
+            p, _ = reference_spectral_pair(r1, r2)
+            assert (p.size < r1.dim**2) == dropped
+
+
+class TestEqualOperators:
+    def test_signed_zero_entries_count_as_equal(self):
+        # the stored matrices differ only in the sign of zero entries; with
+        # the pair built from the two eigensystems the alpha form is about
+        # 1e-33, not 0.0
+        m = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 3.0]], dtype=complex)
+        signed = m.copy()
+        signed[0, 2] = complex(-0.0, 0.0)
+        signed[2, 0] = complex(-0.0, -0.0)
+        r1, r2 = qm.PositiveOperator(m), qm.PositiveOperator(signed)
+        assert r1.matrix.tobytes() != r2.matrix.tobytes()
+        assert np.array_equal(r1.matrix, r2.matrix)
+        assert set(closed_forms(r1, r2).values()) == {0.0}
 
 
 # Relative error bounds against 60-digit arithmetic, each set from the worst
