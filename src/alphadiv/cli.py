@@ -194,7 +194,7 @@ _EVALUATORS = {
     ),
     ("quantum", "alpha"): lambda x, y, a, q, rule: quantum.quantum_alpha_divergence_closed(x, y, a),
     ("quantum", "relative-entropy"): (
-        lambda x, y, a, q, rule: quantum.quantum_relative_entropy(x, y, extended=True)
+        lambda x, y, a, q, rule: quantum.quantum_relative_entropy(x, y)
     ),
     ("quantum", "tsallis"): lambda x, y, a, q, rule: quantum.quantum_q_divergence(x, y, q),
     ("quantum", "furuichi"): lambda x, y, a, q, rule: quantum.furuichi_q_divergence(x, y, q),

@@ -1,11 +1,13 @@
 """Shared numerical kernels.
 
 Gauss-Legendre quadrature on [0, 1] and the node blocks its integrands run
-in, the Hermiticity check and the one positivity gate, Hermitian
-eigendecompositions, divided-difference derivatives of matrix power
-functions, and central-difference mixed partials and gradients, which nest
-first-derivative stencils on one flat grid of stencil points; a contrast's
-ValueError on a stencil is a numerical-domain error.
+in, the one gate of each parameter (alpha in :func:`chart_exponent`, q in
+:func:`check_q`, t in :func:`check_t`), the Hermiticity check and the one
+positivity gate, Hermitian eigendecompositions, divided-difference
+derivatives of matrix power functions, and central-difference mixed partials
+and gradients, which nest first-derivative stencils on one flat grid of
+stencil points; a contrast's ValueError on a stencil is a numerical-domain
+error.
 
 Every function here is a pure function of its inputs and deterministic for
 identical inputs, so results are safe to share between threads.  Reductions
@@ -35,7 +37,6 @@ __all__ = [
     "as_hermitian",
     "blockwise",
     "chart_exponent",
-    "check_alpha",
     "check_q",
     "check_t",
     "frechet_from_decomposition",
@@ -78,14 +79,14 @@ class NotPositiveDefiniteError(NumericalDomainError):
         self.smallest = smallest
 
 
-def check_alpha(alpha, geodesic=False):
-    """Validate the interpolation parameter alpha and return it as a float.
+def chart_exponent(alpha, geodesic=False) -> float:
+    """beta = (1 - alpha)/2 of the flat chart x -> x**beta / beta, alpha validated.
 
     Divergence evaluations require alpha strictly inside (-1, 1); the limits
     have dedicated entropy operations and silently clamping would mask the
     2/(1 - alpha) singularity.  Geodesic-side operations (``geodesic=True``)
-    additionally accept the mixture endpoint alpha = -1, where every formula
-    stays regular.
+    additionally accept the mixture endpoint alpha = -1 (beta = 1), where
+    every formula stays regular.
     """
     alpha = float(alpha)
     if not math.isfinite(alpha):
@@ -100,12 +101,7 @@ def check_alpha(alpha, geodesic=False):
             f"alpha must lie strictly inside (-1, 1), got {alpha}; "
             "use the dedicated entropy operations for the limits"
         )
-    return alpha
-
-
-def chart_exponent(alpha, geodesic=False) -> float:
-    """beta = (1 - alpha)/2 of the flat chart x -> x**beta / beta, alpha as in check_alpha."""
-    return 0.5 * (1.0 - check_alpha(alpha, geodesic))
+    return 0.5 * (1.0 - alpha)
 
 
 def check_q(q) -> float:

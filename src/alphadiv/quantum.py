@@ -10,9 +10,10 @@ alpha-divergence.
 
 Operators are wrapped in :class:`PositiveOperator`, which validates
 Hermiticity and positivity once and caches the spectral decomposition.
-Powers are taken through that cache, and the closed forms are the classical
-kernels on the Nussbaum-Szkola pair built from two cached eigensystems (its
-exact zeros dropped; with none, no copy is made).  The inverse of the flat
+Powers are taken through that cache, and the closed forms are sums over the
+Nussbaum-Szkola pair built from two cached eigensystems (its exact zeros
+dropped; with none, no copy is made), all but Furuichi's the classical
+kernels; the relative entropy is the extended one.  The inverse of the flat
 chart (geodesic points, :func:`operator_from_chart`) is built from the
 decomposition of the chart matrix, not decomposed again, and
 :func:`operator_from_chart` keeps the last 64 points it built: a repeated chart
@@ -437,17 +438,16 @@ def quantum_alpha_divergence_closed(rho1, rho2, alpha) -> float:
     return _bregman_power_sum(*pair, beta) / (1.0 - beta)
 
 
-def quantum_relative_entropy(rho1, rho2, extended=False) -> float:
-    """Tr(rho1 (log rho1 - log rho2)) on the Nussbaum-Szkola pair.
+def quantum_relative_entropy(rho1, rho2) -> float:
+    """Tr(rho2 - rho1 + rho1 log rho1 - rho1 log rho2) on the Nussbaum-Szkola pair.
 
-    With ``extended=True`` the positive-measure form
-    Tr(rho2 - rho1 + rho1 log rho1 - rho1 log rho2) is returned, which is the
-    alpha -> -1 limit of the quantum alpha-divergence on non-normalized
-    operators; the two forms coincide on density operators.  The plain form
-    is summed directly: the extended one minus Tr(rho2 - rho1) would cancel.
+    The extended quantum relative entropy, the alpha -> -1 limit of the
+    quantum alpha-divergence on the whole positive cone; on density operators
+    it is Tr(rho1 (log rho1 - log rho2)).  Summed by the classical kernel of
+    :func:`classical.kl_extended`, so it returns exactly 0.0 for identical
+    operators.
     """
-    p, q = _spectral_pair(*_positive_pair(rho1, rho2))
-    return _kl_sum(p, q) if extended else float(np.sum(p * np.log(p / q)))
+    return _kl_sum(*_spectral_pair(*_positive_pair(rho1, rho2)))
 
 
 def quantum_q_divergence(rho1, rho2, qparam) -> float:
@@ -462,17 +462,14 @@ def quantum_q_divergence(rho1, rho2, qparam) -> float:
 
 
 def furuichi_q_divergence(rho1, rho2, qparam) -> float:
-    """(Tr rho1 - Tr(rho1**q rho2**(1-q))) / (1 - q), 0 <= q < 1.
+    """(Tr rho1 - Tr(rho1**q rho2**(1-q))) / (1 - q), 0 < q < 1.
 
     Reduces to the Tsallis relative entropy on density operators, where it
     agrees with :func:`quantum_q_divergence`; on non-normalized operators the
     two differ by Tr(rho2 - rho1).
     """
-    rho1, rho2 = _positive_pair(rho1, rho2)
-    qparam = float(qparam)
-    if not (0.0 <= qparam < 1.0):
-        raise ValueError(f"q must lie in [0, 1), got {qparam}")
-    p, q = _spectral_pair(rho1, rho2)
+    p, q = _spectral_pair(*_positive_pair(rho1, rho2))
+    qparam = check_q(qparam)
     if p is q:
         return 0.0
     return float(p.sum() - (p**qparam * q ** (1.0 - qparam)).sum()) / (1.0 - qparam)

@@ -163,6 +163,12 @@ def curvature_max(divergence, structure: RecoveredStructure) -> float:
     ``CURVATURE_MAX_DIM`` coordinates (P has n**4 entries); above that raises
     ValueError.  A stencil point off the contrast's domain raises as in
     :func:`recover_structure`.
+
+    On a sum over components (the classical alpha-divergences in measure
+    coordinates) and in the quantum alpha-chart, each of the three terms of R
+    is symmetric in (i, j) by itself, so R is zero whatever the formula does
+    with them: a flatness check there detects a NaN or a stencil failure, not
+    an error in the curvature formula.
     """
     point = structure.point
     n = point.size

@@ -239,7 +239,16 @@ class TestDivergenceCommand:
         )
         assert rc == 0
         case = json.loads(capsys.readouterr().out)["cases"][0]
-        assert case["value"] > 0.0
+        # the extended form on the README pair, 3 ln 3 - 2 ln 2 - 1
+        assert abs(case["value"] - (3 * np.log(3) - 2 * np.log(2) - 1)) <= 1e-12
+
+    def test_furuichi_at_q_zero_is_usage_error(self, quantum_doc, capsys):
+        # at q = 0 the form is the trace gap Tr rho1 - Tr rho2 alone
+        argv = ["divergence", quantum_doc, "--family", "furuichi", "--q", "0", "--pairs", "rho2:rho1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: q must lie strictly inside (0, 1), got 0.0\n"
 
     @pytest.mark.parametrize(
         "kind, argv",

@@ -19,7 +19,6 @@ from alphadiv.numkit import (
     as_hermitian,
     blockwise,
     chart_exponent,
-    check_alpha,
     check_q,
     frechet_from_decomposition,
     gauss_legendre_rule,
@@ -678,38 +677,44 @@ class TestMixedPartials:
             FDConfig(order=3)
 
 
-class TestCheckAlpha:
+# the two out-of-range refusals of chart_exponent, by whether the mixture
+# endpoint alpha = -1 is admitted
+RANGE_MESSAGES = {
+    False: "alpha must lie strictly inside (-1, 1), got {}; "
+    "use the dedicated entropy operations for the limits",
+    True: "alpha must lie in [-1, 1) for geodesic operations, got {}",
+}
+
+
+class TestChartExponentGate:
     def test_open_interval_for_divergences(self):
-        assert check_alpha(0.5) == 0.5
+        assert chart_exponent(0.5) == 0.25
         for bad in (-1.0, 1.0, -1.5, 2.0, np.inf, np.nan):
             with pytest.raises(ValueError):
-                check_alpha(bad)
+                chart_exponent(bad)
 
     def test_non_finite_alpha_message(self):
         for bad in (np.nan, np.inf):
             for geodesic in (False, True):
                 with pytest.raises(ValueError, match="^alpha must be finite$"):
-                    check_alpha(bad, geodesic=geodesic)
+                    chart_exponent(bad, geodesic=geodesic)
 
     def test_mixture_endpoint_allowed_for_geodesics(self):
-        assert check_alpha(-1.0, geodesic=True) == -1.0
+        assert chart_exponent(-1.0, geodesic=True) == 1.0
         with pytest.raises(ValueError):
-            check_alpha(1.0, geodesic=True)
+            chart_exponent(1.0, geodesic=True)
 
     @pytest.mark.parametrize("geodesic", [False, True])
-    def test_chart_exponent_validates_like_check_alpha(self, geodesic):
-        for alpha in (-1.5, -1.0, -0.5, 0, 0.3, np.float64(0.9), 1.0, 2.0, np.inf, np.nan):
-            try:
-                checked = check_alpha(alpha, geodesic=geodesic)
-            except ValueError as exc:
-                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-                    chart_exponent(alpha, geodesic=geodesic)
-            else:
-                beta = chart_exponent(alpha, geodesic=geodesic)
-                assert type(beta) is float and beta == 0.5 * (1.0 - checked)
-
-    def test_chart_exponent_at_the_mixture_endpoint(self):
-        assert chart_exponent(-1.0, geodesic=True) == 1.0
+    def test_range_messages_and_returned_beta(self, geodesic):
+        admitted = [-0.5, 0, 0.3, np.float64(0.9)] + ([-1.0] if geodesic else [])
+        for alpha in admitted:
+            beta = chart_exponent(alpha, geodesic=geodesic)
+            assert type(beta) is float and beta == 0.5 * (1.0 - float(alpha))
+        refused = [-1.5, 1.0, 2.0, np.float64(1.0)] + ([] if geodesic else [-1.0])
+        for alpha in refused:
+            message = RANGE_MESSAGES[geodesic].format(float(alpha))
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                chart_exponent(alpha, geodesic=geodesic)
 
 
 class TestCheckQ:

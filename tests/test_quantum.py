@@ -632,15 +632,12 @@ class TestQuantumRelativeEntropy:
         rho = qm.PositiveOperator(WORKED_PAIR[0])
         same = qm.PositiveOperator(WORKED_PAIR[0])
         assert qm.quantum_relative_entropy(rho, same) == 0.0
-        assert qm.quantum_relative_entropy(rho, same, extended=True) == 0.0
 
     def test_diagonal_reduction(self):
         p = np.array([2.0, 1.0])
         q = np.array([1.0, 1.0])
-        extended = qm.quantum_relative_entropy(np.diag(p), np.diag(q), extended=True)
-        assert abs(extended - cl.kl_extended(p, q)) <= 1e-13
-        plain = qm.quantum_relative_entropy(np.diag(p), np.diag(q))
-        assert abs(plain - float(np.sum(p * np.log(p / q)))) <= 1e-13
+        quantum = qm.quantum_relative_entropy(np.diag(p), np.diag(q))
+        assert abs(quantum - cl.kl_extended(p, q)) <= 1e-13
 
     def test_alpha_limit_on_densities(self):
         rng = np.random.default_rng(16)
@@ -648,13 +645,13 @@ class TestQuantumRelativeEntropy:
             r1 = rand_density(rng, 3)
             r2 = rand_density(rng, 3)
             close = qm.quantum_alpha_divergence_closed(r1, r2, -1.0 + 1e-6)
-            target = qm.quantum_relative_entropy(r1, r2, extended=True)
+            target = qm.quantum_relative_entropy(r1, r2)
             assert abs(close - target) <= 1e-4
 
     def test_limit_monotone_on_positive_pair(self):
         r1 = qm.PositiveOperator(WORKED_PAIR[0])
         r2 = qm.PositiveOperator(WORKED_PAIR[1])
-        ref = qm.quantum_relative_entropy(r1, r2, extended=True)
+        ref = qm.quantum_relative_entropy(r1, r2)
         gaps = [
             abs(qm.quantum_alpha_divergence_closed(r1, r2, -1.0 + 10.0**-k) - ref)
             for k in range(2, 7)
@@ -664,7 +661,7 @@ class TestQuantumRelativeEntropy:
     def test_reversed_limit_monotone(self):
         r1 = qm.PositiveOperator(WORKED_PAIR[0])
         r2 = qm.PositiveOperator(WORKED_PAIR[1])
-        ref = qm.quantum_relative_entropy(r2, r1, extended=True)
+        ref = qm.quantum_relative_entropy(r2, r1)
         gaps = [
             abs(qm.quantum_alpha_divergence_closed(r1, r2, 1.0 - 10.0**-k) - ref)
             for k in range(2, 7)
@@ -701,8 +698,11 @@ class TestQDivergences:
             qm.quantum_q_divergence(*WORKED_PAIR, 1.0)
         with pytest.raises(ValueError):
             qm.furuichi_q_divergence(*WORKED_PAIR, 1.0)
-        # furuichi admits q = 0
-        assert np.isfinite(qm.furuichi_q_divergence(*WORKED_PAIR, 0.0))
+        # furuichi refuses q = 0, where only the trace gap Tr rho1 - Tr rho2
+        # would remain, through the same gate
+        for bad in (0.0, -0.2, np.nan):
+            with pytest.raises(ValueError, match=r"^q must lie strictly inside \(0, 1\), got"):
+                qm.furuichi_q_divergence(*WORKED_PAIR, bad)
 
 
 class TestFuruichi:
@@ -759,26 +759,26 @@ def matrix_function_references(r1, r2):
     """The closed forms as traces of matrix functions, an independent oracle.
 
     Tr(rho1**beta rho2**(1-beta)) and Tr rho1 (log rho1 - log rho2) from
-    spectral matrix functions, with every form written in terms of them.
+    spectral matrix functions, with every form written in terms of them; the
+    relative entropy is the extended one, Tr(rho2 - rho1) added.
     """
     t1, t2 = r1.trace, r2.trace
 
     def mixed(beta):
-        a = r1.spectral.matrix_function(lambda w: w**beta) if beta else np.eye(r1.dim)
+        a = r1.spectral.matrix_function(lambda w: w**beta)
         b = r2.spectral.matrix_function(lambda w: w ** (1.0 - beta))
         return np.einsum("ij,ji->", a, b).real
 
     def log(r):
         return r.spectral.matrix_function(np.log)
 
-    relent = np.einsum("ij,ji->", r1.matrix, log(r1) - log(r2)).real
+    plain = np.einsum("ij,ji->", r1.matrix, log(r1) - log(r2)).real
     return {
         "alpha": lambda b: (b * t1 + (1.0 - b) * t2 - mixed(b)) / (b * (1.0 - b)),
         "q": lambda q: (q * t1 + (1.0 - q) * t2 - mixed(q)) / (1.0 - q),
         "furuichi": lambda q: (t1 - mixed(q)) / (1.0 - q),
         "density": lambda b: (1.0 - mixed(b)) / (b * (1.0 - b)),
-        "relent": relent,
-        "relent_extended": relent + t2 - t1,
+        "relent": plain + t2 - t1,
     }
 
 
@@ -805,13 +805,9 @@ def closed_form_errors(r1, r2, densities=False):
     if not densities:
         for qp in (0.25, 0.5, 0.75):
             cases[f"q {qp}"] = (qm.quantum_q_divergence(r1, r2, qp), ref["q"](qp))
-        for qp in (0.0, 0.25, 0.5, 0.75):
+        for qp in (0.25, 0.5, 0.75):
             cases[f"furuichi {qp}"] = (qm.furuichi_q_divergence(r1, r2, qp), ref["furuichi"](qp))
         cases["relent"] = (qm.quantum_relative_entropy(r1, r2), ref["relent"])
-        cases["relent extended"] = (
-            qm.quantum_relative_entropy(r1, r2, extended=True),
-            ref["relent_extended"],
-        )
     return {name: abs(v - e) / abs(e) for name, (v, e) in cases.items()}
 
 
@@ -892,10 +888,9 @@ def closed_forms(rho1, rho2):
     values = {f"alpha {a}": qm.quantum_alpha_divergence_closed(rho1, rho2, a) for a in ALPHAS}
     for qp in (0.25, 0.5, 0.75):
         values[f"q {qp}"] = qm.quantum_q_divergence(rho1, rho2, qp)
-    for qp in (0.0, 0.25, 0.5, 0.75):
+    for qp in (0.25, 0.5, 0.75):
         values[f"furuichi {qp}"] = qm.furuichi_q_divergence(rho1, rho2, qp)
     values["relent"] = qm.quantum_relative_entropy(rho1, rho2)
-    values["relent extended"] = qm.quantum_relative_entropy(rho1, rho2, extended=True)
     return values
 
 
@@ -908,11 +903,10 @@ def reference_closed_forms(rho1, rho2):
         values[f"alpha {a}"] = cl._bregman_power_sum(p, q, beta) / (1.0 - beta)
     for qp in (0.25, 0.5, 0.75):
         values[f"q {qp}"] = qp * cl._bregman_power_sum(p, q, qp) / (1.0 - qp)
-    for qp in (0.0, 0.25, 0.5, 0.75):
+    for qp in (0.25, 0.5, 0.75):
         furuichi = float(p.sum() - (p**qp * q ** (1.0 - qp)).sum()) / (1.0 - qp)
         values[f"furuichi {qp}"] = 0.0 if reference_same(rho1, rho2) else furuichi
-    values["relent"] = float(np.sum(p * np.log(p / q)))
-    values["relent extended"] = cl._kl_sum(p, q)
+    values["relent"] = cl._kl_sum(p, q)
     return values
 
 
@@ -1020,8 +1014,8 @@ class TestEqualOperators:
 # Relative error bounds against 60-digit arithmetic, each set from the worst
 # case measured on the seeded pairs of its test.  One step of 1e-5 off the
 # diagonal the alpha closed form still cancels: 7.0e-6 measured (the trace
-# formula it replaced reached 2.4e-4).  At trace ratios up to 1e12 both
-# relative-entropy forms stay at roundoff: 1.2e-15 measured.
+# formula it replaced reached 2.4e-4).  At trace ratios up to 1e12 the
+# extended relative entropy stays at roundoff: 1.2e-15 measured.
 NEAR_DIAGONAL_RTOL = 3e-5
 RELATIVE_ENTROPY_RTOL = 1e-14
 
@@ -1067,10 +1061,6 @@ class TestAgainstMpmath:
             r2 = qm.PositiveOperator(scale * qm.random_positive_operator(rng, 3).matrix)
             a, b = (mp.matrix(r.matrix.tolist()) for r in (r1, r2))
             logs = self.function(mp, a, mp.log) - self.function(mp, b, mp.log)
-            plain = self.trace(mp, a * logs)
-            extended = plain + self.trace(mp, b) - self.trace(mp, a)
-            for value, expected in (
-                (qm.quantum_relative_entropy(r1, r2), plain),
-                (qm.quantum_relative_entropy(r1, r2, extended=True), extended),
-            ):
-                assert abs((value - expected) / expected) <= RELATIVE_ENTROPY_RTOL
+            expected = self.trace(mp, a * logs) + self.trace(mp, b) - self.trace(mp, a)
+            value = qm.quantum_relative_entropy(r1, r2)
+            assert abs((value - expected) / expected) <= RELATIVE_ENTROPY_RTOL

@@ -9,8 +9,11 @@ one place, the inverse chart, and chart inverses reach it only through the
 memo of ``operator_from_chart``.
 Each convention shared by several operations, such as the chart exponent
 beta = (1 - alpha)/2, is written once, and so is each refusal: the positivity
-gate, the gate error of the quadrature checks, and the refusal of a stencil
-point off a contrast's domain, which no command re-decides.  Mixed partials
+gate, the range of alpha (in the chart exponent) and of q, the gate error of
+the quadrature checks, and the refusal of a stencil point off a contrast's
+domain, which no command re-decides.  The quantum relative entropy has no
+logarithm of its own: it is the classical KL kernel on the Nussbaum-Szkola
+pair.  Mixed partials
 and gradients share one stencil grid, the one reader of the stencil table.
 Every name a module exports is used by the package itself, except the
 reference metric the tests hold others against.
@@ -119,6 +122,31 @@ def test_positivity_threshold_is_read_only_by_the_gate():
         or (isinstance(n, ast.alias) and n.name == "POSITIVITY_RTOL")
     )
     assert reads == [("numkit", "require_positive")]
+
+
+def refusals(prefix):
+    """Where a string literal (or an f-string's literal part) begins with prefix."""
+    return sites(
+        lambda n: isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.startswith(prefix)
+    )
+
+
+def test_alpha_range_is_refused_only_by_the_chart_exponent():
+    # both messages, the divergence and the geodesic range, in the one gate
+    assert refusals("alpha must lie") == [("numkit", "chart_exponent")] * 2
+
+
+def test_q_range_is_refused_only_by_its_gate():
+    assert refusals("q must lie") == [("numkit", "check_q")]
+
+
+def test_quantum_relative_entropy_is_reached_only_through_the_kl_kernel():
+    # no logarithm of its own in the quantum module: the one relative entropy
+    # is the classical kernel on the Nussbaum-Szkola pair
+    logs = sites(lambda n: isinstance(n, ast.Call) and dotted(n.func) in ("np.log", "math.log"))
+    assert not [site for site in logs if site[0] == "quantum"]
+    kernel = sites(lambda n: isinstance(n, ast.Call) and dotted(n.func) == "_kl_sum")
+    assert [site for site in kernel if site[0] == "quantum"] == [("quantum", "quantum_relative_entropy")]
 
 
 def test_gate_error_normalization_is_written_once():
