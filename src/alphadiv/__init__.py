@@ -50,7 +50,7 @@ from .quantum import (
     quantum_relative_entropy,
     wyd_metric,
 )
-from .recovery import RecoveredStructure, curvature_max, duality_defect, recover_structure
+from .recovery import RecoveredStructure, curvature, duality_defect, recover_structure
 
 __version__ = "0.1.0"
 
@@ -71,7 +71,7 @@ __all__ = [
     "alpha_representation",
     "canonical_divergence_numeric",
     "canonical_divergence_numeric_q",
-    "curvature_max",
+    "curvature",
     "duality_defect",
     "fisher_metric",
     "furuichi_q_divergence",

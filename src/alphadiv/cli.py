@@ -173,8 +173,7 @@ def _parse_alphas(text):
     if not values:
         raise InputError("empty alpha list")
     for a in values:
-        if not (-1.0 < a < 1.0):
-            raise InputError(f"alpha values must lie inside (-1, 1), got {a}")
+        numkit.chart_exponent(a)
     return sorted(values)
 
 
@@ -346,7 +345,7 @@ def cmd_recover(args):
     defect = recovery.duality_defect(structure, divergence)
     curvature = within = None  # null: the check did not run
     if point.size <= recovery.CURVATURE_MAX_DIM:
-        curvature = recovery.curvature_max(divergence, structure)
+        curvature = float(np.max(np.abs(recovery.curvature(structure, divergence))))
         within = curvature <= recovery.FLATNESS_BOUND
     report = {
         "kind": kind,

@@ -10,10 +10,12 @@ connections through its mixed derivatives on the diagonal:
 where unprimed derivatives act on the first argument and primed ones on the
 second, everything evaluated at p = q.  This module estimates those objects
 with numkit's one central-difference stencil, checks the duality identity
-d_k g_ij = Gamma_kij + Gamma*_kji, and measures the curvature of the raised
-connection at the recovery point.  Each point is recovered once:
-:func:`duality_defect` and :func:`curvature_max` read the structure that
-:func:`recover_structure` returned and add only their own stencil.
+d_k g_ij = Gamma_kij + Gamma*_kji, and returns the whole curvature tensor of
+the raised connection at the recovery point, so a check can compare it with
+a reference tensor rather than only its largest component.  Each point is
+recovered once: :func:`duality_defect` and :func:`curvature` read the
+structure that :func:`recover_structure` returned and add only their own
+stencil.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .numkit import FDConfig, NotPositiveDefiniteError, mixed_partials, stencil_
 __all__ = [
     "DEFAULT_CFG",
     "RecoveredStructure",
-    "curvature_max",
+    "curvature",
     "duality_defect",
     "half_squared_distance",
     "recover_structure",
@@ -130,6 +132,11 @@ def recover_structure(divergence, point, cfg: FDConfig = DEFAULT_CFG) -> Recover
     )
 
 
+def _metric_gradient(structure: RecoveredStructure) -> np.ndarray:
+    """d_k g_ij = Gamma_kij + Gamma*_kji, an identity of D's derivatives on the diagonal."""
+    return structure.christoffel + np.swapaxes(structure.christoffel_dual, 1, 2)
+
+
 def duality_defect(structure: RecoveredStructure, divergence, cfg: FDConfig = DEFAULT_CFG) -> float:
     """Worst violation of d_k g_ij = Gamma_kij + Gamma*_kji at the point.
 
@@ -141,34 +148,35 @@ def duality_defect(structure: RecoveredStructure, divergence, cfg: FDConfig = DE
     dg = stencil_gradient(
         lambda x: _checked_metric(divergence, x, cfg), structure.point, _CONNECTION_CFG
     )
-    paired = structure.christoffel + np.swapaxes(structure.christoffel_dual, 1, 2)
-    return float(np.max(np.abs(dg - paired)))
+    return float(np.max(np.abs(dg - _metric_gradient(structure))))
 
 
-def curvature_max(divergence, structure: RecoveredStructure) -> float:
-    """Max-abs component of the curvature of the recovered connection.
+def curvature(structure: RecoveredStructure, divergence) -> np.ndarray:
+    """Curvature tensor R[i, j, k, l] = R^l_ijk of the recovered connection.
 
     R^l_ijk = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik with
     G = g^{-1} Gamma from ``structure``, which :func:`recover_structure`
     returned for the same divergence; the point is ``structure.point``.  The
     derivative of G comes from one fourth-order block P = d_a d_b d'_c d'_d D:
 
-        d_i G^l_jk = -g^{ls} P_jkis - g^{la} (Gamma_iab + Gamma*_iba) G^b_jk
+        d_i G^l_jk = -g^{ls} P_jkis - g^{la} d_i g_ab G^b_jk
                      - g^{ls} d_i d_j d_k d'_s D,
 
-    using d_m g_ab = Gamma_mab + Gamma*_mba, an identity of D's derivatives
-    on the diagonal.  The last term is symmetric in (i, j), so it cancels in
-    R and is never formed.  P is the only stencil evaluated here, at the
-    module's fixed curvature stencil.  Supported for up to
-    ``CURVATURE_MAX_DIM`` coordinates (P has n**4 entries); above that raises
-    ValueError.  A stencil point off the contrast's domain raises as in
+    with d_i g_ab read from the connections as in :func:`duality_defect`.
+    The last term is symmetric in (i, j), so it cancels in R and is never
+    formed.  P is the only stencil evaluated here, at the module's fixed
+    curvature stencil.  Supported for up to ``CURVATURE_MAX_DIM``
+    coordinates (P has n**4 entries); above that raises ValueError.  A
+    stencil point off the contrast's domain raises as in
     :func:`recover_structure`.
 
     On a sum over components (the classical alpha-divergences in measure
     coordinates) and in the quantum alpha-chart, each of the three terms of R
     is symmetric in (i, j) by itself, so R is zero whatever the formula does
-    with them: a flatness check there detects a NaN or a stencil failure, not
-    an error in the curvature formula.
+    with them: there max|R| detects a NaN or a stencil failure, not an error
+    in the curvature formula.  A contrast that couples its coordinates, such
+    as the alpha-divergence restricted to the probability simplex, has a
+    known nonzero tensor to compare whole.
     """
     point = structure.point
     n = point.size
@@ -178,18 +186,10 @@ def curvature_max(divergence, structure: RecoveredStructure) -> float:
         )
     g_inv = np.linalg.inv(structure.metric)
     gamma_up = np.einsum("lm,ijm->ijl", g_inv, structure.christoffel)
-    dg = structure.christoffel + np.swapaxes(structure.christoffel_dual, 1, 2)
     fourth = mixed_partials(divergence, point, point, "ppqq", _CURVATURE_CFG)
     # d_gamma[i, j, k, l] = d_i G^l_jk, less the term symmetric in (i, j)
     d_gamma = -np.einsum("ls,jkis->ijkl", g_inv, fourth) - np.einsum(
-        "la,iab,jkb->ijkl", g_inv, dg, gamma_up
+        "la,iab,jkb->ijkl", g_inv, _metric_gradient(structure), gamma_up
     )
-
     quad = np.einsum("iml,jkm->ijkl", gamma_up, gamma_up)
-    riemann = (
-        d_gamma
-        - np.swapaxes(d_gamma, 0, 1)
-        + quad
-        - np.swapaxes(quad, 0, 1)
-    )
-    return float(np.max(np.abs(riemann)))
+    return d_gamma - np.swapaxes(d_gamma, 0, 1) + quad - np.swapaxes(quad, 0, 1)

@@ -314,7 +314,7 @@ def run_recovery_suite(trials, seed, tol):
     # R vanishes term by term on these sums over components: this check
     # detects a NaN or a stencil failure, not a wrong curvature formula
     curv = _worst(
-        recovery.curvature_max(_classical_alpha_div(a), recovered[a])
+        float(np.max(np.abs(recovery.curvature(recovered[a], _classical_alpha_div(a)))))
         for recovered in structures[:2]
         for a in (0.0, 0.5)
     )

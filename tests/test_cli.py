@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from alphadiv import classical, numkit, quantum, suites
-from alphadiv.cli import InputError, _parse_alphas, load_document, main
+from alphadiv.cli import _parse_alphas, load_document, main
 from alphadiv.quantum import wyd_components_theta
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -688,6 +688,19 @@ class TestSweepCommand:
         assert rc == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("alphas", ["0.5,1.0", "0.5:1.0:0.5"], ids=["list", "range"])
+    def test_alpha_refused_as_divergence_refuses_it(self, classical_doc, tmp_path, capsys, alphas):
+        # one alpha gate: sweep refuses 1.0 with the message of divergence
+        divergence = ["divergence", classical_doc, "--family", "alpha", "--alpha", "1.0"]
+        assert main([*divergence, "--pairs", "p:q"]) == 2
+        expected = capsys.readouterr().err
+        assert expected.startswith("error: alpha must lie strictly inside (-1, 1), got 1.0;")
+        out = tmp_path / "sweep.csv"
+        sweep = ["sweep", classical_doc, "--pair", "p:q", f"--alphas={alphas}", "--out", str(out)]
+        assert main(sweep) == 2
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
     @pytest.mark.parametrize("pair", ["a:", "p:q,q:p", "", "p:zz"])
     def test_malformed_or_unknown_pair_refused(self, classical_doc, tmp_path, capsys, pair):
         out = tmp_path / "sweep.csv"
@@ -713,12 +726,12 @@ class TestSweepCommand:
         # a typed stop inside (-1, 1) is kept; a stop of 1 that the step's
         # drift reaches as 0.9999999999999999 still rounds onto 1 and is refused
         assert _parse_alphas("0:0.9999999999999:0.3333333333333")[-1] == 0.9999999999999
-        with pytest.raises(InputError, match=r"got 1\.0$"):
+        with pytest.raises(ValueError, match=r"got 1\.0;"):
             _parse_alphas("0:1:0.1")
         assert main([*argv, "--alphas=0:1:0.1"]) == 2
-        assert "got 1.0\n" in capsys.readouterr().err
+        assert "got 1.0;" in capsys.readouterr().err
         assert main([*argv, "--alphas=-1:0:0.1"]) == 2
-        assert "got -1.0\n" in capsys.readouterr().err
+        assert "got -1.0;" in capsys.readouterr().err
 
     @pytest.mark.parametrize("alphas", ["0:inf:0.5", "-0.5:0.5:1e-300", "-0.5:0.5:nan"])
     def test_unbounded_range_refused_promptly(self, classical_doc, tmp_path, alphas):

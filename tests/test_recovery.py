@@ -41,7 +41,7 @@ class TestEuclideanReference:
 
     def test_curvature(self):
         s = rc.recover_structure(rc.half_squared_distance, np.array([1.0, 2.0]))
-        assert rc.curvature_max(rc.half_squared_distance, s) <= 1e-4
+        assert np.max(np.abs(rc.curvature(s, rc.half_squared_distance))) <= 1e-4
 
 
 class TestClassicalRecovery:
@@ -89,7 +89,7 @@ class TestClassicalRecovery:
     def test_flatness(self):
         for a in (-0.5, 0.0, 0.5):
             s = rc.recover_structure(alpha_div(a), np.array([1.0, 2.0]))
-            assert rc.curvature_max(alpha_div(a), s) <= 1e-3
+            assert np.max(np.abs(rc.curvature(s, alpha_div(a)))) <= 1e-3
 
     def test_quadrature_path_agrees(self):
         def numeric_div(x, y):
@@ -100,7 +100,7 @@ class TestClassicalRecovery:
         s_numeric = rc.recover_structure(numeric_div, p)
         assert np.max(np.abs(s_closed.metric - s_numeric.metric)) <= 1e-4
         assert np.max(np.abs(s_closed.christoffel - s_numeric.christoffel)) <= 1e-4
-        assert rc.curvature_max(numeric_div, s_numeric) <= 1e-3
+        assert np.max(np.abs(rc.curvature(s_numeric, numeric_div))) <= 1e-3
 
 
 def hyperbolic_plane(x, y):
@@ -118,8 +118,28 @@ def skew_quadratic(x, y):
     return 0.5 * float(d @ m @ d)
 
 
+def simplex_alpha_div(alpha):
+    """The alpha-divergence of the probability simplex in the chart of its first entries."""
+    def div(x, y):
+        lift_x = np.append(x, 1.0 - np.sum(x))
+        lift_y = np.append(y, 1.0 - np.sum(y))
+        return cl.alpha_divergence_closed(lift_x, lift_y, alpha)
+
+    return div
+
+
+def constant_curvature(metric, k):
+    """R[i, j, k, l] = K (g_jk delta^l_i - g_ik delta^l_j): constant curvature K."""
+    eye = np.eye(len(metric))
+    return k * (np.einsum("jk,il->ijkl", metric, eye) - np.einsum("ik,jl->ijkl", metric, eye))
+
+
+def relative_error(tensor, reference):
+    return float(np.max(np.abs(tensor - reference)) / np.max(np.abs(reference)))
+
+
 def curvature_by_raised_christoffel(divergence, point):
-    """max|R| by differencing G = g^{-1} Gamma, recovered at shifted points.
+    """R by differencing G = g^{-1} Gamma, recovered at shifted points.
 
     The stencil-of-stencils reference: each stencil point recovers its own
     metric and connection, and one outer stencil differences them.
@@ -132,26 +152,55 @@ def curvature_by_raised_christoffel(divergence, point):
     gamma_up = raised(point)
     d_gamma = stencil_gradient(raised, point, rc._CURVATURE_CFG)
     quad = np.einsum("iml,jkm->ijkl", gamma_up, gamma_up)
-    riemann = d_gamma - np.swapaxes(d_gamma, 0, 1) + quad - np.swapaxes(quad, 0, 1)
-    return float(np.max(np.abs(riemann)))
+    return d_gamma - np.swapaxes(d_gamma, 0, 1) + quad - np.swapaxes(quad, 0, 1)
 
 
 class TestCurvedReferences:
     def test_hyperbolic_plane(self):
-        # R^l_ijk = K (g_jk delta^l_i - g_ik delta^l_j) with K = -1 and
-        # g = diag(1, exp(2 x0)): the largest component is exp(2 x0)
+        # constant curvature K = -1 with g = diag(1, exp(2 x0)): the largest
+        # component is exp(2 x0)
         p = np.array([0.3, 0.7])
-        expected = np.exp(0.6)
         s = rc.recover_structure(hyperbolic_plane, p)
-        assert abs(rc.curvature_max(hyperbolic_plane, s) - expected) <= 1e-3 * expected
+        reference = constant_curvature(s.metric, -1.0)
+        assert abs(np.max(np.abs(reference)) - np.exp(0.6)) <= 1e-5
+        assert relative_error(rc.curvature(s, hyperbolic_plane), reference) <= 1e-3
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])
+    def test_probability_simplex(self, alpha):
+        # the alpha-connection of the categorical model has constant curvature
+        # (1 - alpha**2)/4 (Amari & Nagaoka 2000); the chart couples every
+        # coordinate through the last entry, so no term of R vanishes by
+        # itself, and whole tensors are compared because a max-abs reading
+        # can agree with a wrong formula (measured 1.2e-5 to 1.4e-5)
+        xi = np.array([0.3, 0.45])
+        div = simplex_alpha_div(alpha)
+        s = rc.recover_structure(div, xi)
+        reference = constant_curvature(s.metric, 0.25 * (1.0 - alpha**2))
+        assert relative_error(rc.curvature(s, div), reference) <= 1e-4
+
+    def test_qubit_wigner_yanase_sphere(self):
+        # at alpha = 0 the density operators I/2 + sum x_k A_k, A_k the
+        # traceless basis, carry the Wigner-Yanase metric, a round sphere of
+        # curvature 1/4 (Gibilisco & Isola 2003); bound set from the measured
+        # 6.7e-4, limited by the second-order curvature stencil
+        basis = qm.hermitian_basis(2)[:3]
+
+        def wigner_yanase(x, y):
+            r1 = qm.PositiveOperator(0.5 * np.eye(2) + np.tensordot(x, basis, 1))
+            r2 = qm.PositiveOperator(0.5 * np.eye(2) + np.tensordot(y, basis, 1))
+            return qm.quantum_alpha_divergence_closed(r1, r2, 0.0)
+
+        s = rc.recover_structure(wigner_yanase, np.array([0.1, -0.05, 0.12]))
+        reference = constant_curvature(s.metric, 0.25)
+        assert relative_error(rc.curvature(s, wigner_yanase), reference) <= 2e-3
 
     def test_non_self_dual_contrast_matches_raised_christoffel_differencing(self):
         p = np.array([0.4, 0.9])
         s = rc.recover_structure(skew_quadratic, p)
         assert np.max(np.abs(s.christoffel - s.christoffel_dual)) > 1.0
         reference = curvature_by_raised_christoffel(skew_quadratic, p)
-        assert reference > 1.0
-        assert abs(rc.curvature_max(skew_quadratic, s) - reference) <= 1e-4
+        assert np.max(np.abs(reference)) > 1.0
+        assert np.max(np.abs(rc.curvature(s, skew_quadratic) - reference)) <= 1e-4
 
 
 class TestDegenerateContrast:
@@ -256,7 +305,7 @@ class TestStencilCounts:
         # the "ppqq" block's 3**4 * 2**4 values on an already recovered structure
         structure = rc.recover_structure(alpha_div(0.5), self.P)
         counted, points = self.counting(alpha_div(0.5))
-        rc.curvature_max(counted, structure)
+        rc.curvature(structure, counted)
         assert len(points) == 16 * 3**4
 
 
@@ -270,7 +319,7 @@ class TestCurvatureDimension:
             point=np.ones(n),
         )
         with pytest.raises(ValueError, match="limited to dimension"):
-            rc.curvature_max(rc.half_squared_distance, structure)
+            rc.curvature(structure, rc.half_squared_distance)
 
 
 class TestDefectOrdering:
@@ -329,7 +378,7 @@ class TestQuantumChartRecovery:
         rho = qm.PositiveOperator(np.array([[1.5, 0.2], [0.2, 1.0]]))
         theta = qm.theta_coordinates(qm.alpha_embedding(rho, a), basis)
         s = rc.recover_structure(chart_div, theta)
-        assert rc.curvature_max(chart_div, s) <= 1e-3
+        assert np.max(np.abs(rc.curvature(s, chart_div))) <= 1e-3
 
     def test_recovered_metric_matches_wyd_pairing(self):
         # push each chart basis direction back to a tangent vector and pair
