@@ -64,9 +64,9 @@ def as_measure(p) -> np.ndarray:
             return p
     if p.ndim != 1 or p.size == 0:
         raise ValueError("a measure must be a nonempty 1-D vector")
-    if not np.isfinite(p).all():
+    if np.count_nonzero(np.isfinite(p)) != p.size:
         raise ValueError("measure entries must be finite")
-    if (p <= 0.0).any():
+    if np.count_nonzero(p <= 0.0):
         raise ValueError(f"measure entries must be strictly positive, got {p!r}")
     return p
 
@@ -76,7 +76,7 @@ def as_tangent(x, n) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"tangent vector must have shape ({n},), got {x.shape}")
-    if not np.isfinite(x).all():
+    if np.count_nonzero(np.isfinite(x)) != x.size:
         raise ValueError("tangent entries must be finite")
     return x
 

@@ -7,8 +7,9 @@ Subcommands:
     recover      recover the metric and connections from a divergence
     sweep        tabulate divergences over a grid of alpha values as CSV
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input error,
-3 numerical-domain error.
+Exit codes: 0 success, 1 verification failure, 2 usage or input error
+(an unreadable document or an unwritable --out among them), 3
+numerical-domain error.
 
 Input documents are JSON::
 
@@ -383,17 +384,23 @@ def cmd_sweep(args):
         closed = _evaluate(kind, "alpha", x, y, a, None, rule)
         gap = abs(closed - limit)
         lines.append(f"{a!r},{numeric!r},{closed!r},{limit!r},{gap!r}")
-    text = "\n".join(lines) + "\n"
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
+
+
+def _write(path, text):
+    """Write text to path as it is; a path that cannot be written is an input error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit(payload, out):
     text = json.dumps(payload, indent=2)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write(out, text + "\n")
     else:
         print(text)
 

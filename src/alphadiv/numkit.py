@@ -140,13 +140,13 @@ class QuadratureRule:
         weights = np.atleast_1d(np.asarray(self.weights, dtype=float)).copy()
         if nodes.ndim != 1 or nodes.shape != weights.shape or nodes.size == 0:
             raise ValueError("nodes and weights must be equal-length 1-D vectors")
-        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+        if np.count_nonzero(np.isfinite(nodes) & np.isfinite(weights)) != nodes.size:
             raise ValueError("nodes and weights must be finite")
-        if np.any(nodes <= 0.0) or np.any(nodes >= 1.0):
+        if np.count_nonzero(nodes <= 0.0) or np.count_nonzero(nodes >= 1.0):
             raise ValueError("nodes must lie in the open interval (0, 1)")
-        if np.any(np.diff(nodes) <= 0.0):
+        if np.count_nonzero(np.diff(nodes) <= 0.0):
             raise ValueError("nodes must be strictly increasing")
-        if np.any(weights <= 0.0):
+        if np.count_nonzero(weights <= 0.0):
             raise ValueError("weights must be positive")
         total = weights.sum()
         if abs(total - 1.0) > 1e-14:
@@ -217,7 +217,7 @@ def quadrature_sum(rule: QuadratureRule, values) -> float:
     if values.shape != rule.nodes.shape:
         raise ValueError("one integrand value per node is required")
     bad = ~np.isfinite(values)
-    if bad.any():
+    if np.count_nonzero(bad):
         t = float(rule.nodes[bad][0])
         raise NumericalDomainError(f"integrand is not finite at node t={t!r}")
     return float(rule.weights @ values)
@@ -230,6 +230,12 @@ def quadrature_sum(rule: QuadratureRule, values) -> float:
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     """m/2 + m^dagger/2, halved before the sum so that finite input stays finite."""
     return 0.5 * m + 0.5 * m.conj().T
+
+
+def _frobenius(x) -> float:
+    """||x||_F of a complex array: np.linalg.norm(x)'s sum, bit for bit, without its dispatch."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 def as_hermitian(m) -> np.ndarray:
@@ -245,14 +251,14 @@ def as_hermitian(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise ValueError(f"expected a non-empty square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
+    if np.count_nonzero(np.isfinite(m)) != m.size:
         raise ValueError("matrix entries must be finite")
-    peak = float(abs(m).max())
+    peak = float(np.maximum.reduce(abs(m), axis=None))
     # a power of two in (peak/2, peak], or the smallest normal float
     unit = max(math.ldexp(0.5, math.frexp(peak)[1]), sys.float_info.min)
     scaled = m / unit
-    scale = float(np.linalg.norm(scaled))
-    defect = float(np.linalg.norm(scaled - scaled.conj().T))
+    scale = _frobenius(scaled)
+    defect = _frobenius(scaled - scaled.conj().T)
     if defect > HERMITICITY_RTOL * scale:
         raise ValueError(
             f"matrix is not Hermitian: ||m - m^dagger||_F = {defect * unit:.3e} "
@@ -273,7 +279,7 @@ class SpectralDecomposition:
         u = np.asarray(self.eigenvectors).copy()
         if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] != w.size:
             raise ValueError("eigenvector matrix must be square and match eigenvalues")
-        if (w[1:] < w[:-1]).any():
+        if np.count_nonzero(w[1:] < w[:-1]):
             raise ValueError("eigenvalues must be ascending")
         w.setflags(write=False)
         u.setflags(write=False)

@@ -79,10 +79,15 @@ __all__ = [
 IMAG_RTOL = 1e-10
 
 # Entries of the inverse-chart memo behind operator_from_chart.  A finite-
-# difference stencil revisits each chart point from many directions; 64
-# entries hold the working set of the dim-2 and dim-3 recoveries (32 would
-# miss half of the dim-3 calls), and each entry holds its chart point, a
-# reference to the basis bytes it shares with the others, and one operator.
+# difference stencil revisits each chart point from many directions, but its
+# points outnumber 64 entries, so some are built again: at operator dim 2,
+# recover_structure and duality_defect look up 25,090 points, 401-413 of
+# them distinct, and build 666-690; at dim 3, recover_structure alone looks
+# up 189,218 points, 689-704 distinct, and builds 2,562-2,601 (with 32
+# entries, 96,860).  Each entry holds its chart point, a reference to the
+# basis bytes it shares with the others, and one operator, so a larger memo
+# builds fewer points for more resident memory: 256 entries build each dim-2
+# point once.
 CHART_MEMO_SIZE = 64
 
 RANDOM_SPECTRUM = (0.2, 4.0)  # eigenvalue range of the seeded random operators
@@ -196,14 +201,14 @@ def _spectral_pair(rho1: PositiveOperator, rho2: PositiveOperator):
     """
     s1 = rho1._spectral
     # the same stored matrix (shapes already match); -0.0 equals 0.0
-    if rho1 is rho2 or (rho1._matrix == rho2._matrix).all():
+    if rho1 is rho2 or not np.count_nonzero(rho1._matrix != rho2._matrix):
         return s1.eigenvalues, s1.eigenvalues
     s2 = rho2._spectral
     overlap = np.abs(s1.eigenvectors.conj().T @ s2.eigenvectors) ** 2
     p = s1.eigenvalues[:, None] * overlap
     q = s2.eigenvalues * overlap
     keep = np.logical_and(p, q)
-    if keep.all():
+    if np.count_nonzero(keep) == keep.size:
         return p.ravel(), q.ravel()
     return p[keep], q[keep]
 

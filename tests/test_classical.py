@@ -88,6 +88,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             cl.alpha_divergence_closed([1.0, 2.0], [1.0], 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tangent_refused(self, bad):
+        for x, y in (([1.0, bad], [1.0, 0.0]), ([1.0, 0.0], [bad, 1.0])):
+            with pytest.raises(ValueError, match="^tangent entries must be finite$"):
+                cl.fisher_metric([1.0, 2.0], x, y)
+
     def test_alpha_limits_rejected_by_divergences(self):
         for a in (-1.0, 1.0):
             with pytest.raises(ValueError):

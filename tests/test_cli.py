@@ -293,6 +293,31 @@ class TestDivergenceCommand:
         assert main(["divergence", "/nonexistent.json", "--family", "kl"]) == 2
 
 
+class TestUnwritableOut:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["divergence", "{classical}", "--alpha", "0", "--pairs", "p:q"],
+            ["verify", "--suite", "classical", "--trials", "1", "--seed", "7"],
+            ["recover", "{classical}", "--alpha", "0", "--point", "p"],
+            ["sweep", "{quantum}", "--pair", "rho1:rho2", "--alphas=0.5"],
+        ],
+        ids=["divergence", "verify", "recover", "sweep"],
+    )
+    def test_is_usage_error(self, classical_doc, quantum_doc, tmp_path, capsys, argv):
+        # a write that fails exits 2 as an unreadable document does, never 1,
+        # which is verify's "verification failed"
+        out = tmp_path / "missing" / "out.txt"
+        argv = [a.format(classical=classical_doc, quantum=quantum_doc) for a in argv]
+        rc = main(argv + ["--out", str(out)])
+        stdout, err = capsys.readouterr()
+        assert rc == 2
+        assert stdout == ""
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert err.count("\n") == 1
+        assert not out.parent.exists()
+
+
 class TestVerifyCommand:
     def test_all_suites_pass(self, capsys, tmp_path):
         out = tmp_path / "report.json"

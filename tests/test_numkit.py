@@ -1,6 +1,7 @@
 import functools
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -74,14 +75,18 @@ class TestGaussLegendre:
                 assert abs(approx - 1.0 / (k + 1)) <= 1e-13, (n, k)
 
     def test_rule_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureRule(nodes=[0.0, 0.5], weights=[0.5, 0.5])
-        with pytest.raises(ValueError):
-            QuadratureRule(nodes=[0.6, 0.4], weights=[0.5, 0.5])
-        with pytest.raises(ValueError):
-            QuadratureRule(nodes=[0.25, 0.75], weights=[0.9, 0.5])
-        with pytest.raises(ValueError):
-            QuadratureRule(nodes=[0.25, 0.75], weights=[0.5, -0.5])
+        for nodes, weights, message in (
+            ([0.0, 0.5], [0.5, 0.5], "^nodes must lie in the open interval"),
+            ([0.5, 1.0], [0.5, 0.5], "^nodes must lie in the open interval"),
+            ([0.6, 0.4], [0.5, 0.5], "^nodes must be strictly increasing$"),
+            ([0.5, 0.5], [0.5, 0.5], "^nodes must be strictly increasing$"),
+            ([0.25, 0.75], [0.9, 0.5], "^weights must sum to 1"),
+            ([0.25, 0.75], [0.5, -0.5], "^weights must be positive$"),
+            ([0.25, np.nan], [0.5, 0.5], "^nodes and weights must be finite$"),
+            ([0.25, 0.75], [0.5, np.inf], "^nodes and weights must be finite$"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                QuadratureRule(nodes=nodes, weights=weights)
 
 
 class TestIntegrate:
@@ -272,6 +277,79 @@ class TestHermitianEig:
                 residual = np.linalg.norm((u * w) @ u.conj().T - h)
                 assert residual <= 1e-11 * np.linalg.norm(h)
                 assert np.linalg.norm(u.conj().T @ u - np.eye(dim)) <= 1e-12
+
+
+def reference_hermitian_check(m):
+    """as_hermitian's check on a finite matrix, written with ndarray methods
+    and np.linalg.norm.  Returns the matrix whose norms it takes, and the
+    symmetrized matrix or the refusal message: the reference the check must
+    match bit for bit."""
+    m = np.asarray(m, dtype=complex)
+    unit = max(math.ldexp(0.5, math.frexp(float(abs(m).max()))[1]), sys.float_info.min)
+    scaled = m / unit
+    scale = float(np.linalg.norm(scaled))
+    defect = float(np.linalg.norm(scaled - scaled.conj().T))
+    if defect > numkit.HERMITICITY_RTOL * scale:
+        return scaled, (
+            f"matrix is not Hermitian: ||m - m^dagger||_F = {defect * unit:.3e} "
+            f"exceeds {numkit.HERMITICITY_RTOL:g} * ||m||_F = "
+            f"{numkit.HERMITICITY_RTOL * scale * unit:.3e}"
+        )
+    return scaled, hermitian_part(m)
+
+
+def hermitian_check_cases():
+    """Matrices at 2**+-1000 with relative defects either side of
+    HERMITICITY_RTOL, with a subnormal peak, zero, and Fortran-ordered (whose
+    norms np.linalg.norm sums in memory order)."""
+    rng = np.random.default_rng(1101)
+    g = rng.standard_normal((4, 4, 4)) + 1j * rng.standard_normal((4, 4, 4))
+    h = hermitian_part(g[0])
+    skew = g[1] - g[1].conj().T
+    # h + f * edge * skew has relative defect just below f * HERMITICITY_RTOL
+    edge = 0.5 * numkit.HERMITICITY_RTOL * np.linalg.norm(h) / np.linalg.norm(skew)
+    cases = {
+        "zero": np.zeros((3, 3)),
+        "real": np.array([[2.0, 1.0], [1.0, 2.0]]),
+        "subnormal peak": 2.0**-1070 * np.array([[2.0, 1.0], [1.0, 2.0]]),
+        "subnormal peak, not Hermitian": 2.0**-1070 * np.array([[1.0, 1.0], [0.0, 1.0]]),
+        "overflowing squares": np.array([[1e200, 1e200], [0.0, 1e200]]),
+        "Fortran order": np.asfortranarray(g[2]),
+        "Fortran order, Hermitian": np.asfortranarray(hermitian_part(g[3])),
+    }
+    for exponent in (1000, -1000):
+        for factor in (0.0, 0.5, 0.999, 1.001):
+            cases[f"2**{exponent}, defect {factor}"] = 2.0**exponent * (h + factor * edge * skew)
+    return cases
+
+
+class TestHermitianCheckAgainstNorm:
+    """as_hermitian's two Frobenius norms are np.linalg.norm's bit for bit,
+    and its output or refusal message is the reference's."""
+
+    @pytest.mark.parametrize("case", hermitian_check_cases())
+    def test_norms_and_outcome_match(self, case):
+        m = hermitian_check_cases()[case]
+        scaled, want = reference_hermitian_check(m)
+        for x in (scaled, scaled - scaled.conj().T):
+            assert numkit._frobenius(x).hex() == float(np.linalg.norm(x)).hex()
+        if isinstance(want, str):
+            with pytest.raises(ValueError) as info:
+                as_hermitian(m)
+            assert str(info.value) == want
+        else:
+            assert as_hermitian(m).tobytes() == want.tobytes()
+
+    def test_cases_reach_both_verdicts(self):
+        passes = {
+            name: not isinstance(reference_hermitian_check(m)[1], str)
+            for name, m in hermitian_check_cases().items()
+        }
+        for exponent in (1000, -1000):
+            assert passes[f"2**{exponent}, defect 0.999"]
+            assert not passes[f"2**{exponent}, defect 1.001"]
+        assert passes["zero"] and passes["Fortran order, Hermitian"]
+        assert not passes["subnormal peak, not Hermitian"] and not passes["Fortran order"]
 
 
 class TestPositivityGate:

@@ -961,6 +961,30 @@ def underflowing_pair():
     return [(r1, r2)]
 
 
+def one_side_underflowing_pairs():
+    # eigenvectors 1e-13 apart overlap by 1e-26 across: times eigenvalues of
+    # order 1e-300 that rounds to 0.0, times those of order 1 it does not, so
+    # only p or (reversed) only q has exact zeros
+    turn = np.array([[1.0, -1e-13], [1e-13, 1.0]])
+    tiny = qm.PositiveOperator(1e-300 * ((turn * [1.0, 3.0]) @ turn.T))
+    normal = qm.PositiveOperator(np.diag([1.0, 2.0]))
+    overlap = np.abs(tiny.spectral.eigenvectors.conj().T @ normal.spectral.eigenvectors) ** 2
+    assert np.count_nonzero(tiny.eigenvalues[:, None] * overlap) == 2
+    assert np.count_nonzero(normal.eigenvalues * overlap) == 4
+    return [(tiny, normal), (normal, tiny)]
+
+
+def signed_zero_pair():
+    # the stored matrices differ only in the sign of zero entries
+    m = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 3.0]], dtype=complex)
+    signed = m.copy()
+    signed[0, 2] = complex(-0.0, 0.0)
+    signed[2, 0] = complex(-0.0, -0.0)
+    r1, r2 = qm.PositiveOperator(m), qm.PositiveOperator(signed)
+    assert r1.matrix.tobytes() != r2.matrix.tobytes()
+    return [(r1, r2), (r2, r1)]
+
+
 PAIR_CASES = {
     **{f"dim {dim}": functools.partial(seeded_pairs, dim) for dim in range(1, 9)},
     "block diagonal": block_diagonal_pair,
@@ -968,6 +992,8 @@ PAIR_CASES = {
     "identical instance": identical_instance,
     "chart and constructor": chart_and_constructor,
     "underflowing": underflowing_pair,
+    "one side underflowing": one_side_underflowing_pairs,
+    "signed zero": signed_zero_pair,
 }
 
 
@@ -988,7 +1014,13 @@ class TestSpectralPairAgainstReference:
 
     @pytest.mark.parametrize(
         "case, dropped",
-        [("block diagonal", True), ("commuting", True), ("underflowing", True), ("dim 5", False)],
+        [
+            ("block diagonal", True),
+            ("commuting", True),
+            ("underflowing", True),
+            ("one side underflowing", True),
+            ("dim 5", False),
+        ],
     )
     def test_cases_reach_the_branch_they_cover(self, case, dropped):
         for r1, r2 in PAIR_CASES[case]():
@@ -998,17 +1030,11 @@ class TestSpectralPairAgainstReference:
 
 class TestEqualOperators:
     def test_signed_zero_entries_count_as_equal(self):
-        # the stored matrices differ only in the sign of zero entries; with
-        # the pair built from the two eigensystems the alpha form is about
-        # 1e-33, not 0.0
-        m = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 3.0]], dtype=complex)
-        signed = m.copy()
-        signed[0, 2] = complex(-0.0, 0.0)
-        signed[2, 0] = complex(-0.0, -0.0)
-        r1, r2 = qm.PositiveOperator(m), qm.PositiveOperator(signed)
-        assert r1.matrix.tobytes() != r2.matrix.tobytes()
-        assert np.array_equal(r1.matrix, r2.matrix)
-        assert set(closed_forms(r1, r2).values()) == {0.0}
+        # with the pair built from the two eigensystems the alpha form is
+        # about 1e-33, not 0.0
+        for r1, r2 in signed_zero_pair():
+            assert np.array_equal(r1.matrix, r2.matrix)
+            assert set(closed_forms(r1, r2).values()) == {0.0}
 
 
 # Relative error bounds against 60-digit arithmetic, each set from the worst

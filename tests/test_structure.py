@@ -16,7 +16,10 @@ logarithm of its own: it is the classical KL kernel on the Nussbaum-Szkola
 pair.  Mixed partials
 and gradients share one stencil grid, the one reader of the stencil table.
 Every name a module exports is used by the package itself, except the
-reference metric the tests hold others against.
+reference metric the tests hold others against.  Exact array tests are
+``np.count_nonzero`` calls and Frobenius norms ``numkit._frobenius``, never
+``ndarray.all``/``any``, ``np.all``/``any`` or ``np.linalg.norm``, whose
+Python-level dispatch costs microseconds on small arrays.
 """
 
 import ast
@@ -92,6 +95,15 @@ def test_inverse_chart_is_reached_through_the_memo_or_the_geodesic():
     # a bare reference (an alias, a getattr target) would escape the check
     mentions = sites(lambda n: isinstance(n, ast.Attribute) and n.attr == "_from_chart")
     assert sorted(mentions) == sorted(calls)
+
+
+def test_no_dispatching_array_test_or_norm():
+    # any spelling: a method, a numpy function, an import or an alias
+    found = sites(
+        lambda n: (isinstance(n, ast.Attribute) and n.attr in ("all", "any", "norm"))
+        or (isinstance(n, ast.alias) and n.name.split(".")[-1] in ("all", "any", "norm"))
+    )
+    assert found == []
 
 
 def test_chart_exponent_is_written_once():
