@@ -116,9 +116,20 @@ def alpha_christoffel(p, alpha) -> np.ndarray:
     return gamma
 
 
-def _interpolant(p, q, beta, t):
-    """(1 - t) p**beta + t q**beta."""
-    return (1.0 - t) * p**beta + t * q**beta
+def _chart_line(p, q, alpha, t):
+    """The validated pair, beta, t, the chart line m = (1 - t) p**beta + t q**beta
+    and its direction delta = q**beta - p**beta, from one pair of powers."""
+    p, q = _measure_pair(p, q)
+    beta = chart_exponent(alpha, geodesic=True)
+    t = check_t(t)
+    a = p**beta
+    b = q**beta
+    return p, q, beta, t, (1.0 - t) * a + t * b, b - a
+
+
+def _velocity(beta, m, delta):
+    """d/dt of m(t)**(1/beta) along the chart line, m' = delta."""
+    return (1.0 / beta) * m ** ((1.0 - beta) / beta) * delta
 
 
 def alpha_geodesic(p, q, alpha, t) -> np.ndarray:
@@ -128,23 +139,18 @@ def alpha_geodesic(p, q, alpha, t) -> np.ndarray:
     beta = (1 - alpha)/2; the straight line in the alpha-embedding
     coordinates mapped back to the cone.  Endpoints are returned exactly.
     """
-    p, q = _measure_pair(p, q)
-    beta = chart_exponent(alpha, geodesic=True)
-    t = check_t(t)
+    p, q, beta, t, m, _ = _chart_line(p, q, alpha, t)
     if t == 0.0:
         return p.copy()
     if t == 1.0:
         return q.copy()
-    return _interpolant(p, q, beta, t) ** (1.0 / beta)
+    return m ** (1.0 / beta)
 
 
 def geodesic_velocity(p, q, alpha, t) -> np.ndarray:
     """Analytic derivative d/dt of the alpha-geodesic at parameter t."""
-    p, q = _measure_pair(p, q)
-    beta = chart_exponent(alpha, geodesic=True)
-    t = check_t(t)
-    delta = q**beta - p**beta
-    return (1.0 / beta) * _interpolant(p, q, beta, t) ** ((1.0 - beta) / beta) * delta
+    _, _, beta, _, m, delta = _chart_line(p, q, alpha, t)
+    return _velocity(beta, m, delta)
 
 
 def geodesic_ode_residual(p, q, alpha, t) -> float:
@@ -154,15 +160,10 @@ def geodesic_ode_residual(p, q, alpha, t) -> float:
     gamma_i componentwise; this evaluates both sides from the analytic first
     and second derivatives and returns max_i of the difference.
     """
-    p, q = _measure_pair(p, q)
-    beta = chart_exponent(alpha, geodesic=True)
-    t = check_t(t)
-    delta = q**beta - p**beta
-    m = _interpolant(p, q, beta, t)
-    gamma = m ** (1.0 / beta)
-    vel = (1.0 / beta) * m ** ((1.0 - beta) / beta) * delta
+    _, _, beta, _, m, delta = _chart_line(p, q, alpha, t)
+    vel = _velocity(beta, m, delta)
     acc = ((1.0 - beta) / beta**2) * m ** ((1.0 - 2.0 * beta) / beta) * delta**2
-    return float(np.max(np.abs(acc - (1.0 - beta) * vel**2 / gamma)))
+    return float(np.max(np.abs(acc - (1.0 - beta) * vel**2 / m ** (1.0 / beta))))
 
 
 def alpha_coordinates(p, alpha) -> np.ndarray:

@@ -25,6 +25,7 @@ symmetrized on load and must be Hermitian and positive definite.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -328,19 +329,9 @@ def cmd_recover(args):
             point = quantum.theta_coordinates(objects[args.point].matrix, basis)
     elif kind == "classical":
         point = objects[args.point]
-
-        def divergence(x, y):
-            return classical.alpha_divergence_closed(x, y, alpha)
-
+        divergence = functools.partial(classical.alpha_divergence_closed, alpha=alpha)
     else:
-        rho = objects[args.point]
-        basis = quantum.hermitian_basis(rho.dim)
-        point = quantum.theta_coordinates(quantum.alpha_embedding(rho, alpha), basis)
-
-        def divergence(x, y):
-            r1 = quantum.operator_from_chart(x, basis, alpha)
-            r2 = quantum.operator_from_chart(y, basis, alpha)
-            return quantum.quantum_alpha_divergence_closed(r1, r2, alpha)
+        point, divergence = quantum.alpha_chart_contrast(objects[args.point], alpha)
 
     structure = recovery.recover_structure(divergence, point)
     defect = recovery.duality_defect(structure, divergence)

@@ -17,7 +17,10 @@ kernels; the relative entropy is the extended one.  The inverse of the flat
 chart (geodesic points, :func:`operator_from_chart`) is built from the
 decomposition of the chart matrix, not decomposed again, and
 :func:`operator_from_chart` keeps the last 64 points it built: a repeated chart
-point returns the one shared immutable instance built for it first.  The
+point returns the one shared immutable instance built for it first.  Its one
+caller is :func:`alpha_chart_contrast`, which returns the chart point of an
+operator and the quantum alpha-divergence between chart points, the contrast
+from which recovery differentiates the flat alpha-geometry.  The
 quadrature integrand alone decomposes the geodesic interpolant, in batches,
 one block of nodes at a time (:func:`numkit.blockwise`); at a node t it is
 t * wyd_metric(gamma(t), v, v, alpha), v the transport from the identity to
@@ -28,7 +31,6 @@ to share between threads.
 from __future__ import annotations
 
 import functools
-import math
 import sys
 
 import numpy as np
@@ -39,6 +41,7 @@ from .numkit import (
     NumericalDomainError,
     QuadratureRule,
     SpectralDecomposition,
+    _frobenius,
     as_hermitian,
     blockwise,
     chart_exponent,
@@ -54,6 +57,7 @@ from .numkit import (
 
 __all__ = [
     "PositiveOperator",
+    "alpha_chart_contrast",
     "alpha_embedding",
     "alpha_geodesic_q",
     "alpha_parallel_transport",
@@ -96,7 +100,7 @@ RANDOM_SPECTRUM = (0.2, 4.0)  # eigenvalue range of the seeded random operators
 def _require_real(z, context):
     """Re z, refusing |Im z| > IMAG_RTOL (1 + |Re z|) (Frobenius norms on arrays)."""
     z = np.asarray(z)
-    residue, scale = (math.sqrt(v.ravel() @ v.ravel()) for v in (z.imag, z.real))
+    residue, scale = _frobenius(z.imag), _frobenius(z.real)
     if residue > IMAG_RTOL * (1.0 + scale):
         raise NumericalDomainError(
             f"{context}: imaginary residue {residue:.3e} exceeds {IMAG_RTOL:g} * (1 + {scale:.3e})"
@@ -396,6 +400,29 @@ def _chart_operator(theta_bytes, theta_shape, basis_bytes, basis_shape, basis_dt
     theta = np.frombuffer(theta_bytes).reshape(theta_shape)
     basis = np.frombuffer(basis_bytes, dtype=basis_dtype).reshape(basis_shape)
     return PositiveOperator._from_chart(beta * operator_from_theta(theta, basis), beta)
+
+
+def alpha_chart_contrast(rho, alpha):
+    """The alpha-chart contrast at rho, as (point, contrast).
+
+    point holds the coefficients of the chart image (2/(1-alpha))
+    rho**((1-alpha)/2) in ``hermitian_basis(rho.dim)``, and contrast(x, y) is
+    the closed-form quantum alpha-divergence of the two operators whose chart
+    images have coefficients x and y, built by :func:`operator_from_chart`:
+    the contrast whose recovered structure is the flat alpha-geometry of the
+    cone in its affine chart.  A coefficient vector off the cone raises
+    :class:`NotPositiveDefiniteError`.
+    """
+    rho = as_positive(rho)
+    basis = hermitian_basis(rho.dim)
+    point = theta_coordinates(alpha_embedding(rho, alpha), basis)
+
+    def contrast(x, y):
+        r1 = operator_from_chart(x, basis, alpha)
+        r2 = operator_from_chart(y, basis, alpha)
+        return quantum_alpha_divergence_closed(r1, r2, alpha)
+
+    return point, contrast
 
 
 def wyd_components_theta(rho, alpha) -> np.ndarray:

@@ -7,6 +7,7 @@ tolerance, and pass flag.  Randomness is fully determined by the seed.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -112,7 +113,7 @@ def structure_errors(points, alphas):
         fisher = np.array([[classical.fisher_metric(p, x, y) for y in basis] for x in basis])
         structures.append({})
         for a in alphas:
-            div = _classical_alpha_div(a)
+            div = functools.partial(classical.alpha_divergence_closed, alpha=a)
             structure = structures[-1][a] = recovery.recover_structure(div, p)
             metric_errs.append(
                 float(np.max(np.abs(structure.metric - fisher)) / np.max(np.abs(fisher)))
@@ -314,7 +315,9 @@ def run_recovery_suite(trials, seed, tol):
     # R vanishes term by term on these sums over components: this check
     # detects a NaN or a stencil failure, not a wrong curvature formula
     curv = _worst(
-        float(np.max(np.abs(recovery.curvature(recovered[a], _classical_alpha_div(a)))))
+        float(np.max(np.abs(recovery.curvature(
+            recovered[a], functools.partial(classical.alpha_divergence_closed, alpha=a)
+        ))))
         for recovered in structures[:2]
         for a in (0.0, 0.5)
     )
@@ -350,10 +353,8 @@ def run_recovery_suite(trials, seed, tol):
         _check("degenerate contrast rejected", 0.0 if degenerate_rejected else 1.0, 0.5)
     )
 
-    div_closed = _classical_alpha_div(0.5)
-
-    def div_numeric(x, y):
-        return classical.canonical_divergence_numeric(x, y, 0.5)
+    div_closed = functools.partial(classical.alpha_divergence_closed, alpha=0.5)
+    div_numeric = functools.partial(classical.canonical_divergence_numeric, alpha=0.5)
 
     p = np.array([1.0, 2.0])
     s_closed = recovery.recover_structure(div_closed, p)
@@ -367,13 +368,6 @@ def run_recovery_suite(trials, seed, tol):
     checks.append(_check("quadrature path recovers the same structure", agree, tol))
 
     return checks
-
-
-def _classical_alpha_div(alpha):
-    def div(x, y):
-        return classical.alpha_divergence_closed(x, y, alpha)
-
-    return div
 
 
 _RUNNERS = {

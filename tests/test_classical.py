@@ -182,6 +182,52 @@ class TestGeodesic:
                 assert np.max(np.abs(vel - fd)) <= 1e-8
 
 
+def _old_interpolant(p, q, beta, t):
+    return (1.0 - t) * p**beta + t * q**beta
+
+
+def _old_geodesic(p, q, beta, t):
+    if t == 0.0:
+        return p.copy()
+    if t == 1.0:
+        return q.copy()
+    return _old_interpolant(p, q, beta, t) ** (1.0 / beta)
+
+
+def _old_velocity(p, q, beta, t):
+    delta = q**beta - p**beta
+    return (1.0 / beta) * _old_interpolant(p, q, beta, t) ** ((1.0 - beta) / beta) * delta
+
+
+def _old_residual(p, q, beta, t):
+    delta = q**beta - p**beta
+    m = _old_interpolant(p, q, beta, t)
+    gamma = m ** (1.0 / beta)
+    vel = (1.0 / beta) * m ** ((1.0 - beta) / beta) * delta
+    acc = ((1.0 - beta) / beta**2) * m ** ((1.0 - 2.0 * beta) / beta) * delta**2
+    return float(np.max(np.abs(acc - (1.0 - beta) * vel**2 / gamma)))
+
+
+class TestChartLineAgainstReference:
+    """The geodesic, its velocity and its equation's residual share one chart
+    line; each returns the bits of its own formula over the powers, held here."""
+
+    @pytest.mark.parametrize("alpha", [-1.0, -0.9, -0.5, 0.0, 0.3, 0.9, 0.999])
+    def test_bit_identical_to_the_separate_formulas(self, alpha):
+        rng = np.random.default_rng(int(1000 * alpha) + 2000)
+        beta = chart_exponent(alpha, geodesic=True)
+        for dim in (1, 2, 5, 17, 39):
+            p, q = random_pair(rng, dim, 0.05, 20.0)
+            for t in (0.0, 1.0, float(rng.uniform())):
+                point = cl.alpha_geodesic(p, q, alpha, t)
+                assert point is not p and point is not q
+                assert point.tobytes() == _old_geodesic(p, q, beta, t).tobytes()
+                velocity = cl.geodesic_velocity(p, q, alpha, t).tobytes()
+                assert velocity == _old_velocity(p, q, beta, t).tobytes()
+                residual = cl.geodesic_ode_residual(p, q, alpha, t)
+                assert residual == _old_residual(p, q, beta, t)
+
+
 class TestGeodesicEquation:
     def test_residual_vanishes_on_closed_form(self):
         rng = np.random.default_rng(3)

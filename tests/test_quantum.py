@@ -1,10 +1,12 @@
 import functools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from alphadiv import classical as cl
+from alphadiv import numkit
 from alphadiv import quantum as qm
 from alphadiv import recovery as rc
 from alphadiv.numkit import (
@@ -354,25 +356,62 @@ class TestChartMemo:
 
         monkeypatch.setattr(qm.PositiveOperator, "_from_chart", staticmethod(counted))
         qm._chart_operator.cache_clear()
-        basis = qm.hermitian_basis(2)
-        alpha = 0.5
         rho = qm.PositiveOperator(np.array([[1.4, 0.3 - 0.2j], [0.3 + 0.2j, 0.9]]))
+        point, contrast = qm.alpha_chart_contrast(rho, 0.5)
         points = set()
         evals = []
 
         def divergence(x, y):
             points.update((x.tobytes(), y.tobytes()))
             evals.append(1)
-            r1 = qm.operator_from_chart(x, basis, alpha)
-            r2 = qm.operator_from_chart(y, basis, alpha)
-            return qm.quantum_alpha_divergence_closed(r1, r2, alpha)
+            return contrast(x, y)
 
         cfg = FDConfig(step=1e-3, order=4)
-        point = qm.theta_coordinates(qm.alpha_embedding(rho, alpha), basis)
         structure = rc.recover_structure(divergence, point, cfg)
         rc.duality_defect(structure, divergence, cfg)
         assert len(evals) == 12545
         assert len(builds) <= 2 * len(points) <= 2 * 417
+
+
+class TestAlphaChartContrast:
+    """alpha_chart_contrast: the chart point of rho and the divergence between chart points."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])
+    def test_point_and_contrast_are_the_hand_built_ones(self, dim, alpha):
+        rng = np.random.default_rng(60 + dim)
+        rho = rand_pd(rng, dim, (0.5, 2.0))
+        basis = qm.hermitian_basis(dim)
+        point, contrast = qm.alpha_chart_contrast(rho, alpha)
+        expected = qm.theta_coordinates(qm.alpha_embedding(rho, alpha), basis)
+        assert point.tobytes() == expected.tobytes()
+
+        def hand_built(x, y):  # the inverse chart without its memo
+            r1 = TestChartMemo.uncached(x, basis, alpha)
+            r2 = TestChartMemo.uncached(y, basis, alpha)
+            return qm.quantum_alpha_divergence_closed(r1, r2, alpha)
+
+        steps = 0.05 * rng.standard_normal((8, dim * dim))
+        for x, y in [(point, point), *zip(point + steps[:4], point + steps[4:])]:
+            for a, b in ((x, y), (y, x), (x, x)):
+                value = contrast(a, b)
+                assert type(value) is float
+                assert value == hand_built(a, b)
+        assert contrast(point, point) == 0.0
+
+    def test_accepts_a_matrix_and_refuses_a_point_off_the_cone(self):
+        # a stencil point off the cone is a numerical-domain failure (exit 3
+        # from `alphadiv recover`), not a usage error
+        matrix = np.array([[1.5, 0.2], [0.2, 1.0]])
+        point, contrast = qm.alpha_chart_contrast(matrix, 0.5)
+        _, expected = qm.alpha_chart_contrast(qm.PositiveOperator(matrix), 0.5)
+        off = qm.theta_coordinates(np.diag([1.0, -2.0]), qm.hermitian_basis(2))
+        assert contrast(point, 1.01 * point) == expected(point, 1.01 * point)
+        for x, y in ((point, off), (off, point)):
+            with pytest.raises(NotPositiveDefiniteError) as info:
+                contrast(x, y)
+            assert isinstance(info.value, NumericalDomainError)
+            assert not isinstance(info.value, ValueError)
 
 
 class TestVelocityRepresentations:
@@ -476,6 +515,31 @@ class TestRequireReal:
             qm._require_real(2.0 + 4e-10j, "trace")
         with pytest.raises(NumericalDomainError, match="array: imaginary residue 4.000e-10"):
             qm._require_real(real + 4e-10j * np.eye(2) / np.sqrt(2), "array")
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_norms_are_the_dot_product_roots_at_both_call_sites(self, monkeypatch, dim):
+        # numkit._frobenius sums in memory order, which is the row-major
+        # order of the old sqrt(v.ravel() @ v.ravel()) on C-ordered arrays;
+        # both callers pass one (a 0-d trace, an einsum component array)
+        seen = []
+        require_real = qm._require_real
+
+        def recorded(z, context):
+            seen.append((np.asarray(z), context))
+            return require_real(z, context)
+
+        monkeypatch.setattr(qm, "_require_real", recorded)
+        rng = np.random.default_rng(70 + dim)
+        rho = rand_pd(rng, dim)
+        x, y = qm.random_hermitian(rng, dim), qm.random_hermitian(rng, dim)
+        for alpha in (-0.7, 0.0, 0.4):
+            qm.wyd_metric(rho, x, y, alpha)
+            qm.wyd_components_theta(rho, alpha)
+        assert [context for _, context in seen] == ["wyd_metric trace", "metric component array"] * 3
+        for z, _ in seen:
+            assert z.flags.c_contiguous
+            for v in (z.imag, z.real):
+                assert numkit._frobenius(v) == math.sqrt(v.ravel() @ v.ravel())
 
 
 class TestWydMetric:

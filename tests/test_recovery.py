@@ -340,43 +340,21 @@ class TestQuantumChartRecovery:
         # at alpha = 0 the chart pairing is Tr(A_i A_j) for every base point
         rng = np.random.default_rng(23)
         rho = operator_on(rng, 2, (0.5, 2.0))
-        basis = qm.hermitian_basis(2)
-
-        def chart_div(x, y):
-            r1 = qm.operator_from_chart(x, basis, 0.0)
-            r2 = qm.operator_from_chart(y, basis, 0.0)
-            return qm.quantum_alpha_divergence_closed(r1, r2, 0.0)
-
-        theta = qm.theta_coordinates(qm.alpha_embedding(rho, 0.0), basis)
+        theta, chart_div = qm.alpha_chart_contrast(rho, 0.0)
         metric = -mixed_partials(chart_div, theta, theta, "pq", FDConfig(1e-3, 4))
         assert np.max(np.abs(metric - np.eye(4))) <= 1e-5
 
     def test_identity_point_matches_theta_components(self):
-        basis = qm.hermitian_basis(2)
         a = 0.5
-
-        def chart_div(x, y):
-            r1 = qm.operator_from_chart(x, basis, a)
-            r2 = qm.operator_from_chart(y, basis, a)
-            return qm.quantum_alpha_divergence_closed(r1, r2, a)
-
         rho = qm.PositiveOperator(np.eye(2))
-        theta = qm.theta_coordinates(qm.alpha_embedding(rho, a), basis)
+        theta, chart_div = qm.alpha_chart_contrast(rho, a)
         metric = -mixed_partials(chart_div, theta, theta, "pq", FDConfig(1e-3, 4))
         reference = qm.wyd_components_theta(rho, a)
         assert np.max(np.abs(metric - reference)) <= 1e-5
 
     def test_chart_is_flat(self):
-        basis = qm.hermitian_basis(2)
-        a = 0.5
-
-        def chart_div(x, y):
-            r1 = qm.operator_from_chart(x, basis, a)
-            r2 = qm.operator_from_chart(y, basis, a)
-            return qm.quantum_alpha_divergence_closed(r1, r2, a)
-
         rho = qm.PositiveOperator(np.array([[1.5, 0.2], [0.2, 1.0]]))
-        theta = qm.theta_coordinates(qm.alpha_embedding(rho, a), basis)
+        theta, chart_div = qm.alpha_chart_contrast(rho, 0.5)
         s = rc.recover_structure(chart_div, theta)
         assert np.max(np.abs(rc.curvature(s, chart_div))) <= 1e-3
 
@@ -388,13 +366,7 @@ class TestQuantumChartRecovery:
         basis = qm.hermitian_basis(2)
         a = 0.5
         beta = 0.5 * (1.0 - a)
-
-        def chart_div(x, y):
-            r1 = qm.operator_from_chart(x, basis, a)
-            r2 = qm.operator_from_chart(y, basis, a)
-            return qm.quantum_alpha_divergence_closed(r1, r2, a)
-
-        theta = qm.theta_coordinates(qm.alpha_embedding(rho, a), basis)
+        theta, chart_div = qm.alpha_chart_contrast(rho, a)
         metric = -mixed_partials(chart_div, theta, theta, "pq", FDConfig(1e-3, 4))
 
         # tangent vectors whose (+alpha) representation equals each basis element
@@ -410,4 +382,3 @@ class TestQuantumChartRecovery:
             for j in range(4):
                 expected[i, j] = qm.wyd_metric(rho, tangents[i], tangents[j], a)
         assert np.max(np.abs(metric - expected)) <= 1e-5
-

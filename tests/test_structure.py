@@ -17,9 +17,11 @@ pair.  Mixed partials
 and gradients share one stencil grid, the one reader of the stencil table.
 Every name a module exports is used by the package itself, except the
 reference metric the tests hold others against.  Exact array tests are
-``np.count_nonzero`` calls and Frobenius norms ``numkit._frobenius``, never
-``ndarray.all``/``any``, ``np.all``/``any`` or ``np.linalg.norm``, whose
-Python-level dispatch costs microseconds on small arrays.
+``np.count_nonzero`` calls and Frobenius norms ``numkit._frobenius``, the one
+``math.sqrt``, never ``ndarray.all``/``any``, ``np.all``/``any`` or
+``np.linalg.norm``, whose Python-level dispatch costs microseconds on small
+arrays.  The alpha-chart contrast is built in one place,
+``quantum.alpha_chart_contrast``, the one caller of the inverse chart's memo.
 """
 
 import ast
@@ -89,6 +91,15 @@ def test_positive_operator_bypasses_init_only_in_the_inverse_chart():
     assert sites(bypass) == [("quantum", "PositiveOperator._from_chart")]
 
 
+def test_chart_contrast_is_the_one_caller_of_the_inverse_chart_memo():
+    # any reference, so that an alias cannot escape the check
+    mentions = sites(
+        lambda n: (isinstance(n, ast.Name) and n.id == "operator_from_chart")
+        or (isinstance(n, ast.Attribute) and n.attr == "operator_from_chart")
+    )
+    assert mentions == [("quantum", "alpha_chart_contrast.contrast")] * 2
+
+
 def test_inverse_chart_is_reached_through_the_memo_or_the_geodesic():
     calls = sites(lambda n: isinstance(n, ast.Call) and dotted(n.func) == "PositiveOperator._from_chart")
     assert sorted(calls) == [("quantum", "_chart_operator"), ("quantum", "alpha_geodesic_q")]
@@ -104,6 +115,15 @@ def test_no_dispatching_array_test_or_norm():
         or (isinstance(n, ast.alias) and n.name.split(".")[-1] in ("all", "any", "norm"))
     )
     assert found == []
+
+
+def test_frobenius_norm_is_written_once():
+    # any spelling of a square root from math: an attribute call or an import
+    roots = sites(
+        lambda n: (isinstance(n, ast.Attribute) and dotted(n) == "math.sqrt")
+        or (isinstance(n, ast.alias) and n.name.split(".")[-1] == "sqrt")
+    )
+    assert roots == [("numkit", "_frobenius")]
 
 
 def test_chart_exponent_is_written_once():
