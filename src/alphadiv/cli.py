@@ -8,8 +8,8 @@ Subcommands:
     sweep        tabulate divergences over a grid of alpha values as CSV
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error
-(an unreadable document or an unwritable --out among them), 3
-numerical-domain error.
+(an unreadable document or an unwritable --out among them; --out is
+probed before any work), 3 numerical-domain error.
 
 Input documents are JSON::
 
@@ -25,9 +25,9 @@ symmetrized on load and must be Hermitian and positive definite.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -329,7 +329,7 @@ def cmd_recover(args):
             point = quantum.theta_coordinates(objects[args.point].matrix, basis)
     elif kind == "classical":
         point = objects[args.point]
-        divergence = functools.partial(classical.alpha_divergence_closed, alpha=alpha)
+        divergence = lambda x, y: classical.alpha_divergence_closed(x, y, alpha)
     else:
         point, divergence = quantum.alpha_chart_contrast(objects[args.point], alpha)
 
@@ -377,6 +377,21 @@ def cmd_sweep(args):
         lines.append(f"{a!r},{numeric!r},{closed!r},{limit!r},{gap!r}")
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
+
+
+def _probe(path):
+    """Refuse an --out path that cannot be opened for writing, before any work.
+
+    The probe opens it to append, which changes no existing file, and removes
+    the file that it created itself, so a run that then fails leaves none.
+    """
+    existed = os.path.exists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+    if not existed:
+        os.remove(os.path.realpath(path))  # through a dangling link, its new target
 
 
 def _write(path, text):
@@ -482,6 +497,8 @@ def main(argv=None):
         # Every non-finite result is refused with EXIT_NUMERICAL, so numpy's
         # floating-point warnings would only repeat that on stderr.
         with np.errstate(all="ignore"):
+            if args.out:
+                _probe(args.out)
             return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,10 +4,12 @@ Gauss-Legendre quadrature on [0, 1] and the node blocks its integrands run
 in, the one gate of each parameter (alpha in :func:`chart_exponent`, q in
 :func:`check_q`, t in :func:`check_t`), the Hermiticity check and the one
 positivity gate, Hermitian eigendecompositions, divided-difference
-derivatives of matrix power functions, and central-difference mixed partials
-and gradients, which nest first-derivative stencils on one flat grid of
-stencil points; a contrast's ValueError on a stencil is a numerical-domain
-error.
+derivatives of matrix power functions (one formula through log1p and expm1
+of the eigenvalue ratio, which subtracts no two powers, and the derivative
+s * w**(s-1) only at exactly repeated eigenvalues), and central-difference
+mixed partials and gradients, which nest first-derivative stencils on one
+flat grid of stencil points; a contrast's ValueError on a stencil is a
+numerical-domain error.
 
 Every function here is a pure function of its inputs and deterministic for
 identical inputs, so results are safe to share between threads.  Reductions
@@ -25,7 +27,6 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_RULE",
-    "DEGENERACY_RTOL",
     "FDConfig",
     "HERMITICITY_RTOL",
     "MAX_NODES",
@@ -53,11 +54,6 @@ __all__ = [
 # operator to count as positive definite; keeps negative fractional powers
 # bounded.  require_positive is the one gate that reads it.
 POSITIVITY_RTOL = 1e-12
-
-# Relative eigenvalue gap below which divided differences switch to the
-# derivative form.  Balances cancellation error in the secant against the
-# linearization error of the confluent limit at double precision.
-DEGENERACY_RTOL = 1e-8
 
 # A matrix counts as Hermitian when ||m - m^dagger||_F is at most this
 # fraction of ||m||_F; relative, so the verdict does not depend on the scale.
@@ -325,20 +321,24 @@ def require_positive(spectrum, what="operator"):
 def power_divided_differences(eigenvalues, s) -> np.ndarray:
     """First divided differences of x**s on a positive eigenvalue grid.
 
-    Entry (i, j) is (w_i**s - w_j**s)/(w_i - w_j) where the gap is resolved,
-    and the derivative s * mean**(s-1) evaluated at the pair mean where
-    |w_i - w_j| <= DEGENERACY_RTOL * max(w_i, w_j).
+    Entry (i, j) is (w_i**s - w_j**s)/(w_i - w_j), and its limit s * w**(s-1)
+    where w_i == w_j exactly.  With lo < hi the pair and P the larger of its
+    two powers, it is sign(s) * P * (-expm1(-|s| log1p((hi - lo)/lo))/(hi - lo))
+    (Higham & Lin, SIAM J. Matrix Anal. Appl. 32, 2011).  No two powers are
+    subtracted, so nothing cancels however close the pair: an entry is within
+    a few ulps of the exact value wherever |s| log1p((hi - lo)/lo) is a normal
+    float.  The -expm1 term lies in [0, 1] and its quotient by hi - lo is at
+    most |s|/lo, so an entry is finite wherever P and |s|/lo are.
     """
     w = np.asarray(eigenvalues, dtype=float)
     s = float(s)
-    li = w[..., :, None]
-    lj = w[..., None, :]
-    diff = li - lj
-    near = np.abs(diff) <= DEGENERACY_RTOL * np.maximum(li, lj)
+    lo = np.minimum(w[..., :, None], w[..., None, :])
+    gap = np.maximum(w[..., :, None], w[..., None, :]) - lo
     ws = w**s
-    table = (ws[..., :, None] - ws[..., None, :]) / np.where(near, 1.0, diff)
-    # the derivative only where it is used: the diagonal and near pairs
-    table[near] = s * (0.5 * (li + lj)[near]) ** (s - 1.0)
+    same = gap == 0.0
+    quotient = np.expm1(np.log1p(gap / lo) * -abs(s)) / np.where(same, 1.0, gap)
+    table = np.maximum(ws[..., :, None], ws[..., None, :]) * quotient * -math.copysign(1.0, s)
+    table[same] = s * lo[same] ** (s - 1.0)
     return table
 
 

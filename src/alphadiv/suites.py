@@ -7,7 +7,6 @@ tolerance, and pass flag.  Randomness is fully determined by the seed.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -113,7 +112,7 @@ def structure_errors(points, alphas):
         fisher = np.array([[classical.fisher_metric(p, x, y) for y in basis] for x in basis])
         structures.append({})
         for a in alphas:
-            div = functools.partial(classical.alpha_divergence_closed, alpha=a)
+            div = lambda x, y, a=a: classical.alpha_divergence_closed(x, y, a)
             structure = structures[-1][a] = recovery.recover_structure(div, p)
             metric_errs.append(
                 float(np.max(np.abs(structure.metric - fisher)) / np.max(np.abs(fisher)))
@@ -316,7 +315,7 @@ def run_recovery_suite(trials, seed, tol):
     # detects a NaN or a stencil failure, not a wrong curvature formula
     curv = _worst(
         float(np.max(np.abs(recovery.curvature(
-            recovered[a], functools.partial(classical.alpha_divergence_closed, alpha=a)
+            recovered[a], lambda x, y, a=a: classical.alpha_divergence_closed(x, y, a)
         ))))
         for recovered in structures[:2]
         for a in (0.0, 0.5)
@@ -353,8 +352,8 @@ def run_recovery_suite(trials, seed, tol):
         _check("degenerate contrast rejected", 0.0 if degenerate_rejected else 1.0, 0.5)
     )
 
-    div_closed = functools.partial(classical.alpha_divergence_closed, alpha=0.5)
-    div_numeric = functools.partial(classical.canonical_divergence_numeric, alpha=0.5)
+    div_closed = lambda x, y: classical.alpha_divergence_closed(x, y, 0.5)
+    div_numeric = lambda x, y: classical.canonical_divergence_numeric(x, y, 0.5)
 
     p = np.array([1.0, 2.0])
     s_closed = recovery.recover_structure(div_closed, p)

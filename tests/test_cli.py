@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from alphadiv import classical, numkit, quantum, suites
+from alphadiv import classical, cli, numkit, quantum, suites
 from alphadiv.cli import _parse_alphas, load_document, main
 from alphadiv.quantum import wyd_components_theta
 
@@ -293,17 +293,20 @@ class TestDivergenceCommand:
         assert main(["divergence", "/nonexistent.json", "--family", "kl"]) == 2
 
 
+EVERY_COMMAND = pytest.mark.parametrize(
+    "argv",
+    [
+        ["divergence", "{classical}", "--alpha", "0", "--pairs", "p:q"],
+        ["verify", "--suite", "classical", "--trials", "1", "--seed", "7"],
+        ["recover", "{classical}", "--alpha", "0", "--point", "p"],
+        ["sweep", "{quantum}", "--pair", "rho1:rho2", "--alphas=0.5"],
+    ],
+    ids=["divergence", "verify", "recover", "sweep"],
+)
+
+
 class TestUnwritableOut:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["divergence", "{classical}", "--alpha", "0", "--pairs", "p:q"],
-            ["verify", "--suite", "classical", "--trials", "1", "--seed", "7"],
-            ["recover", "{classical}", "--alpha", "0", "--point", "p"],
-            ["sweep", "{quantum}", "--pair", "rho1:rho2", "--alphas=0.5"],
-        ],
-        ids=["divergence", "verify", "recover", "sweep"],
-    )
+    @EVERY_COMMAND
     def test_is_usage_error(self, classical_doc, quantum_doc, tmp_path, capsys, argv):
         # a write that fails exits 2 as an unreadable document does, never 1,
         # which is verify's "verification failed"
@@ -316,6 +319,37 @@ class TestUnwritableOut:
         assert err.startswith(f"error: cannot write {out}: ")
         assert err.count("\n") == 1
         assert not out.parent.exists()
+
+    @EVERY_COMMAND
+    def test_is_refused_before_the_work(
+        self, classical_doc, quantum_doc, tmp_path, capsys, monkeypatch, argv
+    ):
+        # neither the document nor the suites are touched: the refusal comes
+        # first, not after the whole computation
+        def work(*args):
+            raise AssertionError("the work ran before --out was refused")
+
+        monkeypatch.setattr(cli, "load_document", work)
+        monkeypatch.setattr(suites, "run_suite", work)
+        out = tmp_path / "missing" / "out.txt"
+        argv = [a.format(classical=classical_doc, quantum=quantum_doc) for a in argv]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+    def test_failed_run_leaves_no_file_and_keeps_an_old_one(self, tmp_path, capsys):
+        # the probe creates no file that outlives a run that fails (exit 3),
+        # and changes nothing in a file that was there before
+        path = tmp_path / "overflow.json"
+        objects = {"p": [1.7976931348623157e308, 1.0], "q": [1.0, 2.0]}
+        path.write_text(json.dumps({"kind": "classical", "objects": objects}))
+        argv = ["divergence", str(path), "--family", "alpha", "--alpha", "0.98", "--out"]
+        out = tmp_path / "out.json"
+        assert main(argv + [str(out)]) == 3
+        assert not out.exists()
+        out.write_text("an earlier report\n")
+        assert main(argv + [str(out)]) == 3
+        assert out.read_text() == "an earlier report\n"
+        assert capsys.readouterr().err.count("numerical error: alpha value is not finite") == 2
 
 
 class TestVerifyCommand:

@@ -6,11 +6,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from alphadiv import classical, numkit, quantum
 from alphadiv.numkit import (
     DEFAULT_RULE,
-    DEGENERACY_RTOL,
     FDConfig,
     MAX_NODES,
     NotPositiveDefiniteError,
@@ -482,35 +483,89 @@ class TestFrechetPower:
             alpha_representation(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0)
 
 
-class TestDividedDifferences:
-    """power_divided_differences, against the expression that evaluated the
-    derivative on the whole grid and then kept it only at near pairs."""
+# Relative error of one divided-difference entry against 60-digit
+# arithmetic, in units of eps * max(1, |s|): the worst measured was 2.2, over
+# 80,000 draws of s in [-1, 200], eigenvalues from 1e-6 to 1e6 and relative
+# gaps of 0 and log-uniform from 1e-16 to 1e3, wherever both powers and the
+# entry are normal floats.  Every exponent the package passes (beta, 1 - beta
+# and (1 - beta)/beta at a float alpha inside (-1, 1)) is 0 or at least 2**-54
+# in magnitude; below about 1e-292, |s| log1p(gap) is subnormal and the
+# entry loses digits.
+DIVIDED_DIFFERENCE_EPS = 4.0
 
-    @staticmethod
-    def full_grid(eigenvalues, s):
-        w = np.asarray(eigenvalues, dtype=float)
-        li = w[..., :, None]
-        lj = w[..., None, :]
-        diff = li - lj
-        near = np.abs(diff) <= DEGENERACY_RTOL * np.maximum(li, lj)
-        safe = np.where(near, 1.0, diff)
-        s = float(s)
-        return np.where(near, s * (0.5 * (li + lj)) ** (s - 1.0), (li**s - lj**s) / safe)
+
+def exact_divided_difference(mp, a, b, s):
+    """(a**s - b**s)/(a - b) in mpmath arithmetic, s * a**(s-1) where a == b.
+
+    Taken as a**s expm1(s log(b/a))/(b - a), which keeps its digits where the
+    two powers agree to more than the working precision (s near 0).
+    """
+    a, b, s = mp.mpf(a), mp.mpf(b), mp.mpf(s)
+    return s * a ** (s - 1) if a == b else a**s * mp.expm1(s * mp.log(b / a)) / (b - a)
+
+
+def within_bound(value, exact, s):
+    """|value - exact| <= DIVIDED_DIFFERENCE_EPS * eps * max(1, |s|) * |exact|."""
+    bound = DIVIDED_DIFFERENCE_EPS * sys.float_info.epsilon * max(1.0, abs(s))
+    return abs(value - exact) <= bound * abs(exact)
+
+
+class TestDividedDifferences:
+    """power_divided_differences, one formula for every pair, against mpmath."""
+
+    @pytest.fixture
+    def mp(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            yield mp
 
     @pytest.mark.parametrize("s", [0.7, -0.5, 18.0])
-    def test_bit_identical_to_the_full_grid(self, s):
+    def test_near_repeats_against_mpmath(self, mp, s):
+        # an exact repeat, and relative gaps of 5e-9 and 2e-8 either side of
+        # the 1e-8 at which the table once switched from the secant, which
+        # cancels there, to the derivative at the pair's midpoint
         rng = np.random.default_rng(29)
         w = np.sort(rng.uniform(0.2, 4.0, size=(16, 7)), axis=-1)
-        w[:, 1] = w[:, 0]  # an exact repeat
-        w[:, 3] = w[:, 2] * (1.0 + 0.5 * DEGENERACY_RTOL)  # inside the tolerance
-        w[:, 5] = w[:, 4] * (1.0 + 2.0 * DEGENERACY_RTOL)  # just outside it
-        near = np.abs(w[:, :, None] - w[:, None, :]) <= DEGENERACY_RTOL * np.maximum(
-            w[:, :, None], w[:, None, :]
-        )
-        assert near[:, 0, 1].all() and near[:, 2, 3].all() and not near[:, 4, 5].any()
-        for spectra in (w, w[0]):  # a stack of spectra and a single one
-            table = power_divided_differences(spectra, s)
-            assert table.tobytes() == self.full_grid(spectra, s).tobytes()
+        w[:, 1] = w[:, 0]
+        w[:, 3] = w[:, 2] * (1.0 + 5e-9)
+        w[:, 5] = w[:, 4] * (1.0 + 2e-8)
+        tables = power_divided_differences(w, s)
+        # a stack of spectra and a single one
+        assert tables[0].tobytes() == power_divided_differences(w[0], s).tobytes()
+        for spectrum, table in zip(w.tolist(), tables):
+            for i, a in enumerate(spectrum):
+                for j, b in enumerate(spectrum):
+                    assert within_bound(table[i, j], exact_divided_difference(mp, a, b, s), s)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        s=st.floats(-1.0, 200.0),
+        lo=st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
+        gap=st.one_of(st.just(0.0), st.floats(-16.0, 3.0).map(lambda e: 10.0**e)),
+    )
+    def test_every_entry_against_mpmath(self, s, lo, gap):
+        # relative gaps from exact repeats up to 1e3, wherever both powers
+        # and the entry are normal floats, at the exponents the package passes
+        assume(s == 0.0 or abs(s) >= 2.0**-54)
+        mp = pytest.importorskip("mpmath")
+        hi = lo * (1.0 + gap)
+        with mp.workdps(60):
+            exact = exact_divided_difference(mp, hi, lo, s)
+            for v in (mp.mpf(lo) ** s, mp.mpf(hi) ** s, exact or 1.0):  # exact is 0 at s = 0
+                assume(sys.float_info.min <= abs(v) <= sys.float_info.max)
+            table = power_divided_differences(np.array([lo, hi]), s)
+            assert table[0, 1] == table[1, 0]
+            assert within_bound(table[0, 1], exact, s)
+
+    def test_exact_repeats_take_the_derivative(self):
+        # s * w**(s-1) exactly, with no 0/0 on the way (warnings are errors)
+        w = np.array([0.3, 0.3, 1.0, 2.5, 2.5, 2.5])
+        same = w[:, None] == w[None, :]
+        repeated = np.broadcast_to(w[:, None], same.shape)[same]
+        for s in (-0.95, -0.5, 0.0, 0.01, 0.5, 0.99, 3.0, 19.0):
+            table = power_divided_differences(w, s)
+            assert table[same].tobytes() == (s * repeated ** (s - 1.0)).tobytes()
+            assert np.count_nonzero(np.isfinite(table)) == table.size
 
 
 def reference_gradient(field, x, cfg):

@@ -1108,6 +1108,9 @@ class TestEqualOperators:
 # extended relative entropy stays at roundoff: 1.2e-15 measured.
 NEAR_DIAGONAL_RTOL = 3e-5
 RELATIVE_ENTROPY_RTOL = 1e-14
+# wyd_metric at alpha = -0.98 across a relative eigenvalue gap of 1.5e-8:
+# 5.1e-15 measured (7.9e-6 when that gap took the secant of x**0.01).
+NEAR_REPEAT_METRIC_RTOL = 2e-14
 
 
 class TestAgainstMpmath:
@@ -1142,6 +1145,34 @@ class TestAgainstMpmath:
             expected = (beta * trace_a + (1 - beta) * trace_b - mixed) / (beta * (1 - beta))
             value = qm.quantum_alpha_divergence_closed(r1, r2, alpha)
             assert abs((value - expected) / expected) <= NEAR_DIAGONAL_RTOL
+
+    def test_wyd_metric_near_a_repeated_eigenvalue(self, mp):
+        # alpha = -0.98 pairs the divided differences of x**0.99 and x**0.01,
+        # and the two eigenvalues a and a (1 + 1.5e-8) sit where a difference
+        # of powers of x**0.01 would cancel; rho is diagonal, so its
+        # eigenbasis is the standard one
+        alpha = -0.98
+        beta = (1 - mp.mpf(alpha)) / 2
+
+        def divided(a, b, s):
+            return s * a ** (s - 1) if a == b else (a**s - b**s) / (a - b)
+
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            a, c = rng.uniform(0.2, 4.0, 2)
+            spectrum = [a, a * (1.0 + 1.5e-8), c]
+            x, y = qm.random_hermitian(rng, 3), qm.random_hermitian(rng, 3)
+            l = [mp.mpf(v) for v in spectrum]
+            expected = mp.re(
+                sum(
+                    divided(l[i], l[j], beta) * divided(l[j], l[i], 1 - beta)
+                    * mp.mpc(x[i, j]) * mp.mpc(y[j, i])
+                    for i in range(3)
+                    for j in range(3)
+                )
+            ) / (beta * (1 - beta))
+            value = qm.wyd_metric(np.diag(spectrum), x, y, alpha)
+            assert abs((value - expected) / expected) <= NEAR_REPEAT_METRIC_RTOL
 
     @pytest.mark.parametrize("scale", [1e4, 1e8, 1e12])
     def test_relative_entropy_at_large_trace_ratios(self, mp, scale):
