@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alphadiv import classical as cl
@@ -73,20 +73,39 @@ class TestValidation:
         arr = np.array(vec)
         assert cl.as_measure(arr) is arr
 
-    def test_small_vectors_skip_the_numpy_checks(self, monkeypatch):
+    # one measure, and a pair through each kind of caller: a closed form, the
+    # Tsallis form with its q gate, and the geodesic with its t gate
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda p, q: cl.as_measure(p),
+            lambda p, q: cl.alpha_divergence_closed(p, q, 0.3),
+            lambda p, q: cl.tsallis_q_divergence(p, q, 0.4),
+            lambda p, q: cl.alpha_geodesic(p, q, 0.3, 0.5),
+        ],
+        ids=["as_measure", "alpha_divergence_closed", "tsallis_q_divergence", "alpha_geodesic"],
+    )
+    def test_small_vectors_skip_the_numpy_checks(self, monkeypatch, check):
         def refuse(*args, **kwargs):
             raise AssertionError("numpy check reached")
 
         monkeypatch.setattr(cl.np, "isfinite", refuse)
-        cl.as_measure([1.0] * cl._SMALL)
+        check([1.0] * cl._SMALL, [2.0] * cl._SMALL)
         with pytest.raises(AssertionError, match="numpy check reached"):
-            cl.as_measure([1.0] * (cl._SMALL + 1))
+            check([1.0] * (cl._SMALL + 1), [2.0] * (cl._SMALL + 1))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             cl.fisher_metric([1.0, 2.0], [1.0], [1.0, 0.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             cl.alpha_divergence_closed([1.0, 2.0], [1.0], 0.0)
+        assert str(exc.value) == "measures must share a dimension, got 2 and 1"
+        # a bad first measure is named before the shapes are compared
+        with pytest.raises(ValueError) as exc:
+            cl.alpha_divergence_closed([1.0, -2.0], [1.0], 0.0)
+        assert str(exc.value) == (
+            f"measure entries must be strictly positive, got {np.array([1.0, -2.0])!r}"
+        )
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_tangent_refused(self, bad):
@@ -106,6 +125,100 @@ class TestValidation:
             cl.alpha_geodesic([1.0], [2.0], 0.0, 1.5)
         with pytest.raises(ValueError):
             cl.geodesic_velocity([1.0], [2.0], 0.0, -0.1)
+
+
+def reference_as_measure(p):
+    """`as_measure` with a short-vector check of its own, as it stood when each
+    measure of a pair was checked apart."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim == 1 and 0 < p.size <= cl._SMALL:
+        entries = p.tolist()
+        if 0.0 < min(entries) and sum(entries) < math.inf:
+            return p
+    if p.ndim != 1 or p.size == 0:
+        raise ValueError("a measure must be a nonempty 1-D vector")
+    if np.count_nonzero(np.isfinite(p)) != p.size:
+        raise ValueError("measure entries must be finite")
+    if np.count_nonzero(p <= 0.0):
+        raise ValueError(f"measure entries must be strictly positive, got {p!r}")
+    return p
+
+
+def reference_measure_pair(p, q):
+    p = reference_as_measure(p)
+    q = reference_as_measure(q)
+    if p.shape != q.shape:
+        raise ValueError(f"measures must share a dimension, got {p.size} and {q.size}")
+    return p, q
+
+
+def outcome(check, p, q):
+    """The pair a check returns, or the type and message of what it raises."""
+    try:
+        return "returned", check(p, q)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+
+
+BAD_ENTRIES = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -2.0])
+
+
+@st.composite
+def measure_like(draw, n):
+    """n entries in [1e-3, 1e3], as one of the forms a caller may pass: a float
+    vector, a list, a list of ints, a 0-d array or a 2-D array.  Some carry a
+    bad entry, or 1e308, whose sum with another such vector overflows."""
+    entries = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    change = draw(st.sampled_from(["none", "bad", "huge"]))
+    if change != "none" and n:
+        value = draw(BAD_ENTRIES) if change == "bad" else 1e308
+        entries[draw(st.integers(0, n - 1))] = value
+    form = draw(st.sampled_from(["array", "array", "list", "ints", "0-d", "2-D"]))
+    if form == "list":
+        return entries
+    if form == "ints":
+        return [int(x) if math.isfinite(x) else x for x in entries]
+    if form == "0-d":
+        return np.array(entries[0] if n else 1.0)
+    if form == "2-D":
+        return np.array(entries).reshape(1, n)
+    return np.array(entries)
+
+
+@st.composite
+def measure_pairs(draw):
+    """Sizes 0 to _SMALL + 1, mostly equal; sometimes q is p itself."""
+    n = draw(st.integers(0, cl._SMALL + 1))
+    p = draw(measure_like(n))
+    if draw(st.integers(0, 4)) == 0:
+        return p, p
+    m = draw(st.one_of(st.just(n), st.just(n), st.integers(0, cl._SMALL + 1)))
+    return p, draw(measure_like(m))
+
+
+class TestMeasurePairOracle:
+    """`_measure_pair` checks a short pair in one pass; every other pair goes
+    through `as_measure` on each side and a shape test.  Either way it returns
+    what the measure-by-measure check returns, or refuses with its message."""
+
+    @settings(max_examples=600, derandomize=True, database=None, deadline=None)
+    @given(measure_pairs())
+    @example((np.array([1.0, -2.0]), np.array([1.0])))  # a bad p beside a mismatch
+    @example((np.array([1e308, 1.0]), np.array([1e308, 2.0])))  # the sums overflow together
+    @example((np.full(cl._SMALL, 1.5),) * 2)  # q is p
+    def test_same_objects_or_same_refusal(self, pair):
+        p, q = pair
+        want = outcome(reference_measure_pair, p, q)
+        got = outcome(cl._measure_pair, p, q)
+        if want[0] == "raised":
+            assert got == want
+            return
+        assert got[0] == "returned"
+        for given_arg, w, g in zip((p, q), want[1], got[1]):
+            if isinstance(given_arg, np.ndarray) and given_arg.dtype == np.float64:
+                assert w is given_arg and g is given_arg
+            else:
+                assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
 
 
 class TestFisherMetric:

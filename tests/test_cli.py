@@ -293,6 +293,31 @@ class TestDivergenceCommand:
         assert main(["divergence", "/nonexistent.json", "--family", "kl"]) == 2
 
 
+# measures of dimensions 2 and 3: each command that pairs them refuses the
+# pair before any kernel runs, where a zip over the entries would stop at the
+# shorter one and print a wrong number
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["divergence", "{doc}", "--pairs", "p:q", "--family", "alpha", "--alpha", "0.5"],
+        ["divergence", "{doc}", "--pairs", "p:q", "--family", "canonical", "--alpha", "0.5"],
+        ["divergence", "{doc}", "--pairs", "p:q", "--family", "kl"],
+        ["divergence", "{doc}", "--pairs", "p:q", "--family", "tsallis", "--q", "0.4"],
+        ["sweep", "{doc}", "--pair", "p:q", "--alphas=0.5", "--out", "{out}"],
+    ],
+    ids=["alpha", "canonical", "kl", "tsallis", "sweep"],
+)
+def test_measures_of_two_dimensions_are_a_usage_error(tmp_path, capsys, argv):
+    doc = tmp_path / "mismatch.json"
+    doc.write_text(
+        json.dumps({"kind": "classical", "objects": {"p": [1.0, 2.0], "q": [2.0, 1.0, 0.5]}})
+    )
+    out = tmp_path / "sweep.csv"
+    assert main([a.format(doc=doc, out=out) for a in argv]) == 2
+    assert capsys.readouterr() == ("", "error: measures must share a dimension, got 2 and 3\n")
+    assert not out.exists()
+
+
 EVERY_COMMAND = pytest.mark.parametrize(
     "argv",
     [
