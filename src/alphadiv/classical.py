@@ -258,6 +258,13 @@ def _bregman_power_sum(p, q, beta):
     return float(bregman.sum())
 
 
+def _tsallis_sum(p, q, qparam):
+    """(q/(1-q)) times the shared kernel at beta = q: the Tsallis q-divergence
+    of a validated pair, q checked here.  The quantum q-divergence shares it."""
+    qparam = check_q(qparam)
+    return qparam * _bregman_power_sum(p, q, qparam) / (1.0 - qparam)
+
+
 def alpha_divergence_closed(p, q, alpha) -> float:
     """Closed-form alpha-divergence on positive measures.
 
@@ -293,6 +300,4 @@ def tsallis_q_divergence(p, q, qparam) -> float:
     (1/(1-q)) sum_i (q p_i + (1-q) q_i - p_i**q q_i**(1-q)).  Coincides with
     ((1-alpha)/2) times the alpha-divergence at alpha = 1 - 2q.
     """
-    p, q = _measure_pair(p, q)
-    qparam = check_q(qparam)
-    return qparam * _bregman_power_sum(p, q, qparam) / (1.0 - qparam)
+    return _tsallis_sum(*_measure_pair(p, q), qparam)

@@ -8,8 +8,9 @@ Subcommands:
     sweep        tabulate divergences over a grid of alpha values as CSV
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error
-(an unreadable document or an unwritable --out among them; --out is
-probed before any work), 3 numerical-domain error.
+(an unreadable document, an unwritable --out, and a report that cannot
+reach standard output among them; --out is probed before any work),
+3 numerical-domain error.
 
 Input documents are JSON::
 
@@ -407,8 +408,14 @@ def _emit(payload, out):
     text = json.dumps(payload, indent=2)
     if out:
         _write(out, text + "\n")
-    else:
-        print(text)
+        return
+    try:
+        print(text, flush=True)  # a buffered report fails here, not at exit
+    except OSError as exc:  # the reader has gone (EPIPE) or the device is full
+        # fd 1 to the null device: the interpreter's exit flush writes there
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        raise InputError(f"cannot write standard output: {exc}") from exc
 
 
 def _tolerance(text):

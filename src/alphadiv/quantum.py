@@ -12,8 +12,9 @@ Operators are wrapped in :class:`PositiveOperator`, which validates
 Hermiticity and positivity once and caches the spectral decomposition.
 Powers are taken through that cache, and the closed forms are sums over the
 Nussbaum-Szkola pair built from two cached eigensystems (its exact zeros
-dropped; with none, no copy is made), all but Furuichi's the classical
-kernels; the relative entropy is the extended one.  The inverse of the flat
+dropped; with none, no copy is made), and each is a classical kernel:
+Furuichi's is the q-divergence plus Tr(rho1 - rho2), and the relative
+entropy is the extended one.  The inverse of the flat
 chart (geodesic points, :func:`operator_from_chart`) is built from the
 decomposition of the chart matrix, not decomposed again, and
 :func:`operator_from_chart` keeps the last 64 points it built: a repeated chart
@@ -35,7 +36,7 @@ import sys
 
 import numpy as np
 
-from .classical import _bregman_power_sum, _kl_sum
+from .classical import _bregman_power_sum, _kl_sum, _tsallis_sum
 from .numkit import (
     DEFAULT_RULE,
     NumericalDomainError,
@@ -45,7 +46,6 @@ from .numkit import (
     as_hermitian,
     blockwise,
     chart_exponent,
-    check_q,
     check_t,
     frechet_from_decomposition,
     hermitian_eig,
@@ -488,23 +488,21 @@ def quantum_q_divergence(rho1, rho2, qparam) -> float:
     Coincides with ((1-alpha)/2) times the quantum alpha-divergence at
     alpha = 1 - 2q.
     """
-    pair = _spectral_pair(*_positive_pair(rho1, rho2))
-    qparam = check_q(qparam)
-    return qparam * _bregman_power_sum(*pair, qparam) / (1.0 - qparam)
+    return _tsallis_sum(*_spectral_pair(*_positive_pair(rho1, rho2)), qparam)
 
 
 def furuichi_q_divergence(rho1, rho2, qparam) -> float:
     """(Tr rho1 - Tr(rho1**q rho2**(1-q))) / (1 - q), 0 < q < 1.
 
-    Reduces to the Tsallis relative entropy on density operators, where it
-    agrees with :func:`quantum_q_divergence`; on non-normalized operators the
-    two differ by Tr(rho2 - rho1).
+    Computed as the identity quantum_q_divergence(rho1, rho2, q) +
+    Tr(rho1 - rho2), with no power sum of its own; the trace gap is taken
+    from the difference of the stored matrices, which near the diagonal
+    rounds less than the difference of their traces.  Exactly 0.0 for
+    identical operators.  Reduces to the Tsallis relative entropy on density
+    operators, where the trace gap is zero.
     """
-    p, q = _spectral_pair(*_positive_pair(rho1, rho2))
-    qparam = check_q(qparam)
-    if p is q:
-        return 0.0
-    return float(p.sum() - (p**qparam * q ** (1.0 - qparam)).sum()) / (1.0 - qparam)
+    r1, r2 = _positive_pair(rho1, rho2)
+    return quantum_q_divergence(r1, r2, qparam) + float(np.trace(r1.matrix - r2.matrix).real)
 
 
 # ---------------------------------------------------------------------------

@@ -238,8 +238,8 @@ def run_quantum_suite(trials, seed, tol):
     gaps = []
     for _ in range(10):
         dim = int(rng.integers(2, 6))
-        p = random_measure(rng, dim, 0.2, 4.0)
-        q = random_measure(rng, dim, 0.2, 4.0)
+        p = random_measure(rng, dim, *quantum.RANDOM_SPECTRUM)
+        q = random_measure(rng, dim, *quantum.RANDOM_SPECTRUM)
         gaps.append(spectral_reduction_gap(p, q))
     checks.append(_check("spectral reduction to the classical cone", _worst(gaps), 1e-12))
 

@@ -376,6 +376,44 @@ class TestUnwritableOut:
         assert out.read_text() == "an earlier report\n"
         assert capsys.readouterr().err.count("numerical error: alpha value is not finite") == 2
 
+    @pytest.mark.parametrize("target", ["closed pipe", "/dev/full"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["divergence", "{classical}", "--alpha", "0", "--pairs", "p:q"],
+            ["verify", "--suite", "classical", "--trials", "1", "--seed", "7"],
+            ["recover", "{classical}", "--alpha", "0", "--point", "p"],
+        ],
+        ids=["divergence", "verify", "recover"],
+    )
+    def test_unwritable_standard_output_is_usage_error(self, classical_doc, argv, target):
+        # a report printed to a pipe whose reader has gone (EPIPE) or to a
+        # full device (ENOSPC): one stderr line and exit 2, not a traceback
+        # and exit 1, and nothing more when the interpreter flushes at exit
+        if target == "/dev/full":
+            if not os.path.exists(target):
+                pytest.skip("no /dev/full on this system")
+            stdout = os.open(target, os.O_WRONLY)
+        else:
+            reader, stdout = os.pipe()
+            os.close(reader)
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        argv = [a.format(classical=classical_doc) for a in argv]
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "alphadiv.cli", *argv],
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+                stdout=stdout,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(stdout)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: cannot write standard output: ")
+        assert proc.stderr.count("\n") == 1
+
 
 class TestVerifyCommand:
     def test_all_suites_pass(self, capsys, tmp_path):

@@ -968,8 +968,8 @@ def reference_closed_forms(rho1, rho2):
     for qp in (0.25, 0.5, 0.75):
         values[f"q {qp}"] = qp * cl._bregman_power_sum(p, q, qp) / (1.0 - qp)
     for qp in (0.25, 0.5, 0.75):
-        furuichi = float(p.sum() - (p**qp * q ** (1.0 - qp)).sum()) / (1.0 - qp)
-        values[f"furuichi {qp}"] = 0.0 if reference_same(rho1, rho2) else furuichi
+        gap = float(np.trace(rho1.matrix - rho2.matrix).real)
+        values[f"furuichi {qp}"] = values[f"q {qp}"] + gap
     values["relent"] = cl._kl_sum(p, q)
     return values
 
@@ -1108,6 +1108,16 @@ class TestEqualOperators:
 # extended relative entropy stays at roundoff: 1.2e-15 measured.
 NEAR_DIAGONAL_RTOL = 3e-5
 RELATIVE_ENTROPY_RTOL = 1e-14
+# Furuichi's form, the q-divergence plus Tr(rho1 - rho2), on 12 seeded pairs a
+# case at dims 2-4 and q in {1/4, 1/2, 3/4}: worst 1.1e-14 on random pairs,
+# 5.6e-15 on random density pairs, 9.9e-11 one step of 1e-5 off the diagonal
+# and 1.7e-5 on density pairs 1e-5 apart, whose value is all cancellation
+# (its own power sum, replaced, reached 1.9e-14, 2.1e-14, 4.6e-10 and 1.5e-4).
+# The README operator pair at q = 1/2 lands 1.1e-18 from its worked constant
+# 8 - (sqrt(3) + 1)(1 + sqrt(2)), the nearest double (1.3e-15, 8 ulps, before);
+# its bound is 4 eps, room for a few ulps of another LAPACK's eigenvectors.
+FURUICHI_RTOL = 1e-4
+FURUICHI_WORKED_RTOL = 4 * np.finfo(float).eps
 # wyd_metric at alpha = -0.98 across a relative eigenvalue gap of 1.5e-8:
 # 5.1e-15 measured (7.9e-6 when that gap took the secant of x**0.01).
 NEAR_REPEAT_METRIC_RTOL = 2e-14
@@ -1173,6 +1183,33 @@ class TestAgainstMpmath:
             ) / (beta * (1 - beta))
             value = qm.wyd_metric(np.diag(spectrum), x, y, alpha)
             assert abs((value - expected) / expected) <= NEAR_REPEAT_METRIC_RTOL
+
+    @pytest.mark.parametrize("densities", [False, True], ids=["operators", "densities"])
+    @pytest.mark.parametrize("step", [None, 1e-5], ids=["random", "near the diagonal"])
+    def test_furuichi(self, mp, step, densities):
+        rng = np.random.default_rng(5)
+        for _ in range(12):
+            dim = int(rng.integers(2, 5))
+            r1 = qm.random_positive_operator(rng, dim)
+            if step is None:
+                r2 = qm.random_positive_operator(rng, dim)
+            else:
+                r2 = qm.PositiveOperator(r1.matrix + step * qm.random_hermitian(rng, dim))
+            if densities:
+                r1, r2 = (qm.PositiveOperator(r.matrix / r.trace) for r in (r1, r2))
+            a, b = (mp.matrix(r.matrix.tolist()) for r in (r1, r2))
+            for qp in (0.25, 0.5, 0.75):
+                q = mp.mpf(qp)
+                power_a = self.function(mp, a, lambda x: x**q)
+                power_b = self.function(mp, b, lambda x: x ** (1 - q))
+                expected = (self.trace(mp, a) - self.trace(mp, power_a * power_b)) / (1 - q)
+                value = qm.furuichi_q_divergence(r1, r2, qp)
+                assert abs((value - expected) / expected) <= FURUICHI_RTOL
+
+    def test_furuichi_worked_constant(self, mp):
+        expected = 8 - (mp.sqrt(3) + 1) * (1 + mp.sqrt(2))
+        value = qm.furuichi_q_divergence(*WORKED_PAIR, 0.5)
+        assert abs((value - expected) / expected) <= FURUICHI_WORKED_RTOL
 
     @pytest.mark.parametrize("scale", [1e4, 1e8, 1e12])
     def test_relative_entropy_at_large_trace_ratios(self, mp, scale):

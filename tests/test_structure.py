@@ -13,8 +13,10 @@ gate, the range of alpha (in the chart exponent) and of q, the gate error of
 the quadrature checks, and the refusal of a stencil point off a contrast's
 domain, which no command re-decides.  The quantum relative entropy has no
 logarithm of its own: it is the classical KL kernel on the Nussbaum-Szkola
-pair.  Mixed partials
-and gradients share one stencil grid, the one reader of the stencil table.
+pair.  Nor has Furuichi's form a power sum: it is the q-divergence plus the
+trace gap, and the Tsallis scaling of the kernel is written once.  Mixed
+partials and gradients share one stencil grid, the one reader of the stencil
+table.
 Every name a module exports is used by the package itself, except the
 reference metric the tests hold others against.  Exact array tests are
 ``np.count_nonzero`` calls and Frobenius norms ``numkit._frobenius``, the one
@@ -179,6 +181,40 @@ def test_quantum_relative_entropy_is_reached_only_through_the_kl_kernel():
     assert not [site for site in logs if site[0] == "quantum"]
     kernel = sites(lambda n: isinstance(n, ast.Call) and dotted(n.func) == "_kl_sum")
     assert [site for site in kernel if site[0] == "quantum"] == [("quantum", "quantum_relative_entropy")]
+
+
+def test_every_power_sum_is_the_one_kernel():
+    # the quantum module reaches the power-sum kernel only from the alpha
+    # closed form; Furuichi's form is the q-divergence plus the trace gap,
+    # with no power or sum of its own; and the Tsallis scaling q/(1-q) of the
+    # kernel, with its q gate, is written once, for both cones
+    kernel = sites(
+        lambda n: (isinstance(n, ast.Name) and n.id == "_bregman_power_sum")
+        or (isinstance(n, ast.Attribute) and n.attr == "_bregman_power_sum")
+    )
+    assert [site for site in kernel if site[0] == "quantum"] == [
+        ("quantum", "quantum_alpha_divergence_closed")
+    ]
+    own = sites(
+        lambda n: (isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow))
+        or (isinstance(n, ast.Attribute) and n.attr in ("sum", "fsum", "power"))
+        or (isinstance(n, ast.Name) and n.id == "sum")
+    )
+    assert not [site for site in own if site[1].startswith("furuichi_q_divergence")]
+
+    def scaled_kernel(n):  # <anything> * _bregman_power_sum(...), either order
+        return (
+            isinstance(n, ast.BinOp)
+            and isinstance(n.op, ast.Mult)
+            and any(
+                isinstance(side, ast.Call) and dotted(side.func) == "_bregman_power_sum"
+                for side in (n.left, n.right)
+            )
+        )
+
+    assert sites(scaled_kernel) == [("classical", "_tsallis_sum")]
+    gates = sites(lambda n: isinstance(n, ast.Call) and dotted(n.func) == "check_q")
+    assert gates == [("classical", "_tsallis_sum")]
 
 
 def test_gate_error_normalization_is_written_once():
