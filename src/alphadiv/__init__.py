@@ -14,6 +14,7 @@ numkit     quadrature, Hermiticity checks, eigendecompositions, stencils
 classical  the cone of positive measures (Fisher metric, alpha-geodesics)
 quantum    the operator cone (power embedding, WYD metric, transport)
 recovery   metric/connection recovery from a two-point contrast function
+suites     the seeded invariant suites behind ``alphadiv verify``
 cli        the ``alphadiv`` command-line tool
 """
 

@@ -273,11 +273,8 @@ def cmd_divergence(args):
     # cases without a reference value contribute nothing to the gate
     errors = [c["rel_error"] for c in cases if c["rel_error"] is not None]
     max_error = max(errors) if errors else 0.0
-    summary = {
-        "max_error": max_error,
-        "tolerance": args.tolerance,
-        "pass": max_error <= args.tolerance,
-    }
+    tolerance = suites.SUITE_TOLERANCES[kind] if args.tolerance is None else args.tolerance
+    summary = {"max_error": max_error, "tolerance": tolerance, "pass": max_error <= tolerance}
     _emit({"cases": cases, "summary": summary}, args.out)
     return EXIT_OK
 
@@ -445,7 +442,13 @@ def build_parser():
     p_div.add_argument("--method", choices=("closed", "quadrature", "both"))
     p_div.add_argument("--nodes", type=int)
     p_div.add_argument("--pairs", help="comma-separated name1:name2 pairs (default: all)")
-    p_div.add_argument("--tolerance", type=_tolerance, default=1e-8)
+    p_div.add_argument(
+        "--tolerance",
+        type=_tolerance,
+        help="gate of --method both on each case's error (default: the document kind's, "
+        f"classical {suites.SUITE_TOLERANCES['classical']:g}, "
+        f"quantum {suites.SUITE_TOLERANCES['quantum']:g})",
+    )
     p_div.add_argument("--out", help="write the JSON report here instead of stdout")
     p_div.set_defaults(func=cmd_divergence)
 

@@ -7,9 +7,9 @@ positivity gate, Hermitian eigendecompositions, divided-difference
 derivatives of matrix power functions (one formula through log1p and expm1
 of the eigenvalue ratio, which subtracts no two powers, and the derivative
 s * w**(s-1) only at exactly repeated eigenvalues), and central-difference
-mixed partials and gradients, which nest first-derivative stencils on one
-flat grid of stencil points; a contrast's ValueError on a stencil is a
-numerical-domain error.
+mixed partials and gradients, which build each block's stencil rows once and
+evaluate the function over the product of two row lists; a contrast's
+ValueError on a stencil is a numerical-domain error.
 
 Every function here is a pure function of its inputs and deterministic for
 identical inputs, so results are safe to share between threads.  Reductions
@@ -384,46 +384,42 @@ _STENCILS = {
 }
 
 
-def _stencil_points(blocks, axes, shifts):
-    """Grid of nested first-derivative stencils; axes[j] is the block derivative j steps.
+def _stencil_derivative(evaluate, p, q, axes, cfg: FDConfig) -> np.ndarray:
+    """Nested stencils of evaluate(p, q), one derivative per entry of axes (0 for p, 1 for q).
 
-    The grid's shape is (n_0, m, n_1, m, ...), n_j the size of derivative j's
-    block and m = len(shifts), the first derivative outermost.  At (k_0, o_0,
-    ...) each block is its vector plus shifts[o_j] at coordinate k_j for each
-    derivative j on it, added in derivative order as nested stencils add them.
-    Returns the shape and an iterator over the entries in C order, each one
-    point per block; a block's distinct points are built once.
+    Each block's derivatives must be adjacent in axes.  A block's stencil rows
+    are built once: the block itself, then, for each derivative on it in
+    turn, each row so far plus shift o at coordinate i for every (i, o) in C
+    order, n * m rows per row (n the block's size, m = len(stencil)), added in
+    derivative order as nested stencils add them.  evaluate runs once per
+    pair in the product of the two row lists, the first derivative's block's
+    rows outer and the other block's inner: that is the C order of the grid
+    (n_0, m, n_1, m, ...), derivative j on axes 2j and 2j + 1, and so the
+    order nested stencils call it in.  Axis j of the result indexes the
+    coordinate that derivative j acts on; trailing axes are those of
+    evaluate's value.  The offset axes are reduced innermost first with
+    nested stencils' arithmetic, acc = acc + c * v and then acc / step, over
+    all other axes at once.  The one reader of the stencil table.
     """
-    shape, m = (), len(shifts)
-    points = [x[None] for x in blocks]  # rows in C order of the block's own steps
+    offsets, coeffs = _STENCILS[cfg.order]
+    shifts = [off * cfg.step for off in offsets]
+    m, shape = len(shifts), ()
+    rows = [np.asarray(x, dtype=float)[None] for x in (p, q)]
+    if any(pts.ndim != 2 for pts in rows):
+        raise ValueError("coordinate blocks must be 1-D vectors")
     for axis in axes:
-        n, pts = blocks[axis].size, points[axis]
+        pts, n = rows[axis], rows[axis].shape[1]
         shape += (n, m)
         stepped = np.broadcast_to(pts[:, None, None, :], (len(pts), n, m, n)).copy()
         for k in range(n):
             stepped[:, k, :, k] += shifts
         # explicit sizes: a -1 cannot be worked out for an empty block
-        points[axis] = stepped.reshape(len(pts) * n * m, n)
-    rows = []  # each block's row at each entry, broadcast over the others' steps
-    for b, pts in enumerate(points):
-        own = [size if axes[j // 2] == b else 1 for j, size in enumerate(shape)]
-        rows.append(np.broadcast_to(np.arange(len(pts)).reshape(own), shape).ravel().tolist())
-    return shape, zip(*(map(list(pts).__getitem__, at) for pts, at in zip(points, rows)))
-
-
-def _stencil_derivative(evaluate, blocks, axes, cfg: FDConfig) -> np.ndarray:
-    """Nested stencils of evaluate(*points), one derivative per entry of axes.
-
-    Axis j of the result indexes the coordinate of blocks[axes[j]] that
-    derivative j acts on; trailing axes are those of evaluate's value.
-    evaluate runs once per grid entry, in grid order, and the offset axes are
-    then reduced innermost first with nested stencils' arithmetic, acc = acc +
-    c * v and then acc / step, over all other axes at once.  The one reader of
-    the stencil table.
-    """
-    offsets, coeffs = _STENCILS[cfg.order]
-    shape, entries = _stencil_points(blocks, axes, [off * cfg.step for off in offsets])
-    values = np.array([evaluate(*points) for points in entries])
+        rows[axis] = stepped.reshape(len(pts) * n * m, n)
+    ps, qs = list(rows[0]), list(rows[1])
+    if axes[0]:
+        values = np.array([evaluate(x, y) for y in qs for x in ps])
+    else:
+        values = np.array([evaluate(x, y) for x in ps for y in qs])
     values = values.reshape(shape + values.shape[1:])
     for axis in range(2 * len(axes) - 1, 0, -2):
         acc = 0.0
@@ -438,34 +434,34 @@ def stencil_gradient(field, x, cfg: FDConfig) -> np.ndarray:
 
     field may be array-valued, and a ValueError it raises propagates as it is.
     """
-    return _stencil_derivative(field, (x,), (0,), cfg)
+    return _stencil_derivative(lambda x, _: field(x), x, (), (0,), cfg)
 
 
-def mixed_partials(f, p, q, pattern, cfg: FDConfig | None = None) -> np.ndarray:
+def mixed_partials(f, p, q, pattern, cfg: FDConfig) -> np.ndarray:
     """Central-difference estimate of a mixed partial derivative of f(p, q).
 
     ``pattern`` is a string of 1-4 characters over {'p', 'q'}, one per
-    derivative; axis k of the result indexes the coordinate that the k-th
-    derivative acts on.  "pq" gives the matrix d^2 f / dp_i dq_j, "ppq" the
-    rank-3 array d^3 f / dp_i dp_j dq_k, "qqp" its primed-block mirror, and
-    "ppqq" the rank-4 array of the curvature check.  Evaluating the same block
-    twice (p == q is the standard use) is supported.  The estimate nests one
-    first-derivative stencil per character, the first outermost, on one flat
-    grid of stencil points: a pattern of k characters over n coordinates
-    evaluates f (n * len(stencil))**k times, in the order nested stencils
-    would, and with their arithmetic.
+    derivative, with each block's derivatives adjacent; axis k of the result
+    indexes the coordinate that the k-th derivative acts on.  "pq" gives the
+    matrix d^2 f / dp_i dq_j, "ppq" the rank-3 array d^3 f / dp_i dp_j dq_k,
+    "qqp" its primed-block mirror, and "ppqq" the rank-4 array of the
+    curvature check.  Evaluating the same block twice (p == q is the standard
+    use) is supported.  An interleaved pattern such as "pqp" is refused:
+    mixed partials commute, so take the grouped pattern and move its axes,
+    np.moveaxis(mixed_partials(f, p, q, "ppq", cfg), 2, 1) for "pqp".  The
+    stencil is cfg's, which has no default.  The estimate nests one
+    first-derivative stencil per character, the first outermost: a pattern of
+    k characters over n coordinates evaluates f (n * len(stencil))**k times,
+    in the order nested stencils would, and with their arithmetic.
 
     A non-finite value of f on the stencil, or a ValueError f raises there (a
     point off its domain), raises :class:`NumericalDomainError` naming the
     first such point in that order.
     """
-    cfg = cfg if cfg is not None else FDConfig()
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.ndim != 1 or q.ndim != 1:
-        raise ValueError("coordinate blocks must be 1-D vectors")
     if not (1 <= len(pattern) <= 4) or any(c not in "pq" for c in pattern):
         raise ValueError(f"pattern must be 1-4 characters over 'p'/'q', got {pattern!r}")
+    if "pq" in pattern and "qp" in pattern:
+        raise ValueError(f"pattern must keep each block's derivatives adjacent, got {pattern!r}")
 
     def value(p, q):
         try:
@@ -480,4 +476,4 @@ def mixed_partials(f, p, q, pattern, cfg: FDConfig | None = None) -> np.ndarray:
             )
         return v
 
-    return _stencil_derivative(value, (p, q), ["pq".index(c) for c in pattern], cfg)
+    return _stencil_derivative(value, p, q, ["pq".index(c) for c in pattern], cfg)

@@ -333,7 +333,7 @@ def hermitian_basis(n) -> np.ndarray:
     off-diagonal pairs, traceless diagonal ladder, scaled identity last;
     orthonormal under Tr(A_i A_j) = delta_ij.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ValueError(f"dimension must be a positive integer, got {n!r}")
     basis = []
     for j in range(n):

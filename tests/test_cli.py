@@ -318,6 +318,72 @@ def test_measures_of_two_dimensions_are_a_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+MEASURES = {"p": [1.0, 2.0], "q": [2.0, 1.0]}
+
+
+# each input refusal of the command line: exit 2, one "error: " line naming
+# it, nothing on standard output and no --out file
+@pytest.mark.parametrize(
+    "document, argv, message",
+    [
+        ("{", ["divergence", "{doc}", "--family", "kl"],
+         "invalid JSON in {doc}: Expecting property name enclosed in double quotes: "
+         "line 1 column 2 (char 1)"),
+        ([], ["divergence", "{doc}", "--family", "kl"], "document must be a JSON object"),
+        ({"kind": "mixed", "objects": MEASURES}, ["divergence", "{doc}", "--family", "kl"],
+         "document kind must be 'classical' or 'quantum', got 'mixed'"),
+        ({"kind": "classical"}, ["divergence", "{doc}", "--family", "kl"],
+         "document must provide a nonempty 'objects' mapping"),
+        ({"kind": "classical", "objects": {}}, ["divergence", "{doc}", "--family", "kl"],
+         "document must provide a nonempty 'objects' mapping"),
+        ({"kind": "quantum", "objects": {"rho": [[[1.0, 0.0], [0.0, 0.0]]]}},
+         ["divergence", "{doc}", "--family", "relative-entropy"],
+         "object 'rho' is invalid: "
+         "a quantum object must be a square matrix of [re, im] entry pairs"),
+        ({"kind": "classical", "objects": {"p": [1.0, 2.0]}},
+         ["divergence", "{doc}", "--family", "kl"],
+         "document holds a single object; give --pairs explicitly"),
+        ({"kind": "classical", "objects": MEASURES},
+         ["sweep", "{doc}", "--pair", "p:q", "--alphas=0:1", "--out", "{out}"],
+         "alpha range must be 'start:stop:step'"),
+        ({"kind": "classical", "objects": MEASURES},
+         ["sweep", "{doc}", "--pair", "p:q", "--alphas=a:b:c", "--out", "{out}"],
+         "malformed alpha range 'a:b:c'"),
+        ({"kind": "classical", "objects": MEASURES},
+         ["sweep", "{doc}", "--pair", "p:q", "--alphas=0.1,x", "--out", "{out}"],
+         "malformed alpha value 'x'"),
+        ({"kind": "classical", "objects": MEASURES},
+         ["divergence", "{doc}", "--family", "canonical", "--out", "{out}"],
+         "--alpha is required for family 'canonical'"),
+        ({"kind": "classical", "objects": MEASURES}, ["divergence", "{doc}", "--family", "alpha"],
+         "--alpha is required for family 'alpha'"),
+        ({"kind": "classical", "objects": MEASURES},
+         ["divergence", "{doc}", "--family", "kl", "--alpha", "0.5"],
+         "--alpha is not meaningful with family 'kl'"),
+        ({"kind": "classical", "objects": MEASURES},
+         ["divergence", "{doc}", "--family", "kl", "--tolerance", "abc", "--out", "{out}"],
+         "argument --tolerance: invalid float value: 'abc'"),
+    ],
+    ids=[
+        "invalid-json", "not-an-object", "unknown-kind", "no-objects", "empty-objects",
+        "not-a-square-matrix", "single-object", "range-of-two", "range-not-numbers",
+        "list-not-a-number", "canonical-without-alpha", "alpha-without-alpha", "kl-with-alpha",
+        "tolerance-not-a-number",
+    ],
+)
+def test_input_refusal_is_usage_error(tmp_path, capsys, document, argv, message):
+    doc, out = tmp_path / "doc.json", tmp_path / "out.txt"
+    doc.write_text(document if isinstance(document, str) else json.dumps(document))
+    assert main([a.format(doc=doc, out=out) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if message.startswith("argument "):  # argparse prints its usage first
+        assert captured.err.splitlines()[-1] == f"alphadiv {argv[0]}: error: {message}"
+    else:
+        assert captured.err == f"error: {message.format(doc=doc)}\n"
+    assert not out.exists()
+
+
 EVERY_COMMAND = pytest.mark.parametrize(
     "argv",
     [
@@ -699,6 +765,39 @@ class TestToleranceFlag:
         assert rc == 2
         assert "tolerance must be finite and nonnegative" in capsys.readouterr().err
         assert not out.exists()
+
+
+    # a quadrature off its closed form by 5e-9 of the gate error: inside the
+    # quantum cone's default of 1e-8, outside the classical cone's 1e-9
+    @pytest.mark.parametrize(
+        "kind, pair, default, quadrature",
+        [
+            ("classical", "p:q", 1e-9, (classical, "canonical_divergence_numeric")),
+            ("quantum", "rho1:rho2", 1e-8, (quantum, "canonical_divergence_numeric_q")),
+        ],
+        ids=["classical", "quantum"],
+    )
+    def test_divergence_defaults_to_the_kind_tolerance(
+        self, request, capsys, monkeypatch, kind, pair, default, quadrature
+    ):
+        module, name = quadrature
+        closed = {"classical": classical.alpha_divergence_closed,
+                  "quantum": quantum.quantum_alpha_divergence_closed}[kind]
+
+        def off(x, y, alpha, rule):
+            reference = closed(x, y, alpha)
+            return reference + 5e-9 * (1.0 + abs(reference))
+
+        monkeypatch.setattr(module, name, off)
+        argv = ["divergence", request.getfixturevalue(f"{kind}_doc"), "--family", "canonical",
+                "--alpha", "0.5", "--method", "both", "--pairs", pair]
+        assert main(argv) == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert summary["tolerance"] == default == suites.SUITE_TOLERANCES[kind]
+        assert summary["pass"] is (kind == "quantum")
+        assert main([*argv, "--tolerance", "1e-8"]) == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert summary["tolerance"] == 1e-8 and summary["pass"] is True
 
 
 class TestNodeCount:

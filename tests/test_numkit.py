@@ -623,7 +623,7 @@ def outcome(estimate, f, *args):
 
 
 class TestFlatStencilGrid:
-    """The flat grid against the nested stencils it replaced, bit for bit."""
+    """The stencil grid, a product of two row lists, against the nested stencils, bit for bit."""
 
     P = np.array([0.3, 1.1])
     Q = np.array([0.7, 0.45, 1.3])
@@ -632,7 +632,7 @@ class TestFlatStencilGrid:
     def smooth(x, y):
         return float(np.exp(0.4 * x[0] - y[-1]) * np.log1p(x @ x + 0.3 * y.sum()) + x[-1] * y[0] ** 3)
 
-    @pytest.mark.parametrize("pattern", ["p", "q", "pq", "qp", "ppq", "qqp", "pqp", "ppqq"])
+    @pytest.mark.parametrize("pattern", ["p", "q", "pq", "qp", "ppq", "qqp", "pqq", "qpp", "ppqq"])
     @pytest.mark.parametrize("order", [2, 4])
     @pytest.mark.parametrize("blocks", ["equal", "unequal"])
     @pytest.mark.parametrize("kind", ["smooth", "refusing", "infinite"])
@@ -677,12 +677,39 @@ class TestFlatStencilGrid:
             stencil_gradient(field, np.ones(2), FDConfig())
         assert type(info.value) is ValueError
 
+    def test_grid_memory_per_entry(self):
+        # "ppq" at 8 coordinates on the 4-point stencil is 32**3 = 32,768
+        # calls of f.  The grid holds their values and each block's stencil
+        # rows, with no row index per entry: tracemalloc's peak measured 22
+        # bytes an entry on CPython 3.11, against 54 with per-entry index lists
+        def constant(x, y):
+            return 1.0
+
+        p = np.linspace(0.5, 1.2, 8)
+        cfg = FDConfig(1e-2, 4)
+        mixed_partials(constant, p, p, "ppq", cfg)
+        tracemalloc.start()
+        try:
+            mixed_partials(constant, p, p, "ppq", cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / 32**3 < 32
+
+    def test_gradient_at_a_list_point_is_the_gradient_at_its_array(self):
+        def field(x):
+            return np.array([x[0] * np.sin(x[1]), np.exp(x[0] - x[1])])
+
+        cfg = FDConfig(1e-3, 4)
+        at_list = stencil_gradient(field, [0.3, 1.1], cfg)
+        assert at_list.tobytes() == stencil_gradient(field, np.array([0.3, 1.1]), cfg).tobytes()
+
     @pytest.mark.parametrize("pattern, shape", [("pq", (2, 0)), ("qp", (0, 2)), ("ppq", (2, 2, 0))])
     def test_empty_block_never_calls_f(self, pattern, shape):
         def f(x, y):
             raise AssertionError("f called")
 
-        out = mixed_partials(f, np.ones(2), np.empty(0), pattern)
+        out = mixed_partials(f, np.ones(2), np.empty(0), pattern, FDConfig())
         assert out.shape == shape and out.dtype == np.float64
 
 
@@ -692,7 +719,7 @@ class TestMixedPartials:
             return float(np.sum((x - y) ** 2))
 
         p = np.array([1.0, 2.0])
-        out = mixed_partials(f, p, p, "pq")
+        out = mixed_partials(f, p, p, "pq", FDConfig())
         assert np.allclose(out, -2.0 * np.eye(2), atol=1e-9, rtol=0)
 
     def test_cubic_third_order(self):
@@ -700,7 +727,7 @@ class TestMixedPartials:
             return float(x[0] ** 2 * y[0])
 
         p = np.array([1.5])
-        out = mixed_partials(f, p, p, "ppq")
+        out = mixed_partials(f, p, p, "ppq", FDConfig())
         assert abs(out[0, 0, 0] - 2.0) <= 1e-5
 
     def test_fisher_from_alpha_zero_divergence(self):
@@ -709,7 +736,7 @@ class TestMixedPartials:
             return float(np.sum(2.0 * y + 2.0 * x - 4.0 * np.sqrt(x * y)))
 
         p = np.array([1.0, 1.0])
-        out = -mixed_partials(div, p, p, "pq")
+        out = -mixed_partials(div, p, p, "pq", FDConfig())
         assert np.allclose(out, np.eye(2), atol=1e-5, rtol=0)
 
     def test_fourth_order_stencil_is_tighter(self):
@@ -729,7 +756,7 @@ class TestMixedPartials:
             return float(np.log(x[0] - 1.0))
 
         with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(NumericalDomainError):
-            mixed_partials(f, np.array([1.0]), np.array([1.0]), "pq")
+            mixed_partials(f, np.array([1.0]), np.array([1.0]), "pq", FDConfig())
 
     @pytest.mark.parametrize("cfg", [FDConfig(2.0**-4, 2), FDConfig(2.0**-4, 4)])
     def test_axis_order_on_unequal_blocks(self, cfg):
@@ -750,12 +777,15 @@ class TestMixedPartials:
         # d_{q_a} d_{p_b} f = B_ba + C_bak p_k + C_iab p_i
         expected = b.T + np.einsum("bak,k->ab", c, p) + np.einsum("iab,i->ab", c, p)
         assert np.allclose(qp, expected, rtol=0, atol=1e-9)
-        pqp = mixed_partials(f, p, q, "pqp", cfg)
+        # an interleaved pattern is refused; the grouped one with its axes
+        # moved gives d_{p_a} d_{q_b} d_{p_c} f = C_abc + C_cba
+        with pytest.raises(ValueError, match="^pattern must keep each block's"):
+            mixed_partials(f, p, q, "pqp", cfg)
+        pqp = np.moveaxis(mixed_partials(f, p, q, "ppq", cfg), 2, 1)
         assert pqp.shape == (2, 3, 2)
-        # d_{p_a} d_{q_b} d_{p_c} f = C_abc + C_cba
         assert np.allclose(pqp, c + np.transpose(c, (2, 1, 0)), rtol=0, atol=1e-9)
 
-    @pytest.mark.parametrize("pattern", ["q", "qp", "pqp"])
+    @pytest.mark.parametrize("pattern", ["q", "qp"])
     def test_nonfinite_value_off_centre(self, pattern):
         # finite at the centre; infinite only where q_1 is stepped down
         def f(x, y):
@@ -764,7 +794,7 @@ class TestMixedPartials:
         p = np.array([1.0, 1.0])
         assert np.isfinite(f(p, p))
         with pytest.raises(NumericalDomainError, match="not finite on the stencil"):
-            mixed_partials(f, p, p, pattern)
+            mixed_partials(f, p, p, pattern, FDConfig())
 
     def test_refused_stencil_point_is_a_domain_error(self):
         # the function refuses x_0 <= 0, which the stencil around 1e-4 reaches
@@ -775,7 +805,7 @@ class TestMixedPartials:
 
         p = np.array([1e-4, 1.0])
         with pytest.raises(NumericalDomainError, match=r"undefined on the stencil at p=") as info:
-            mixed_partials(f, p, p, "pq")
+            mixed_partials(f, p, p, "pq", FDConfig())
         assert isinstance(info.value.__cause__, ValueError)
         assert "off the domain" in str(info.value)
 
@@ -790,7 +820,7 @@ class TestMixedPartials:
     @pytest.mark.parametrize("pattern", ["pz", "", "ppqqp"])
     def test_bad_pattern_rejected(self, pattern):
         with pytest.raises(ValueError, match="pattern"):
-            mixed_partials(lambda x, y: 0.0, np.ones(2), np.ones(2), pattern)
+            mixed_partials(lambda x, y: 0.0, np.ones(2), np.ones(2), pattern, FDConfig())
 
     def test_fourth_order_pattern(self):
         # d_0 d_1 d'_0 d'_1 of x0 x1 y0 y1 is 1, every other entry 0
