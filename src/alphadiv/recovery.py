@@ -165,10 +165,12 @@ def curvature(structure: RecoveredStructure, divergence) -> np.ndarray:
     with d_i g_ab read from the connections as in :func:`duality_defect`.
     The last term is symmetric in (i, j), so it cancels in R and is never
     formed.  P is the only stencil evaluated here, at the module's fixed
-    curvature stencil.  Supported for up to ``CURVATURE_MAX_DIM``
-    coordinates (P has n**4 entries); above that raises ValueError.  A
-    stencil point off the contrast's domain raises as in
-    :func:`recover_structure`.
+    curvature stencil, and the contrast runs once per distinct point of its
+    16 n**4 entries, where that point first appears (361 of 1,296 at three
+    coordinates; rounding decides which shifts coincide); repeats reuse the
+    value.  Supported for up to ``CURVATURE_MAX_DIM`` coordinates; above that
+    raises ValueError.  A stencil point off the contrast's domain raises as
+    in :func:`recover_structure`, at its first appearance.
 
     On a sum over components (the classical alpha-divergences in measure
     coordinates) and in the quantum alpha-chart, each of the three terms of R
@@ -186,7 +188,15 @@ def curvature(structure: RecoveredStructure, divergence) -> np.ndarray:
         )
     g_inv = np.linalg.inv(structure.metric)
     gamma_up = np.einsum("lm,ijm->ijl", g_inv, structure.christoffel)
-    fourth = mixed_partials(divergence, point, point, "ppqq", _CURVATURE_CFG)
+    values = {}
+
+    def once(x, y):
+        key = (x.tobytes(), y.tobytes())
+        if key not in values:
+            values[key] = divergence(x, y)
+        return values[key]
+
+    fourth = mixed_partials(once, point, point, "ppqq", _CURVATURE_CFG)
     # d_gamma[i, j, k, l] = d_i G^l_jk, less the term symmetric in (i, j)
     d_gamma = -np.einsum("ls,jkis->ijkl", g_inv, fourth) - np.einsum(
         "la,iab,jkb->ijkl", g_inv, _metric_gradient(structure), gamma_up

@@ -678,9 +678,9 @@ class TestRecoverCommand:
         assert report["summary"] == {"defect_within": True, "curvature_within": None}
 
     def test_each_point_recovered_once(self, tmp_path, capsys, monkeypatch):
-        # recover_structure 3,601 + duality_defect 1,728 + the curvature
-        # check's "ppqq" block 16 * 3**4 = 1,296 contrast evaluations; a
-        # second recovery inside the curvature check would add 3,601
+        # recover_structure 3,601 + duality_defect 1,728 + the 361 distinct
+        # points of the curvature check's "ppqq" block; a second recovery
+        # inside the curvature check would add 3,601
         calls = []
         closed = classical.alpha_divergence_closed
 
@@ -696,7 +696,7 @@ class TestRecoverCommand:
             "defect_within": True,
             "curvature_within": True,
         }
-        assert len(calls) == 3601 + 1728 + 1296
+        assert len(calls) == 3601 + 1728 + 361
 
     def test_unknown_point(self, classical_doc):
         assert main(["recover", classical_doc, "--alpha", "0", "--point", "zz"]) == 2

@@ -302,11 +302,83 @@ class TestStencilCounts:
         assert len(points) == 16 * 3**4
 
     def test_curvature_at_three_coordinates(self):
-        # the "ppqq" block's 3**4 * 2**4 values on an already recovered structure
+        # one value per distinct point of the "ppqq" block (361 of its
+        # 3**4 * 2**4 entries) on an already recovered structure
+        raw, block = self.counting(alpha_div(0.5))
+        mixed_partials(raw, self.P, self.P, "ppqq", rc._CURVATURE_CFG)
         structure = rc.recover_structure(alpha_div(0.5), self.P)
         counted, points = self.counting(alpha_div(0.5))
         rc.curvature(structure, counted)
-        assert len(points) == 16 * 3**4
+        assert len(points) == len(set(points))
+        assert len(points) == len(set(block)) == 361
+
+
+def curvature_over_raw_block(structure, divergence):
+    """R assembled as rc.curvature assembles it, over the raw "ppqq" block.
+
+    Every stencil entry calls ``divergence`` here, repeated points included.
+    """
+    point = structure.point
+    g_inv = np.linalg.inv(structure.metric)
+    gamma_up = np.einsum("lm,ijm->ijl", g_inv, structure.christoffel)
+    fourth = mixed_partials(divergence, point, point, "ppqq", rc._CURVATURE_CFG)
+    dg = structure.christoffel + np.swapaxes(structure.christoffel_dual, 1, 2)
+    d_gamma = -np.einsum("ls,jkis->ijkl", g_inv, fourth) - np.einsum(
+        "la,iab,jkb->ijkl", g_inv, dg, gamma_up
+    )
+    quad = np.einsum("iml,jkm->ijkl", gamma_up, gamma_up)
+    return d_gamma - np.swapaxes(d_gamma, 0, 1) + quad - np.swapaxes(quad, 0, 1)
+
+
+class TestCurvatureOnDistinctPoints:
+    """rc.curvature evaluates each distinct stencil point once, bit for bit."""
+
+    P = np.array([1.5, 0.8, 2.2])
+
+    @staticmethod
+    def assert_same_bits(divergence, point):
+        s = rc.recover_structure(divergence, point)
+        assert rc.curvature(s, divergence).tobytes() == curvature_over_raw_block(
+            s, divergence
+        ).tobytes()
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])
+    @pytest.mark.parametrize("point", [[1.5, 0.8], [1.5, 0.8, 2.2], [0.6, 1.3, 2.7, 0.9]])
+    def test_classical(self, alpha, point):
+        self.assert_same_bits(alpha_div(alpha), np.array(point))
+
+    def test_hyperbolic_plane(self):
+        self.assert_same_bits(hyperbolic_plane, np.array([0.3, 0.7]))
+
+    def test_quantum_chart_contrast(self):
+        rho = qm.PositiveOperator(np.array([[1.5, 0.2], [0.2, 1.0]]))
+        theta, chart_div = qm.alpha_chart_contrast(rho, 0.5)
+        self.assert_same_bits(chart_div, theta)
+
+    @pytest.mark.parametrize("failure", ["raise", "nan"])
+    def test_refusal_at_a_repeated_point(self, failure):
+        # the contrast fails at a point the block visits more than once, and
+        # at the block's last entry; both report the repeated point's first
+        # visit
+        div = alpha_div(0.5)
+        raw, keys = TestStencilCounts.counting(div)
+        mixed_partials(raw, self.P, self.P, "ppqq", rc._CURVATURE_CFG)
+        repeated = next(k for k in keys if keys.count(k) > 1)
+        failing = {repeated, keys[-1]}
+
+        def contrast(x, y):
+            if (x.tobytes(), y.tobytes()) in failing:
+                if failure == "raise":
+                    raise ValueError("off the domain")
+                return float("nan")
+            return div(x, y)
+
+        s = rc.recover_structure(div, self.P)
+        with pytest.raises(NumericalDomainError) as expected:
+            curvature_over_raw_block(s, contrast)
+        with pytest.raises(NumericalDomainError) as got:
+            rc.curvature(s, contrast)
+        assert str(got.value) == str(expected.value)
 
 
 class TestCurvatureDimension:
