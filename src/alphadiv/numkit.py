@@ -265,7 +265,12 @@ def as_hermitian(m) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Ascending eigenvalues and the unitary matrix of column eigenvectors."""
+    """Ascending eigenvalues and the unitary matrix of column eigenvectors.
+
+    The adjoint U^dagger is formed once, as a C-contiguous read-only array in
+    ``_adjoint``, which every product with U^dagger reads; a product with it
+    is the same bits as one with ``eigenvectors.conj().T``.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -277,16 +282,17 @@ class SpectralDecomposition:
             raise ValueError("eigenvector matrix must be square and match eigenvalues")
         if np.count_nonzero(w[1:] < w[:-1]):
             raise ValueError("eigenvalues must be ascending")
-        w.setflags(write=False)
-        u.setflags(write=False)
+        adjoint = np.ascontiguousarray(u.conj().T)
+        for array in (w, u, adjoint):
+            array.setflags(write=False)
         object.__setattr__(self, "eigenvalues", w)
         object.__setattr__(self, "eigenvectors", u)
+        object.__setattr__(self, "_adjoint", adjoint)
 
     def matrix_function(self, fn) -> np.ndarray:
         """U diag(fn(eigenvalues)) U^dagger, hermitized."""
         vals = np.asarray(fn(self.eigenvalues))
-        u = self.eigenvectors
-        return hermitian_part((u * vals) @ u.conj().T)
+        return hermitian_part((self.eigenvectors * vals) @ self._adjoint)
 
 
 def hermitian_eig(h) -> SpectralDecomposition:
@@ -348,10 +354,10 @@ def frechet_from_decomposition(spectral: SpectralDecomposition, s, x) -> np.ndar
     In the eigenbasis the derivative acts entrywise through the divided
     differences of x**s, so the result for a Hermitian direction is Hermitian.
     """
-    u = spectral.eigenvectors
-    xt = u.conj().T @ x @ u
+    u, adjoint = spectral.eigenvectors, spectral._adjoint
+    xt = adjoint @ x @ u
     table = power_divided_differences(spectral.eigenvalues, s)
-    return hermitian_part(u @ (table * xt) @ u.conj().T)
+    return hermitian_part(u @ (table * xt) @ adjoint)
 
 
 # ---------------------------------------------------------------------------

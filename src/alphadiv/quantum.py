@@ -9,21 +9,22 @@ geodesic-integral divergence reproduces the closed-form quantum
 alpha-divergence.
 
 Operators are wrapped in :class:`PositiveOperator`, which validates
-Hermiticity and positivity once and caches the spectral decomposition.
-Powers are taken through that cache, and the closed forms are sums over the
-Nussbaum-Szkola pair built from two cached eigensystems (its exact zeros
-dropped; with none, no copy is made), and each is a classical kernel:
-Furuichi's is the q-divergence plus Tr(rho1 - rho2), and the relative
-entropy is the extended one.  The inverse of the flat
-chart (geodesic points, :func:`operator_from_chart`) is built from the
-decomposition of the chart matrix, not decomposed again, and
-:func:`operator_from_chart` keeps the last 64 points it built: a repeated chart
-point returns the one shared immutable instance built for it first.  Its one
-caller is :func:`alpha_chart_contrast`, which returns the chart point of an
-operator and the quantum alpha-divergence between chart points, the contrast
-from which recovery differentiates the flat alpha-geometry.  The
-quadrature integrand alone decomposes the geodesic interpolant, in batches,
-one block of nodes at a time (:func:`numkit.blockwise`); at a node t it is
+Hermiticity and positivity once and caches the spectral decomposition, with
+its adjoint eigenbasis U^dagger formed once.  Powers are taken through that
+cache, and the closed forms are sums over the Nussbaum-Szkola pair built from
+two cached eigensystems (its exact zeros dropped; with none, no copy is
+made), and each is a classical kernel: Furuichi's is the q-divergence plus
+Tr(rho1 - rho2), and the relative entropy is the extended one.  The inverse
+of the flat chart (geodesic points, :func:`operator_from_chart`) is built
+from the decomposition of the chart matrix, not decomposed again, and
+:func:`operator_from_chart` keeps the last 160 points it built, the working
+set of an operator-dim-2 recovery: a repeated chart point returns the one
+shared immutable instance built for it first.  Its one caller is
+:func:`alpha_chart_contrast`, which returns the chart point of an operator
+and the quantum alpha-divergence between chart points, the contrast from
+which recovery differentiates the flat alpha-geometry.  The quadrature
+integrand alone decomposes the geodesic interpolant, in batches, one block
+of nodes at a time (:func:`numkit.blockwise`); at a node t it is
 t * wyd_metric(gamma(t), v, v, alpha), v the transport from the identity to
 gamma(t) of (rho2**beta - rho1**beta)/beta.  Instances are immutable and safe
 to share between threads.
@@ -82,17 +83,20 @@ __all__ = [
 # part beyond this is an internal inconsistency, never silently discarded.
 IMAG_RTOL = 1e-10
 
-# Entries of the inverse-chart memo behind operator_from_chart.  A finite-
-# difference stencil revisits each chart point from many directions, but its
-# points outnumber 64 entries, so some are built again: at operator dim 2,
-# recover_structure and duality_defect look up 25,090 points, 401-413 of
-# them distinct, and build 666-690; at dim 3, recover_structure alone looks
-# up 189,218 points, 689-704 distinct, and builds 2,562-2,601 (with 32
-# entries, 96,860).  Each entry holds its chart point, a reference to the
-# basis bytes it shares with the others, and one operator, so a larger memo
-# builds fewer points for more resident memory: 256 entries build each dim-2
-# point once.
-CHART_MEMO_SIZE = 64
+# Entries of the inverse-chart memo behind operator_from_chart: the working
+# set of an operator-dim-2 recovery, so that each of its chart points is built
+# once.  recover_structure and duality_defect look up 25,090 points there,
+# 403-420 of them distinct (8 seeded operators x alpha in {-0.5, 0, 0.5} and
+# three of the benchmark's, 4th-order stencil at step 1e-3); they build up to
+# 284 points more than that at 64 entries, 120 at 128, 48 at 144 and none from
+# 148 on.  At dim 3, recover_structure alone looks up 189,218 points, 689-704
+# distinct, which no memo this small holds.  An entry holds its chart point, a
+# reference to the basis bytes it shares with the others, and one operator:
+# about 1.3 KB at dim 2 (tracemalloc), some 210 KB for the full memo.  A
+# process that imports the package again, as the benchmark does each pass,
+# keeps a dropped module's memo until a cyclic garbage collection, so its
+# peak RSS can grow by more than one memo.
+CHART_MEMO_SIZE = 160
 
 RANDOM_SPECTRUM = (0.2, 4.0)  # eigenvalue range of the seeded random operators
 
@@ -208,7 +212,7 @@ def _spectral_pair(rho1: PositiveOperator, rho2: PositiveOperator):
     if rho1 is rho2 or not np.count_nonzero(rho1._matrix != rho2._matrix):
         return s1.eigenvalues, s1.eigenvalues
     s2 = rho2._spectral
-    overlap = np.abs(s1.eigenvectors.conj().T @ s2.eigenvectors) ** 2
+    overlap = np.abs(s1._adjoint @ s2.eigenvectors) ** 2
     p = s1.eigenvalues[:, None] * overlap
     q = s2.eigenvalues * overlap
     keep = np.logical_and(p, q)
@@ -250,9 +254,9 @@ def alpha_parallel_transport(rho1, rho2, x, alpha) -> np.ndarray:
     x = _tangent_at(rho1, x)
     beta = chart_exponent(alpha, geodesic=True)
     image = frechet_from_decomposition(rho1.spectral, beta, x)
-    u = rho2.spectral.eigenvectors
+    u, adjoint = rho2.spectral.eigenvectors, rho2.spectral._adjoint
     table = power_divided_differences(rho2.eigenvalues, beta)
-    y = u @ ((u.conj().T @ image @ u) / table) @ u.conj().T
+    y = u @ ((adjoint @ image @ u) / table) @ adjoint
     return hermitian_part(y)
 
 
@@ -355,9 +359,12 @@ def hermitian_basis(n) -> np.ndarray:
 
 
 def theta_coordinates(h, basis) -> np.ndarray:
-    """Coefficients of the Hermitian matrix h in the orthonormal basis."""
+    """Coefficients Tr(A_k h) of the Hermitian matrix h in the orthonormal basis.
+
+    Real for a Hermitian basis; an imaginary residue is refused, not discarded.
+    """
     h = as_hermitian(h)
-    return np.einsum("kij,ji->k", basis, h).real
+    return _require_real(np.einsum("kij,ji->k", basis, h), "theta coordinates")
 
 
 def operator_from_theta(theta, basis) -> np.ndarray:
@@ -442,8 +449,7 @@ def wyd_components_theta(rho, alpha) -> np.ndarray:
     """
     rho = as_positive(rho)
     beta = chart_exponent(alpha)
-    u = rho.spectral.eigenvectors
-    rotated = u.conj().T @ hermitian_basis(rho.dim) @ u
+    rotated = rho.spectral._adjoint @ hermitian_basis(rho.dim) @ rho.spectral.eigenvectors
     kernel = (beta / (1.0 - beta)) * (
         power_divided_differences(rho.eigenvalues, 1.0 - beta)
         / power_divided_differences(rho.eigenvalues, beta)

@@ -323,11 +323,11 @@ class TestChartMemo:
         for array in (rho.matrix, rho.eigenvalues, rho.spectral.eigenvectors):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
-        for k in range(100):
+        for k in range(200):
             qm.operator_from_chart(theta + 1e-3 * k, basis, 0.5)
         info = qm._chart_operator.cache_info()
-        assert info.maxsize == qm.CHART_MEMO_SIZE == 64
-        assert info.currsize == 64
+        assert info.maxsize == qm.CHART_MEMO_SIZE == 160
+        assert info.currsize == 160
 
     def test_entries_share_one_copy_of_the_basis(self):
         # the dim-8 basis takes 64 KB: a copy in each of 64 entries would hold 4 MB
@@ -345,8 +345,9 @@ class TestChartMemo:
 
     def test_dim2_recovery_builds_each_chart_point_about_once(self, monkeypatch):
         # the contrast of `alphadiv recover` on an operator document, through
-        # the structure and duality stages: 12,545 evaluations that visit a
-        # few hundred distinct chart points (417 in the benchmark's chart job)
+        # the structure and duality stages: 12,545 evaluations that visit
+        # 403-420 distinct chart points, every one of which the memo holds
+        # until its last visit, so each is built exactly once
         builds = []
         from_chart = qm.PositiveOperator._from_chart
 
@@ -355,22 +356,27 @@ class TestChartMemo:
             return from_chart(m, beta)
 
         monkeypatch.setattr(qm.PositiveOperator, "_from_chart", staticmethod(counted))
-        qm._chart_operator.cache_clear()
-        rho = qm.PositiveOperator(np.array([[1.4, 0.3 - 0.2j], [0.3 + 0.2j, 0.9]]))
-        point, contrast = qm.alpha_chart_contrast(rho, 0.5)
-        points = set()
-        evals = []
-
-        def divergence(x, y):
-            points.update((x.tobytes(), y.tobytes()))
-            evals.append(1)
-            return contrast(x, y)
-
+        rng = np.random.default_rng(2)
+        operators = [np.array([[1.4, 0.3 - 0.2j], [0.3 + 0.2j, 0.9]])]
+        operators += [rand_pd(rng, 2, (0.5, 2.0)).matrix for _ in range(2)]
         cfg = FDConfig(step=1e-3, order=4)
-        structure = rc.recover_structure(divergence, point, cfg)
-        rc.duality_defect(structure, divergence, cfg)
-        assert len(evals) == 12545
-        assert len(builds) <= 2 * len(points) <= 2 * 417
+        for matrix in operators:
+            for alpha in (-0.5, 0.0, 0.5):
+                qm._chart_operator.cache_clear()
+                builds.clear()
+                point, contrast = qm.alpha_chart_contrast(qm.PositiveOperator(matrix), alpha)
+                points = set()
+                evals = []
+
+                def divergence(x, y):
+                    points.update((x.tobytes(), y.tobytes()))
+                    evals.append(1)
+                    return contrast(x, y)
+
+                structure = rc.recover_structure(divergence, point, cfg)
+                rc.duality_defect(structure, divergence, cfg)
+                assert len(evals) == 12545
+                assert len(builds) == len(points) <= 420
 
 
 class TestAlphaChartContrast:
@@ -586,6 +592,25 @@ class TestHermitianBasis:
         h = qm.random_hermitian(rng, 3)
         theta = qm.theta_coordinates(h, basis)
         assert np.max(np.abs(qm.operator_from_theta(theta, basis) - h)) <= 1e-13
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
+    def test_coordinates_are_the_real_parts_of_the_traces(self, dim):
+        # the check on the imaginary part changes no bit of a Hermitian basis's coordinates
+        rng = np.random.default_rng(20 + dim)
+        basis = qm.hermitian_basis(dim)
+        for h in (qm.random_hermitian(rng, dim), qm.alpha_embedding(rand_pd(rng, dim), 0.5)):
+            expected = np.einsum("kij,ji->k", basis, numkit.as_hermitian(h)).real
+            assert qm.theta_coordinates(h, basis).tobytes() == expected.tobytes()
+
+    def test_coordinates_refuse_an_imaginary_trace(self):
+        # Tr(A h) = 4 + 1j for each of the four (non-Hermitian) elements
+        basis = np.array([[[1.0, 1j], [0.0, 1.0]]] * 4)
+        h = np.array([[2.0, 1.0], [1.0, 2.0]])
+        with pytest.raises(NumericalDomainError) as info:
+            qm.theta_coordinates(h, basis)
+        assert str(info.value) == (
+            "theta coordinates: imaginary residue 2.000e+00 exceeds 1e-10 * (1 + 8.000e+00)"
+        )
 
 
 class TestWydComponentsTheta:
@@ -974,6 +999,11 @@ def reference_closed_forms(rho1, rho2):
     return values
 
 
+# the dims of the bit-for-bit checks on the stored adjoint U^dagger: every
+# small one, and the sweep's 16 and 32
+ADJOINT_DIMS = (*range(1, 9), 16, 32)
+
+
 def seeded_pairs(dim):
     rng = np.random.default_rng(800 + dim)
     return [(rand_pd(rng, dim), rand_pd(rng, dim)) for _ in range(3)]
@@ -1050,7 +1080,7 @@ def signed_zero_pair():
 
 
 PAIR_CASES = {
-    **{f"dim {dim}": functools.partial(seeded_pairs, dim) for dim in range(1, 9)},
+    **{f"dim {dim}": functools.partial(seeded_pairs, dim) for dim in ADJOINT_DIMS},
     "block diagonal": block_diagonal_pair,
     "commuting": commuting_pairs,
     "identical instance": identical_instance,
@@ -1090,6 +1120,89 @@ class TestSpectralPairAgainstReference:
         for r1, r2 in PAIR_CASES[case]():
             p, _ = reference_spectral_pair(r1, r2)
             assert (p.size < r1.dim**2) == dropped
+
+
+def reference_matrix_function(spectral, fn):
+    """SpectralDecomposition.matrix_function with U^dagger formed at the call."""
+    u = spectral.eigenvectors
+    return hermitian_part((u * np.asarray(fn(spectral.eigenvalues))) @ u.conj().T)
+
+
+def reference_frechet(spectral, s, x):
+    """numkit.frechet_from_decomposition with U^dagger formed at each use."""
+    u = spectral.eigenvectors
+    xt = u.conj().T @ x @ u
+    table = power_divided_differences(spectral.eigenvalues, s)
+    return hermitian_part(u @ (table * xt) @ u.conj().T)
+
+
+def reference_transport(rho1, rho2, x, alpha):
+    """qm.alpha_parallel_transport with U^dagger formed at each use."""
+    beta = chart_exponent(alpha, geodesic=True)
+    image = reference_frechet(rho1.spectral, beta, numkit.as_hermitian(x))
+    u = rho2.spectral.eigenvectors
+    table = power_divided_differences(rho2.eigenvalues, beta)
+    return hermitian_part(u @ ((u.conj().T @ image @ u) / table) @ u.conj().T)
+
+
+def reference_wyd_components(rho, alpha, basis):
+    """qm.wyd_components_theta over basis, with U^dagger formed at the call."""
+    beta = chart_exponent(alpha)
+    u = rho.spectral.eigenvectors
+    rotated = u.conj().T @ basis @ u
+    kernel = (beta / (1.0 - beta)) * (
+        power_divided_differences(rho.eigenvalues, 1.0 - beta)
+        / power_divided_differences(rho.eigenvalues, beta)
+    )
+    raw = np.einsum("iab,jab,ab->ij", rotated.conj(), rotated, kernel)
+    return hermitian_part(raw.real)
+
+
+class TestStoredAdjoint:
+    """Every product with the adjoint that SpectralDecomposition stores is the
+    same bits as the one with U^dagger formed at the call, and the adjoint is
+    read-only however the operator was built."""
+
+    @pytest.mark.parametrize("dim", ADJOINT_DIMS)
+    def test_readers_are_bit_identical(self, dim, monkeypatch):
+        # the metric components over the first 64 basis elements: the full
+        # dim-32 basis makes an einsum of 2**30 terms
+        basis = qm.hermitian_basis(dim)[:64]
+        monkeypatch.setattr(qm, "hermitian_basis", lambda n: basis)
+        rng = np.random.default_rng(700 + dim)
+        for r1, r2 in seeded_pairs(dim):
+            x = qm.random_hermitian(rng, dim)
+            for got, want in [
+                (r1.spectral.matrix_function(lambda w: w**0.3),
+                 reference_matrix_function(r1.spectral, lambda w: w**0.3)),
+                (r1.power(-0.7), reference_matrix_function(r1.spectral, lambda w: w**-0.7)),
+                (numkit.frechet_from_decomposition(r1.spectral, 0.25, x),
+                 reference_frechet(r1.spectral, 0.25, x)),
+                *[(qm.alpha_parallel_transport(r1, r2, x, a), reference_transport(r1, r2, x, a))
+                  for a in (-1.0, -0.5, 0.5)],
+                *[(qm.wyd_components_theta(r1, a), reference_wyd_components(r1, a, basis))
+                  for a in (-0.5, 0.5)],
+            ]:
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_adjoint_is_the_read_only_conjugate_transpose(self):
+        basis = qm.hermitian_basis(3)
+        rng = np.random.default_rng(90)
+        r1, r2 = rand_pd(rng, 3), rand_pd(rng, 3)
+        theta = qm.theta_coordinates(qm.alpha_embedding(r1, 0.5), basis)
+        for spectral in (
+            qm.PositiveOperator(r1.matrix).spectral,
+            qm.PositiveOperator._from_chart(r2.matrix, 0.25).spectral,
+            qm.operator_from_chart(theta, basis, 0.5).spectral,
+            hermitian_eig(r1.matrix),
+            qm.alpha_geodesic_q(r1, r2, 0.3, 0.4).spectral,
+        ):
+            adjoint = spectral._adjoint
+            assert adjoint.flags.c_contiguous
+            assert adjoint.tobytes() == spectral.eigenvectors.conj().T.copy().tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                adjoint[0, 0] = 0.0
 
 
 class TestEqualOperators:

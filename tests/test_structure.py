@@ -24,6 +24,8 @@ reference metric the tests hold others against.  Exact array tests are
 ``np.linalg.norm``, whose Python-level dispatch costs microseconds on small
 arrays.  The alpha-chart contrast is built in one place,
 ``quantum.alpha_chart_contrast``, the one caller of the inverse chart's memo.
+The adjoint of an eigenbasis is formed once, by ``SpectralDecomposition``,
+and every product with it reads the stored one.
 """
 
 import ast
@@ -108,6 +110,33 @@ def test_inverse_chart_is_reached_through_the_memo_or_the_geodesic():
     # a bare reference (an alias, a getattr target) would escape the check
     mentions = sites(lambda n: isinstance(n, ast.Attribute) and n.attr == "_from_chart")
     assert sorted(mentions) == sorted(calls)
+
+
+def test_eigenbasis_adjoint_is_formed_once():
+    # any spelling of a conjugate transpose: x.conj().T, np.conj(x).T or
+    # x.T.conj().  Besides the stored adjoint, the sites left are the
+    # Hermitian part, the Hermiticity defect and the unitary conjugation of
+    # random_positive_operator, none of which reads an eigenbasis twice
+    def conjugate(n):  # x.conj(), x.conjugate(), np.conj(x) or np.conjugate(x)
+        return isinstance(n, ast.Call) and (
+            dotted(n.func) in ("np.conj", "np.conjugate")
+            or (isinstance(n.func, ast.Attribute) and n.func.attr in ("conj", "conjugate"))
+        )
+
+    def transposed(n):
+        return isinstance(n, ast.Attribute) and n.attr == "T"
+
+    def adjoint(n):  # a conjugate's .T, or the conjugate of a .T
+        return (transposed(n) and conjugate(n.value)) or (
+            conjugate(n) and isinstance(n.func, ast.Attribute) and transposed(n.func.value)
+        )
+
+    assert sorted(sites(adjoint)) == [
+        ("numkit", "SpectralDecomposition.__post_init__"),
+        ("numkit", "as_hermitian"),
+        ("numkit", "hermitian_part"),
+        ("quantum", "random_positive_operator"),
+    ]
 
 
 def test_no_dispatching_array_test_or_norm():
