@@ -211,7 +211,7 @@ def _integrand_values(p, q, beta, ts):
 
     def block(t):
         m = (1.0 - t)[:, None] * a + t[:, None] * b
-        return t * ((m**c) @ delta2) / beta**2
+        return t * (m**c).dot(delta2) / beta**2
 
     return blockwise(block, ts, a.nbytes)
 

@@ -216,7 +216,7 @@ def quadrature_sum(rule: QuadratureRule, values) -> float:
     if np.count_nonzero(bad):
         t = float(rule.nodes[bad][0])
         raise NumericalDomainError(f"integrand is not finite at node t={t!r}")
-    return float(rule.weights @ values)
+    return float(rule.weights.dot(values))
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +267,13 @@ def as_hermitian(m) -> np.ndarray:
 class SpectralDecomposition:
     """Ascending eigenvalues and the unitary matrix of column eigenvectors.
 
-    The adjoint U^dagger is formed once, as a C-contiguous read-only array in
-    ``_adjoint``, which every product with U^dagger reads; a product with it
-    is the same bits as one with ``eigenvectors.conj().T``.
+    The adjoint U^dagger is formed once per eigenbasis, as a C-contiguous
+    read-only array in ``_adjoint``, which every product with U^dagger reads;
+    a product with it is the same bits as one with ``eigenvectors.conj().T``.
+    A decomposition on the same eigenbasis (``_with_eigenvalues``, the power
+    of a chart inverse) shares U and U^dagger instead of copying them.
+    Products are ``ndarray.dot``, the BLAS call of ``@`` without matmul's
+    dispatch.
     """
 
     eigenvalues: np.ndarray
@@ -280,19 +284,29 @@ class SpectralDecomposition:
         u = np.asarray(self.eigenvectors).copy()
         if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] != w.size:
             raise ValueError("eigenvector matrix must be square and match eigenvalues")
+        self._freeze(w, u, np.ascontiguousarray(u.conj().T))
+
+    def _freeze(self, w, u, adjoint):
+        """Store the three arrays read-only, refusing w unless ascending."""
         if np.count_nonzero(w[1:] < w[:-1]):
             raise ValueError("eigenvalues must be ascending")
-        adjoint = np.ascontiguousarray(u.conj().T)
         for array in (w, u, adjoint):
             array.setflags(write=False)
         object.__setattr__(self, "eigenvalues", w)
         object.__setattr__(self, "eigenvectors", u)
         object.__setattr__(self, "_adjoint", adjoint)
 
+    def _with_eigenvalues(self, eigenvalues) -> SpectralDecomposition:
+        """The decomposition with these ascending eigenvalues (as many as this
+        one's) on this eigenbasis, sharing its read-only U and U^dagger."""
+        spectral = object.__new__(SpectralDecomposition)
+        spectral._freeze(np.array(eigenvalues, dtype=float), self.eigenvectors, self._adjoint)
+        return spectral
+
     def matrix_function(self, fn) -> np.ndarray:
         """U diag(fn(eigenvalues)) U^dagger, hermitized."""
         vals = np.asarray(fn(self.eigenvalues))
-        return hermitian_part((self.eigenvectors * vals) @ self._adjoint)
+        return hermitian_part((self.eigenvectors * vals).dot(self._adjoint))
 
 
 def hermitian_eig(h) -> SpectralDecomposition:
@@ -355,9 +369,9 @@ def frechet_from_decomposition(spectral: SpectralDecomposition, s, x) -> np.ndar
     differences of x**s, so the result for a Hermitian direction is Hermitian.
     """
     u, adjoint = spectral.eigenvectors, spectral._adjoint
-    xt = adjoint @ x @ u
+    xt = adjoint.dot(x).dot(u)
     table = power_divided_differences(spectral.eigenvalues, s)
-    return hermitian_part(u @ (table * xt) @ adjoint)
+    return hermitian_part(u.dot(table * xt).dot(adjoint))
 
 
 # ---------------------------------------------------------------------------

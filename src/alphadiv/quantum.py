@@ -10,24 +10,27 @@ alpha-divergence.
 
 Operators are wrapped in :class:`PositiveOperator`, which validates
 Hermiticity and positivity once and caches the spectral decomposition, with
-its adjoint eigenbasis U^dagger formed once.  Powers are taken through that
-cache, and the closed forms are sums over the Nussbaum-Szkola pair built from
-two cached eigensystems (its exact zeros dropped; with none, no copy is
-made), and each is a classical kernel: Furuichi's is the q-divergence plus
-Tr(rho1 - rho2), and the relative entropy is the extended one.  The inverse
-of the flat chart (geodesic points, :func:`operator_from_chart`) is built
-from the decomposition of the chart matrix, not decomposed again, and
+its adjoint eigenbasis U^dagger formed once per eigenbasis: a chart inverse
+keeps the chart matrix's U and U^dagger for its own spectrum.  Powers are
+taken through that cache, and the closed forms are sums over the
+Nussbaum-Szkola pair built from two cached eigensystems (its exact zeros
+dropped; with none, no copy is made), and each is a classical kernel:
+Furuichi's is the q-divergence plus Tr(rho1 - rho2), and the relative entropy
+is the extended one.  A product of two matrices is ndarray.dot, the BLAS call
+of @ without matmul's dispatch; @ stays where it runs over a stack of matrices
+(the quadrature's batched interpolant, the metric components' rotated basis).
+The inverse of the flat chart (geodesic points, :func:`operator_from_chart`)
+is built from the decomposition of the chart matrix, not decomposed again, and
 :func:`operator_from_chart` keeps the last 160 points it built, the working
 set of an operator-dim-2 recovery: a repeated chart point returns the one
 shared immutable instance built for it first.  Its one caller is
-:func:`alpha_chart_contrast`, which returns the chart point of an operator
-and the quantum alpha-divergence between chart points, the contrast from
-which recovery differentiates the flat alpha-geometry.  The quadrature
-integrand alone decomposes the geodesic interpolant, in batches, one block
-of nodes at a time (:func:`numkit.blockwise`); at a node t it is
-t * wyd_metric(gamma(t), v, v, alpha), v the transport from the identity to
-gamma(t) of (rho2**beta - rho1**beta)/beta.  Instances are immutable and safe
-to share between threads.
+:func:`alpha_chart_contrast`, which returns the chart point of an operator and
+the quantum alpha-divergence between chart points, the contrast from which
+recovery differentiates the flat alpha-geometry.  The quadrature integrand
+alone decomposes the geodesic interpolant, in batches, one block of nodes at a
+time (:func:`numkit.blockwise`); at a node t it is t * wyd_metric(gamma(t), v,
+v, alpha), v the transport from the identity to gamma(t) of (rho2**beta -
+rho1**beta)/beta.  Instances are immutable and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -142,7 +145,7 @@ class PositiveOperator:
         spectral = require_positive(hermitian_eig(m))
         if not float(spectral.eigenvalues[-1]) <= (sys.float_info.max / 4) ** beta:
             raise ValueError("matrix entries must be finite")
-        power = SpectralDecomposition(spectral.eigenvalues ** (1.0 / beta), spectral.eigenvectors)
+        power = spectral._with_eigenvalues(spectral.eigenvalues ** (1.0 / beta))
         matrix = power.matrix_function(lambda w: w)
         matrix.setflags(write=False)
         op = object.__new__(PositiveOperator)
@@ -212,7 +215,7 @@ def _spectral_pair(rho1: PositiveOperator, rho2: PositiveOperator):
     if rho1 is rho2 or not np.count_nonzero(rho1._matrix != rho2._matrix):
         return s1.eigenvalues, s1.eigenvalues
     s2 = rho2._spectral
-    overlap = np.abs(s1._adjoint @ s2.eigenvectors) ** 2
+    overlap = np.abs(s1._adjoint.dot(s2.eigenvectors)) ** 2
     p = s1.eigenvalues[:, None] * overlap
     q = s2.eigenvalues * overlap
     keep = np.logical_and(p, q)
@@ -256,7 +259,7 @@ def alpha_parallel_transport(rho1, rho2, x, alpha) -> np.ndarray:
     image = frechet_from_decomposition(rho1.spectral, beta, x)
     u, adjoint = rho2.spectral.eigenvectors, rho2.spectral._adjoint
     table = power_divided_differences(rho2.eigenvalues, beta)
-    y = u @ ((adjoint @ image @ u) / table) @ adjoint
+    y = u.dot(adjoint.dot(image).dot(u) / table).dot(adjoint)
     return hermitian_part(y)
 
 
@@ -532,4 +535,4 @@ def random_positive_operator(rng: np.random.Generator, dim) -> PositiveOperator:
     """Seeded positive operator: uniform RANDOM_SPECTRUM draw conjugated by a QR unitary."""
     lam = rng.uniform(*RANDOM_SPECTRUM, size=dim)
     u = _random_unitary(rng, dim)
-    return PositiveOperator((u * lam) @ u.conj().T)
+    return PositiveOperator((u * lam).dot(u.conj().T))

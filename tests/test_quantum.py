@@ -223,6 +223,43 @@ class TestOperatorsFromKnownSpectrum:
         expected = hermitian_part(chart.matrix_function(lambda w: w ** (1.0 / beta)))
         assert np.array_equal(rho.matrix, expected)
 
+    def test_chart_inverse_shares_the_chart_eigenbasis(self, monkeypatch):
+        # the power decomposition holds the chart decomposition's own U and
+        # U^dagger, read-only, and a new frozen copy of w**(1/beta)
+        charts = []
+
+        def spy(m):
+            charts.append(hermitian_eig(m))
+            return charts[-1]
+
+        monkeypatch.setattr(qm, "hermitian_eig", spy)
+        rng = np.random.default_rng(32)
+        for dim in (1, 2, 3, 5):
+            rho = qm.PositiveOperator._from_chart(rand_pd(rng, dim).matrix, 0.25)
+            chart, spectral = charts[-1], rho.spectral
+            assert spectral.eigenvectors is chart.eigenvectors
+            assert spectral._adjoint is chart._adjoint
+            assert spectral.eigenvalues is not chart.eigenvalues
+            assert spectral.eigenvalues.tobytes() == (chart.eigenvalues ** 4.0).tobytes()
+            for array in (spectral.eigenvalues, spectral.eigenvectors, spectral._adjoint):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.0
+
+    @pytest.mark.parametrize(
+        "chart, error, message",
+        [
+            (np.diag([1.0, -1.0]), NotPositiveDefiniteError,
+             r"^operator is not positive definite: smallest eigenvalue -1\.000000e\+00 "
+             r"\(largest 1\.000000e\+00\)$"),
+            (np.diag([1.225e15, 2.45e15]), ValueError, "^matrix entries must be finite$"),
+        ],
+    )
+    def test_chart_inverse_refusals(self, chart, error, message):
+        # a chart matrix off the cone, and one whose largest power (2.45e15
+        # to the 20th, 6.07e307) exceeds float max / 4
+        with pytest.raises(error, match=message):
+            qm.PositiveOperator._from_chart(chart, 0.05)
+
     def test_overflowing_power_refused(self):
         # alpha = 0.9 raises the chart eigenvalues to the 20th power; the
         # refusal emits no numpy warning, which the test settings turn into
@@ -1136,6 +1173,12 @@ def reference_frechet(spectral, s, x):
     return hermitian_part(u @ (table * xt) @ u.conj().T)
 
 
+def reference_representation(rho, x, alpha):
+    """qm.alpha_representation with U^dagger formed at each use."""
+    beta = chart_exponent(alpha, geodesic=True)
+    return (1.0 / beta) * reference_frechet(rho.spectral, beta, numkit.as_hermitian(x))
+
+
 def reference_transport(rho1, rho2, x, alpha):
     """qm.alpha_parallel_transport with U^dagger formed at each use."""
     beta = chart_exponent(alpha, geodesic=True)
@@ -1143,6 +1186,16 @@ def reference_transport(rho1, rho2, x, alpha):
     u = rho2.spectral.eigenvectors
     table = power_divided_differences(rho2.eigenvalues, beta)
     return hermitian_part(u @ ((u.conj().T @ image @ u) / table) @ u.conj().T)
+
+
+def reference_geodesic(rho1, rho2, alpha, t):
+    """qm.alpha_geodesic_q's matrix and eigenvalues, the inverse power of the
+    chart line's decomposition, with U^dagger formed at each use."""
+    beta = chart_exponent(alpha, geodesic=True)
+    ends = [reference_matrix_function(r.spectral, lambda w: w**beta) for r in (rho1, rho2)]
+    chart = hermitian_eig((1.0 - t) * ends[0] + t * ends[1])
+    w = chart.eigenvalues ** (1.0 / beta)
+    return reference_matrix_function(chart, lambda _: w), w
 
 
 def reference_wyd_components(rho, alpha, basis):
@@ -1161,7 +1214,9 @@ def reference_wyd_components(rho, alpha, basis):
 class TestStoredAdjoint:
     """Every product with the adjoint that SpectralDecomposition stores is the
     same bits as the one with U^dagger formed at the call, and the adjoint is
-    read-only however the operator was built."""
+    read-only however the operator was built.  The library's products of two
+    matrices are ndarray.dot, the references' @: both make one BLAS call, so
+    the bits agree at any BLAS thread count."""
 
     @pytest.mark.parametrize("dim", ADJOINT_DIMS)
     def test_readers_are_bit_identical(self, dim, monkeypatch):
@@ -1169,10 +1224,14 @@ class TestStoredAdjoint:
         # dim-32 basis makes an einsum of 2**30 terms
         basis = qm.hermitian_basis(dim)[:64]
         monkeypatch.setattr(qm, "hermitian_basis", lambda n: basis)
+        draw = np.random.default_rng(600 + dim)
+        lam, u = draw.uniform(*qm.RANDOM_SPECTRUM, size=dim), qm._random_unitary(draw, dim)
+        drawn = qm.random_positive_operator(np.random.default_rng(600 + dim), dim)
+        assert drawn.matrix.tobytes() == hermitian_part((u * lam) @ u.conj().T).tobytes()
         rng = np.random.default_rng(700 + dim)
         for r1, r2 in seeded_pairs(dim):
             x = qm.random_hermitian(rng, dim)
-            for got, want in [
+            pairs = [
                 (r1.spectral.matrix_function(lambda w: w**0.3),
                  reference_matrix_function(r1.spectral, lambda w: w**0.3)),
                 (r1.power(-0.7), reference_matrix_function(r1.spectral, lambda w: w**-0.7)),
@@ -1182,7 +1241,14 @@ class TestStoredAdjoint:
                   for a in (-1.0, -0.5, 0.5)],
                 *[(qm.wyd_components_theta(r1, a), reference_wyd_components(r1, a, basis))
                   for a in (-0.5, 0.5)],
-            ]:
+            ]
+            for a in (-1.0, 0.0, 0.9):
+                point = qm.alpha_geodesic_q(r1, r2, a, 0.3)
+                pairs += [
+                    (qm.alpha_representation(r1, x, a), reference_representation(r1, x, a)),
+                    *zip((point.matrix, point.eigenvalues), reference_geodesic(r1, r2, a, 0.3)),
+                ]
+            for got, want in pairs:
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
 
