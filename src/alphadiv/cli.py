@@ -52,15 +52,11 @@ MAX_ALPHA_VALUES = 10_000
 _NUMBER_TYPES = frozenset((int, float))
 
 
-class InputError(ValueError):
-    """Malformed document, unknown name, or inconsistent flags."""
-
-
 def _reject_duplicate_keys(pairs):
     seen = {}
     for key, value in pairs:
         if key in seen:
-            raise InputError(f"duplicate object name {key!r} in document")
+            raise ValueError(f"duplicate object name {key!r} in document")
         seen[key] = value
     return seen
 
@@ -71,17 +67,17 @@ def load_document(path):
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh, object_pairs_hook=_reject_duplicate_keys)
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in {path}: {exc}") from exc
+        raise ValueError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise InputError("document must be a JSON object")
+        raise ValueError("document must be a JSON object")
     kind = doc.get("kind")
     if kind not in ("classical", "quantum"):
-        raise InputError(f"document kind must be 'classical' or 'quantum', got {kind!r}")
+        raise ValueError(f"document kind must be 'classical' or 'quantum', got {kind!r}")
     objects = doc.get("objects")
     if not isinstance(objects, dict) or not objects:
-        raise InputError("document must provide a nonempty 'objects' mapping")
+        raise ValueError("document must provide a nonempty 'objects' mapping")
     loaded = {}
     for name, raw in objects.items():
         try:
@@ -91,7 +87,7 @@ def load_document(path):
             else:
                 loaded[name] = quantum.PositiveOperator(_complex_matrix(raw))
         except (ValueError, ArithmeticError) as exc:
-            raise InputError(f"object {name!r} is invalid: {exc}") from exc
+            raise ValueError(f"object {name!r} is invalid: {exc}") from exc
     return kind, loaded
 
 
@@ -126,16 +122,16 @@ def _parse_pairs(text, names):
         for chunk in text.split(","):
             parts = chunk.split(":")
             if len(parts) != 2 or not all(parts):
-                raise InputError(f"malformed pair {chunk!r}; expected 'name1:name2'")
+                raise ValueError(f"malformed pair {chunk!r}; expected 'name1:name2'")
             pairs.append(tuple(parts))
     else:
         pairs = [(a, b) for a in names for b in names if a != b]
         if not pairs:
-            raise InputError("document holds a single object; give --pairs explicitly")
+            raise ValueError("document holds a single object; give --pairs explicitly")
     for a, b in pairs:
         for name in (a, b):
             if name not in names:
-                raise InputError(f"unknown object name {name!r}")
+                raise ValueError(f"unknown object name {name!r}")
     return pairs
 
 
@@ -144,13 +140,13 @@ def _parse_alphas(text):
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise InputError("alpha range must be 'start:stop:step'")
+            raise ValueError("alpha range must be 'start:stop:step'")
         try:
             start, stop, step = (float(x) for x in parts)
         except ValueError as exc:
-            raise InputError(f"malformed alpha range {text!r}") from exc
+            raise ValueError(f"malformed alpha range {text!r}") from exc
         if not step > 0:  # NaN too
-            raise InputError("alpha range step must be positive")
+            raise ValueError("alpha range step must be positive")
         x = start
         while x <= stop + 1e-12:
             # rounding sheds the step's drift; a value it makes +-1 is kept only
@@ -162,7 +158,7 @@ def _parse_alphas(text):
             if not -1.0 < values[-1] < 1.0:
                 break  # refused below
             if len(values) > MAX_ALPHA_VALUES:
-                raise InputError(f"alpha range {text!r} holds more than {MAX_ALPHA_VALUES} values")
+                raise ValueError(f"alpha range {text!r} holds more than {MAX_ALPHA_VALUES} values")
             x += step
     else:
         for chunk in text.split(","):
@@ -172,9 +168,9 @@ def _parse_alphas(text):
             try:
                 values.append(float(chunk))
             except ValueError as exc:
-                raise InputError(f"malformed alpha value {chunk!r}") from exc
+                raise ValueError(f"malformed alpha value {chunk!r}") from exc
     if not values:
-        raise InputError("empty alpha list")
+        raise ValueError("empty alpha list")
     for a in values:
         numkit.chart_exponent(a)
     return sorted(values)
@@ -213,7 +209,7 @@ def _evaluate(kind, family, x, y, alpha, qparam, rule):
     """One table entry's value; a non-finite value is a numerical-domain error."""
     entry = _EVALUATORS.get((kind, family))
     if entry is None:
-        raise InputError(f"family {family!r} is not defined on {kind} documents")
+        raise ValueError(f"family {family!r} is not defined on {kind} documents")
     value = entry(x, y, alpha, qparam, rule)
     if not np.isfinite(value):
         raise NumericalDomainError(f"{family} value is not finite: {value}")
@@ -224,19 +220,19 @@ def _check_family_flags(args, method):
     needs_alpha = args.family in ("canonical", "alpha")
     needs_q = args.family in ("tsallis", "furuichi")
     if needs_alpha and args.alpha is None:
-        raise InputError(f"--alpha is required for family {args.family!r}")
+        raise ValueError(f"--alpha is required for family {args.family!r}")
     if needs_q and args.q is None:
-        raise InputError(f"--q is required for family {args.family!r}")
+        raise ValueError(f"--q is required for family {args.family!r}")
     if not needs_q and args.q is not None:
-        raise InputError("--q is only meaningful with the tsallis/furuichi families")
+        raise ValueError("--q is only meaningful with the tsallis/furuichi families")
     if not needs_alpha and args.alpha is not None:
-        raise InputError(f"--alpha is not meaningful with family {args.family!r}")
+        raise ValueError(f"--alpha is not meaningful with family {args.family!r}")
     if not needs_alpha and method != "closed":
-        raise InputError(
+        raise ValueError(
             f"family {args.family!r} has no quadrature path; use --method closed"
         )
     if method == "closed" and args.nodes is not None:
-        raise InputError("--nodes is only meaningful with --method quadrature or both")
+        raise ValueError("--nodes is only meaningful with --method quadrature or both")
 
 
 def cmd_divergence(args):
@@ -311,12 +307,12 @@ def cmd_verify(args):
 def cmd_recover(args):
     kind, objects = load_document(args.input)
     if args.point not in objects:
-        raise InputError(f"unknown object name {args.point!r}")
+        raise ValueError(f"unknown object name {args.point!r}")
     alpha = args.alpha
     if args.reference_euclidean and alpha is not None:
-        raise InputError("--alpha is not meaningful with --reference-euclidean")
+        raise ValueError("--alpha is not meaningful with --reference-euclidean")
     if alpha is None and not args.reference_euclidean:
-        raise InputError("--alpha is required to recover from the alpha-divergence")
+        raise ValueError("--alpha is required to recover from the alpha-divergence")
 
     if args.reference_euclidean:
         divergence = recovery.half_squared_distance
@@ -359,7 +355,7 @@ def cmd_recover(args):
 def cmd_sweep(args):
     kind, objects = load_document(args.input)
     if not args.pair or "," in args.pair:
-        raise InputError(f"malformed --pair {args.pair!r}; expected 'name1:name2'")
+        raise ValueError(f"malformed --pair {args.pair!r}; expected 'name1:name2'")
     ((first, second),) = _parse_pairs(args.pair, objects)
     alphas = _parse_alphas(args.alphas)
     rule = numkit.DEFAULT_RULE if args.nodes is None else gauss_legendre_rule(args.nodes)
@@ -387,7 +383,7 @@ def _probe(path):
     try:
         open(path, "a", encoding="utf-8").close()
     except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
+        raise ValueError(f"cannot write {path}: {exc}") from exc
     if not existed:
         os.remove(os.path.realpath(path))  # through a dangling link, its new target
 
@@ -398,7 +394,7 @@ def _write(path, text):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
+        raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit(payload, out):
@@ -412,7 +408,7 @@ def _emit(payload, out):
         # fd 1 to the null device: the interpreter's exit flush writes there
         with open(os.devnull, "w") as null:
             os.dup2(null.fileno(), sys.stdout.fileno())
-        raise InputError(f"cannot write standard output: {exc}") from exc
+        raise ValueError(f"cannot write standard output: {exc}") from exc
 
 
 def _tolerance(text):

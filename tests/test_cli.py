@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from alphadiv import classical, cli, numkit, quantum, suites
+from alphadiv import classical, cli, numkit, quantum, recovery, suites
 from alphadiv.cli import _parse_alphas, load_document, main
 from alphadiv.quantum import wyd_components_theta
 
@@ -20,6 +20,15 @@ def read_rows(path):
     """The rows of a sweep CSV, read through a handle that is closed again."""
     with path.open(newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def printed_twice(argv, capsys):
+    """What main prints for argv; a rerun must print the same bytes."""
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    return first
 
 
 @pytest.fixture
@@ -143,14 +152,16 @@ class TestDocumentLoading:
 
 class TestDivergenceCommand:
     def test_both_methods_agree(self, classical_doc, capsys):
-        rc = main(
-            ["divergence", classical_doc, "--family", "alpha", "--alpha", "0",
-             "--method", "both", "--pairs", "p:q"]
-        )
-        assert rc == 0
-        report = json.loads(capsys.readouterr().out)
+        # the README measures: quadrature and closed form are both the
+        # worked constant, gated at the classical cone's tolerance
+        argv = ["divergence", classical_doc, "--family", "alpha", "--alpha", "0",
+                "--method", "both", "--pairs", "p:q"]
+        out = printed_twice(argv, capsys)
+        assert '"tolerance": 1e-09' in out
+        report = json.loads(out)
         case = report["cases"][0]
-        assert case["value"] == pytest.approx(12 - 8 * np.sqrt(2), abs=1e-10)
+        assert abs(case["value"] - (12 - 8 * np.sqrt(2))) <= 1e-12
+        assert abs(case["reference"] - (12 - 8 * np.sqrt(2))) <= 1e-12
         assert case["abs_error"] <= 1e-10
         assert report["summary"]["pass"] is True
 
@@ -183,18 +194,15 @@ class TestDivergenceCommand:
         assert main(["divergence", str(path), "--pairs", "a:b"] + argv) == 0
         [case] = json.loads(capsys.readouterr().out)["cases"]
         assert case["value"] == 0.0
-        if "both" in argv:
-            assert case["reference"] == 0.0
+        assert case["reference"] == (0.0 if "both" in argv else None)
 
     def test_quantum_worked_value(self, quantum_doc, capsys):
-        rc = main(
-            ["divergence", quantum_doc, "--family", "canonical", "--alpha", "0",
-             "--method", "both", "--pairs", "rho1:rho2"]
-        )
-        assert rc == 0
-        case = json.loads(capsys.readouterr().out)["cases"][0]
+        argv = ["divergence", quantum_doc, "--family", "canonical", "--alpha", "0",
+                "--method", "both", "--pairs", "rho1:rho2"]
+        case = json.loads(printed_twice(argv, capsys))["cases"][0]
         expected = 14.0 - 2.0 * (np.sqrt(3) + np.sqrt(6) + 1.0 + np.sqrt(2))
-        assert case["value"] == pytest.approx(expected, abs=1e-9)
+        assert abs(case["value"] - expected) <= 1e-12
+        assert abs(case["reference"] - expected) <= 1e-12
         assert case["rel_error"] <= 1e-9
 
     def test_default_pairs_are_all_ordered(self, classical_doc, capsys):
@@ -233,14 +241,23 @@ class TestDivergenceCommand:
             main(["divergence", classical_doc, "--family", "alpha", "--alpha", "1.0"]) == 2
         )
 
-    def test_relative_entropy_on_quantum(self, quantum_doc, capsys):
-        rc = main(
-            ["divergence", quantum_doc, "--family", "relative-entropy", "--pairs", "rho1:rho2"]
-        )
-        assert rc == 0
-        case = json.loads(capsys.readouterr().out)["cases"][0]
-        # the extended form on the README pair, 3 ln 3 - 2 ln 2 - 1
-        assert abs(case["value"] - (3 * np.log(3) - 2 * np.log(2) - 1)) <= 1e-12
+    # the README operator pair: the extended relative entropy in both orders,
+    # and Furuichi's form at q = 1/2, the q-divergence plus Tr(rho1 - rho2)
+    @pytest.mark.parametrize(
+        "argv, worked",
+        [
+            (["--family", "relative-entropy", "--pairs", "rho1:rho2"],
+             3 * np.log(3) - 2 * np.log(2) - 1),
+            (["--family", "relative-entropy", "--pairs", "rho2:rho1"],
+             1 + 2 * np.log(2) - 1.5 * np.log(3)),
+            (["--family", "furuichi", "--q", "0.5", "--pairs", "rho1:rho2"],
+             8 - (np.sqrt(3) + 1) * (1 + np.sqrt(2))),
+        ],
+        ids=["relative-entropy", "relative-entropy-reversed", "furuichi"],
+    )
+    def test_worked_constants_on_operators(self, quantum_doc, capsys, argv, worked):
+        [case] = json.loads(printed_twice(["divergence", quantum_doc, *argv], capsys))["cases"]
+        assert abs(case["value"] - worked) <= 1e-12
 
     def test_furuichi_at_q_zero_is_usage_error(self, quantum_doc, capsys):
         # at q = 0 the form is the trace gap Tr rho1 - Tr rho2 alone
@@ -329,6 +346,9 @@ MEASURES = {"p": [1.0, 2.0], "q": [2.0, 1.0]}
         ("{", ["divergence", "{doc}", "--family", "kl"],
          "invalid JSON in {doc}: Expecting property name enclosed in double quotes: "
          "line 1 column 2 (char 1)"),
+        ("{", ["divergence", "{doc}"],
+         "invalid JSON in {doc}: Expecting property name enclosed in double quotes: "
+         "line 1 column 2 (char 1)"),
         ([], ["divergence", "{doc}", "--family", "kl"], "document must be a JSON object"),
         ({"kind": "mixed", "objects": MEASURES}, ["divergence", "{doc}", "--family", "kl"],
          "document kind must be 'classical' or 'quantum', got 'mixed'"),
@@ -365,10 +385,10 @@ MEASURES = {"p": [1.0, 2.0], "q": [2.0, 1.0]}
          "argument --tolerance: invalid float value: 'abc'"),
     ],
     ids=[
-        "invalid-json", "not-an-object", "unknown-kind", "no-objects", "empty-objects",
-        "not-a-square-matrix", "single-object", "range-of-two", "range-not-numbers",
-        "list-not-a-number", "canonical-without-alpha", "alpha-without-alpha", "kl-with-alpha",
-        "tolerance-not-a-number",
+        "invalid-json", "invalid-json-default-family", "not-an-object", "unknown-kind",
+        "no-objects", "empty-objects", "not-a-square-matrix", "single-object", "range-of-two",
+        "range-not-numbers", "list-not-a-number", "canonical-without-alpha",
+        "alpha-without-alpha", "kl-with-alpha", "tolerance-not-a-number",
     ],
 )
 def test_input_refusal_is_usage_error(tmp_path, capsys, document, argv, message):
@@ -603,16 +623,32 @@ class TestVerifyCommand:
         assert all(c["pass"] and c["suite"] == "recovery" for c in checks)
 
     def test_geodesic_check_fails_on_the_wrong_geodesic(self, tmp_path, monkeypatch):
+        out = tmp_path / "r.json"
+        argv = ["verify", "--suite", "quantum", "--trials", "5", "--seed", "7", "--out", str(out)]
+        assert main(argv) == 0
+        checks = json.loads(out.read_text())["checks"]
+        name = "alpha-geodesic is the straight chart line"
+        assert [c["pass"] for c in checks if c["check"] == name] == [True]
         # the mixture (alpha = -1) geodesic is straight in another chart only
         geodesic = quantum.alpha_geodesic_q
         monkeypatch.setattr(
             quantum, "alpha_geodesic_q", lambda r1, r2, alpha, t: geodesic(r1, r2, -1.0, t)
         )
-        out = tmp_path / "r.json"
         argv = ["verify", "--suite", "quantum", "--trials", "10", "--seed", "7", "--out", str(out)]
         assert main(argv) == 1
         failed = [c["check"] for c in json.loads(out.read_text())["checks"] if not c["pass"]]
-        assert failed == ["alpha-geodesic is the straight chart line"]
+        assert failed == [name]
+
+    def test_degenerate_check_fails_without_the_metric_floor(self, tmp_path, monkeypatch):
+        # with no floor on the metric's eigenvalues the quartic contrast's
+        # zero metric is accepted, and only the check that expects it refused
+        # fails
+        monkeypatch.setattr(recovery, "_METRIC_FLOOR", -np.inf)
+        out = tmp_path / "r.json"
+        argv = ["verify", "--suite", "recovery", "--trials", "1", "--seed", "7", "--out", str(out)]
+        assert main(argv) == 1
+        failed = [c["check"] for c in json.loads(out.read_text())["checks"] if not c["pass"]]
+        assert failed == ["degenerate contrast rejected"]
 
     @pytest.mark.parametrize("suite", ["classical", "quantum"])
     @pytest.mark.parametrize("trials", ["0", "-3"])
@@ -732,19 +768,49 @@ class TestRecoverCommand:
         assert rc == code
         assert capsys.readouterr().err.startswith(prefix)
 
+    @staticmethod
+    def recovered_twice(argv, tmp_path):
+        """The report of recover run with argv; a rerun must write the same bytes."""
+        outs = [tmp_path / "first.json", tmp_path / "rerun.json"]
+        for out in outs:
+            assert main(["recover", *argv, "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        return json.loads(outs[0].read_text())
+
+    @staticmethod
+    def assert_library_recovery(report, divergence, point):
+        # the report holds the library's recovery at the same point and
+        # alpha, bit for bit, and names the metric stencil's fixed step
+        assert report["step"] == 0.001
+        structure = recovery.recover_structure(divergence, point)
+        for key in ("metric", "christoffel", "christoffel_dual"):
+            assert getattr(structure, key).tolist() == report[key], key
+        assert recovery.duality_defect(structure, divergence) == report["duality_defect"]
+        curvature = float(np.max(np.abs(recovery.curvature(structure, divergence))))
+        assert curvature == report["curvature_max"]
+
+    def test_classical_recovery_at_four_coordinates(self, tmp_path):
+        # four coordinates: the curvature check runs at CURVATURE_MAX_DIM
+        path = tmp_path / "dim4.json"
+        p = [1.5, 0.8, 2.2, 1.1]
+        path.write_text(json.dumps({"kind": "classical", "objects": {"p": p}}))
+        report = self.recovered_twice([str(path), "--alpha", "0.5", "--point", "p"], tmp_path)
+        assert report["summary"] == {"defect_within": True, "curvature_within": True}
+        self.assert_library_recovery(
+            report, lambda x, y: classical.alpha_divergence_closed(x, y, 0.5), np.array(p)
+        )
+
     def test_quantum_chart_recovery(self, quantum_doc, tmp_path):
         # the README operator document: in the alpha-chart the recovered
         # metric is the WYD metric's components, and the chart is flat
-        outs = [tmp_path / "first.json", tmp_path / "rerun.json"]
-        for out in outs:
-            argv = ["recover", quantum_doc, "--alpha", "0.5", "--point", "rho1", "--out", str(out)]
-            assert main(argv) == 0
-        assert outs[0].read_bytes() == outs[1].read_bytes()
-        report = json.loads(outs[0].read_text())
+        argv = [quantum_doc, "--alpha", "0.5", "--point", "rho1"]
+        report = self.recovered_twice(argv, tmp_path)
         assert report["summary"] == {"defect_within": True, "curvature_within": True}
         rho = load_document(quantum_doc)[1]["rho1"]
         expected = wyd_components_theta(rho, 0.5)
         assert np.max(np.abs(np.array(report["metric"]) - expected)) <= 1e-5
+        point, divergence = quantum.alpha_chart_contrast(rho, 0.5)
+        self.assert_library_recovery(report, divergence, point)
 
 
 class TestToleranceFlag:

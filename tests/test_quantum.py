@@ -51,6 +51,8 @@ class TestOperatorTypes:
         with pytest.raises(NotPositiveDefiniteError) as info:
             qm.PositiveOperator(np.diag([1.0, -0.5]))
         assert info.value.smallest == pytest.approx(-0.5)
+        accepted = qm.PositiveOperator(np.diag([1.0, 2.0 / 3.0]))
+        assert repr(accepted) == "PositiveOperator(dim=2, trace=1.66667)"
 
     def test_positivity_threshold_is_relative(self):
         with pytest.raises(NotPositiveDefiniteError):

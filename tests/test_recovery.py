@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -311,6 +314,16 @@ class TestStencilCounts:
         rc.curvature(structure, counted)
         assert len(points) == len(set(points))
         assert len(points) == len(set(block)) == 361
+
+    def test_benchmark_tracer_counts_what_it_pins(self):
+        # the benchmark's tracer, loaded from its file without putting
+        # perfbench/ on sys.path, counts the stencils and quadratures whose
+        # work check_known_counts pins; a change that moves a pin fails here
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        assert tracing.check_known_counts() == []
 
 
 def curvature_over_raw_block(structure, divergence):

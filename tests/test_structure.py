@@ -285,8 +285,8 @@ def test_gate_error_normalization_is_written_once():
 
 def test_cli_catches_value_errors_only_to_map_input_errors():
     # main maps ValueError to exit 2, and the document loader and the two text
-    # parsers re-raise it as an input error; a contrast's refusal at a stencil
-    # point is decided in numkit.mixed_partials
+    # parsers re-raise it with a message naming the input; a contrast's refusal
+    # at a stencil point is decided in numkit.mixed_partials
     def catches_value_error(n):
         if not isinstance(n, ast.ExceptHandler) or n.type is None:
             return False
