@@ -12,13 +12,16 @@ evaluate the function over the product of two row lists; a contrast's
 ValueError on a stencil is a numerical-domain error.
 
 Every function here is a pure function of its inputs and deterministic for
-identical inputs, so results are safe to share between threads.  Reductions
+identical inputs, so results are safe to share between threads: a
+decomposition forms its adjoint eigenbasis on first read, and threads that
+race to that read get the same bytes, whichever of them forms it.  Reductions
 (quadrature sums, traces) use numpy's fixed pairwise order, which is
 deterministic for a given input shape.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -267,13 +270,11 @@ def as_hermitian(m) -> np.ndarray:
 class SpectralDecomposition:
     """Ascending eigenvalues and the unitary matrix of column eigenvectors.
 
-    The adjoint U^dagger is formed once per eigenbasis, as a C-contiguous
-    read-only array in ``_adjoint``, which every product with U^dagger reads;
-    a product with it is the same bits as one with ``eigenvectors.conj().T``.
-    A decomposition on the same eigenbasis (``_with_eigenvalues``, the power
-    of a chart inverse) shares U and U^dagger instead of copying them.
-    Products are ``ndarray.dot``, the BLAS call of ``@`` without matmul's
-    dispatch.
+    The adjoint U^dagger is formed on first read, as a C-contiguous read-only
+    array in ``_adjoint``, which every product with U^dagger reads; a product
+    with it is the same bits as one with ``eigenvectors.conj().T``, and a
+    decomposition whose adjoint nothing reads never forms it.  Products are
+    ``ndarray.dot``, the BLAS call of ``@`` without matmul's dispatch.
     """
 
     eigenvalues: np.ndarray
@@ -284,24 +285,18 @@ class SpectralDecomposition:
         u = np.asarray(self.eigenvectors).copy()
         if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] != w.size:
             raise ValueError("eigenvector matrix must be square and match eigenvalues")
-        self._freeze(w, u, np.ascontiguousarray(u.conj().T))
-
-    def _freeze(self, w, u, adjoint):
-        """Store the three arrays read-only, refusing w unless ascending."""
         if np.count_nonzero(w[1:] < w[:-1]):
             raise ValueError("eigenvalues must be ascending")
-        for array in (w, u, adjoint):
+        for name, array in (("eigenvalues", w), ("eigenvectors", u)):
             array.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", w)
-        object.__setattr__(self, "eigenvectors", u)
-        object.__setattr__(self, "_adjoint", adjoint)
+            object.__setattr__(self, name, array)
 
-    def _with_eigenvalues(self, eigenvalues) -> SpectralDecomposition:
-        """The decomposition with these ascending eigenvalues (as many as this
-        one's) on this eigenbasis, sharing its read-only U and U^dagger."""
-        spectral = object.__new__(SpectralDecomposition)
-        spectral._freeze(np.array(eigenvalues, dtype=float), self.eigenvectors, self._adjoint)
-        return spectral
+    @functools.cached_property
+    def _adjoint(self) -> np.ndarray:
+        """U^dagger, C-contiguous and read-only."""
+        adjoint = np.ascontiguousarray(self.eigenvectors.conj().T)
+        adjoint.setflags(write=False)
+        return adjoint
 
     def matrix_function(self, fn) -> np.ndarray:
         """U diag(fn(eigenvalues)) U^dagger, hermitized."""

@@ -9,27 +9,28 @@ geodesic-integral divergence reproduces the closed-form quantum
 alpha-divergence.
 
 Operators are wrapped in :class:`PositiveOperator`, which validates
-Hermiticity and positivity once and caches the spectral decomposition, with
-its adjoint eigenbasis U^dagger formed once per eigenbasis: a chart inverse
-keeps the chart matrix's U and U^dagger for its own spectrum.  Powers are
-taken through that cache, and the closed forms are sums over the
-Nussbaum-Szkola pair built from two cached eigensystems (its exact zeros
-dropped; with none, no copy is made), and each is a classical kernel:
-Furuichi's is the q-divergence plus Tr(rho1 - rho2), and the relative entropy
-is the extended one.  A product of two matrices is ndarray.dot, the BLAS call
-of @ without matmul's dispatch; @ stays where it runs over a stack of matrices
-(the quadrature's batched interpolant, the metric components' rotated basis).
-The inverse of the flat chart (geodesic points, :func:`operator_from_chart`)
-is built from the decomposition of the chart matrix, not decomposed again, and
-:func:`operator_from_chart` keeps the last 160 points it built, the working
-set of an operator-dim-2 recovery: a repeated chart point returns the one
-shared immutable instance built for it first.  Its one caller is
-:func:`alpha_chart_contrast`, which returns the chart point of an operator and
-the quantum alpha-divergence between chart points, the contrast from which
-recovery differentiates the flat alpha-geometry.  The quadrature integrand
-alone decomposes the geodesic interpolant, in batches, one block of nodes at a
-time (:func:`numkit.blockwise`); at a node t it is t * wyd_metric(gamma(t), v,
-v, alpha), v the transport from the identity to gamma(t) of (rho2**beta -
+Hermiticity and positivity once and caches the spectral decomposition, whose
+adjoint eigenbasis U^dagger is formed on first read: a chart inverse keeps the
+chart matrix's U for its own spectrum, and the chart decomposition it discards
+forms none.  Powers are taken through that cache, and the closed forms are
+sums over the Nussbaum-Szkola pair built from two cached eigensystems (its
+exact zeros dropped; with none, no copy is made), and each is a classical
+kernel: Furuichi's is the q-divergence plus Tr(rho1 - rho2), and the relative
+entropy is the extended one.  A product of two matrices is ndarray.dot, the
+BLAS call of @ without matmul's dispatch; @ stays where it runs over a stack
+of matrices (the quadrature's batched interpolant, the metric components'
+rotated basis).  The inverse of the flat chart (geodesic points,
+:func:`operator_from_chart`) is built from the decomposition of the chart
+matrix, not decomposed again, and :func:`operator_from_chart` keeps the last
+160 points it built, the working set of an operator-dim-2 recovery: a repeated
+chart point returns the one shared immutable instance built for it first, and
+only a build gates alpha.  Its one caller is :func:`alpha_chart_contrast`,
+which returns the chart point of an operator and the quantum alpha-divergence
+between chart points, the contrast from which recovery differentiates the flat
+alpha-geometry.  The quadrature integrand alone decomposes the geodesic
+interpolant, in batches, one block of nodes at a time
+(:func:`numkit.blockwise`); at a node t it is t * wyd_metric(gamma(t), v, v,
+alpha), v the transport from the identity to gamma(t) of (rho2**beta -
 rho1**beta)/beta.  Instances are immutable and safe to share between threads.
 """
 
@@ -123,7 +124,7 @@ class PositiveOperator:
     matrix must be Hermitian relative to its Frobenius norm, its spectrum must
     satisfy largest > 0 and smallest > 1e-12 * largest (NaN fails), and the
     stored symmetrized matrix is frozen.  The inverse of the flat chart,
-    :meth:`_from_chart`, keeps the decomposition of the chart matrix instead
+    :meth:`_from_chart`, keeps the eigenbasis of the chart matrix instead
     and passes the same checks.
     """
 
@@ -145,7 +146,7 @@ class PositiveOperator:
         spectral = require_positive(hermitian_eig(m))
         if not float(spectral.eigenvalues[-1]) <= (sys.float_info.max / 4) ** beta:
             raise ValueError("matrix entries must be finite")
-        power = spectral._with_eigenvalues(spectral.eigenvalues ** (1.0 / beta))
+        power = SpectralDecomposition(spectral.eigenvalues ** (1.0 / beta), spectral.eigenvectors)
         matrix = power.matrix_function(lambda w: w)
         matrix.setflags(write=False)
         op = object.__new__(PositiveOperator)
@@ -384,17 +385,16 @@ def operator_from_chart(theta, basis, alpha) -> PositiveOperator:
     the cone, otherwise :class:`NotPositiveDefiniteError` is raised.
 
     The last CHART_MEMO_SIZE results are kept, keyed on the bytes, shapes and
-    dtypes of theta and basis and on beta: a call that repeats a point
-    returns the shared immutable instance built for it first, which the
-    computation without the memo reproduces bit for bit.  Refusals are not
-    kept.
+    dtypes of theta and basis and on float(alpha): a call that repeats a
+    point returns the shared immutable instance built for it first, which the
+    computation without the memo reproduces bit for bit, and runs no alpha
+    gate; only a build gates alpha (:func:`numkit.chart_exponent`).  Refusals
+    are not kept, so a refused alpha is refused on every call.
     """
-    beta = chart_exponent(alpha, geodesic=True)
     theta = np.asarray(theta, dtype=float)
     basis = np.asarray(basis)
-    return _chart_operator(
-        theta.tobytes(), theta.shape, _shared(basis.tobytes()), basis.shape, basis.dtype, beta
-    )
+    key = theta.tobytes(), theta.shape, _shared(basis.tobytes()), basis.shape, basis.dtype
+    return _chart_operator(*key, float(alpha))
 
 
 @functools.lru_cache(maxsize=1)
@@ -405,8 +405,10 @@ def _shared(data):
 
 
 @functools.lru_cache(maxsize=CHART_MEMO_SIZE)
-def _chart_operator(theta_bytes, theta_shape, basis_bytes, basis_shape, basis_dtype, beta):
-    """The inverse chart at the point the key spells out, rebuilt from its bytes."""
+def _chart_operator(theta_bytes, theta_shape, basis_bytes, basis_shape, basis_dtype, alpha):
+    """The inverse chart at the point the key spells out, rebuilt from its bytes;
+    alpha is gated here, so only a build runs the gate and a refusal is not kept."""
+    beta = chart_exponent(alpha, geodesic=True)
     theta = np.frombuffer(theta_bytes).reshape(theta_shape)
     basis = np.frombuffer(basis_bytes, dtype=basis_dtype).reshape(basis_shape)
     return PositiveOperator._from_chart(beta * operator_from_theta(theta, basis), beta)

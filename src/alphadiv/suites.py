@@ -380,6 +380,8 @@ def run_suite(name, trials, seed, tolerance=None):
     """Run one named suite (or 'all') and return its check records."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if name != "all" and name not in _RUNNERS:
         raise ValueError(f"unknown suite {name!r}")
     records = []

@@ -383,12 +383,15 @@ MEASURES = {"p": [1.0, 2.0], "q": [2.0, 1.0]}
         ({"kind": "classical", "objects": MEASURES},
          ["divergence", "{doc}", "--family", "kl", "--tolerance", "abc", "--out", "{out}"],
          "argument --tolerance: invalid float value: 'abc'"),
+        ({"kind": "classical", "objects": MEASURES},
+         ["verify", "--suite", "classical", "--trials", "1", "--seed", "-1", "--out", "{out}"],
+         "seed must be non-negative, got -1"),
     ],
     ids=[
         "invalid-json", "invalid-json-default-family", "not-an-object", "unknown-kind",
         "no-objects", "empty-objects", "not-a-square-matrix", "single-object", "range-of-two",
         "range-not-numbers", "list-not-a-number", "canonical-without-alpha",
-        "alpha-without-alpha", "kl-with-alpha", "tolerance-not-a-number",
+        "alpha-without-alpha", "kl-with-alpha", "tolerance-not-a-number", "negative-seed",
     ],
 )
 def test_input_refusal_is_usage_error(tmp_path, capsys, document, argv, message):

@@ -1,6 +1,9 @@
 import functools
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -225,9 +228,10 @@ class TestOperatorsFromKnownSpectrum:
         expected = hermitian_part(chart.matrix_function(lambda w: w ** (1.0 / beta)))
         assert np.array_equal(rho.matrix, expected)
 
-    def test_chart_inverse_shares_the_chart_eigenbasis(self, monkeypatch):
-        # the power decomposition holds the chart decomposition's own U and
-        # U^dagger, read-only, and a new frozen copy of w**(1/beta)
+    def test_chart_inverse_keeps_the_chart_eigenbasis(self, monkeypatch):
+        # the power decomposition holds a read-only copy of the chart's U and
+        # w**(1/beta), and forms its U^dagger once, on first read; the chart
+        # decomposition, which is discarded, never forms one
         charts = []
 
         def spy(m):
@@ -239,11 +243,14 @@ class TestOperatorsFromKnownSpectrum:
         for dim in (1, 2, 3, 5):
             rho = qm.PositiveOperator._from_chart(rand_pd(rng, dim).matrix, 0.25)
             chart, spectral = charts[-1], rho.spectral
-            assert spectral.eigenvectors is chart.eigenvectors
-            assert spectral._adjoint is chart._adjoint
-            assert spectral.eigenvalues is not chart.eigenvalues
+            assert "_adjoint" not in vars(chart)
+            assert spectral.eigenvectors.tobytes() == chart.eigenvectors.tobytes()
             assert spectral.eigenvalues.tobytes() == (chart.eigenvalues ** 4.0).tobytes()
-            for array in (spectral.eigenvalues, spectral.eigenvectors, spectral._adjoint):
+            adjoint = spectral._adjoint
+            assert spectral._adjoint is adjoint
+            assert adjoint.flags.c_contiguous
+            assert adjoint.tobytes() == spectral.eigenvectors.conj().T.copy().tobytes()
+            for array in (spectral.eigenvalues, spectral.eigenvectors, adjoint):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 0.0
 
@@ -327,6 +334,37 @@ class TestChartMemo:
         for _ in range(2):
             with pytest.raises(NotPositiveDefiniteError):
                 qm.operator_from_chart(theta, basis, 0.5)
+
+    def test_alpha_is_gated_only_when_a_point_is_built(self, monkeypatch):
+        # the memo key holds alpha itself, so a hit runs no gate, and a
+        # refused alpha is refused on every call, also at a theta and basis
+        # the memo holds for alpha = 0.5, and never kept
+        basis = qm.hermitian_basis(2)
+        theta = qm.theta_coordinates(np.array([[1.3, 0.2], [0.2, 0.7]]), basis)
+        qm._chart_operator.cache_clear()
+        rho = qm.operator_from_chart(theta, basis, 0.5)
+        gates = []
+
+        def counted(alpha, geodesic=False):
+            gates.append(alpha)
+            return chart_exponent(alpha, geodesic)
+
+        monkeypatch.setattr(qm, "chart_exponent", counted)
+        assert qm.operator_from_chart(theta.copy(), basis, 0.5) is rho
+        assert gates == []
+        qm.operator_from_chart(theta, basis, 0.0)
+        assert gates == [0.0]
+        size = qm._chart_operator.cache_info().currsize
+        refusals = [
+            (1.0, r"^alpha must lie in \[-1, 1\) for geodesic operations, got 1\.0$"),
+            (float("nan"), "^alpha must be finite$"),
+        ]
+        for alpha, message in refusals:
+            for _ in range(2):
+                with pytest.raises(ValueError, match=message):
+                    qm.operator_from_chart(theta, basis, alpha)
+        assert len(gates) == 5
+        assert qm._chart_operator.cache_info().currsize == size == 2
 
     def test_basis_and_alpha_are_part_of_the_key(self):
         basis = qm.hermitian_basis(2)
@@ -1271,6 +1309,26 @@ class TestStoredAdjoint:
             assert adjoint.tobytes() == spectral.eigenvectors.conj().T.copy().tobytes()
             with pytest.raises(ValueError, match="read-only"):
                 adjoint[0, 0] = 0.0
+
+    def test_adjoint_read_from_many_threads_is_the_conjugate_transpose(self):
+        # eight threads race to the first read of one fresh decomposition's
+        # adjoint; each gets the bytes of U^dagger, whichever read forms it
+        spectral = hermitian_eig(rand_pd(np.random.default_rng(91), 4).matrix)
+        want = spectral.eigenvectors.conj().T.copy().tobytes()
+        start = threading.Barrier(8)
+
+        def read(_):
+            start.wait(timeout=10)
+            return spectral._adjoint.tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                assert list(pool.map(read, range(8), timeout=30)) == [want] * 8
+        finally:
+            sys.setswitchinterval(interval)
+        assert spectral._adjoint.tobytes() == want
 
 
 class TestEqualOperators:

@@ -29,6 +29,7 @@ def constant(x, y):
         (lambda: quantum.hermitian_basis(2.0), "dimension must be a positive integer, got 2.0"),
         (lambda: quantum.hermitian_basis(True), "dimension must be a positive integer, got True"),
         (lambda: suites.run_suite("nope", 1, 0), "unknown suite 'nope'"),
+        (lambda: suites.run_suite("classical", 1, -1), "seed must be non-negative, got -1"),
         (lambda: numkit.quadrature_sum(numkit.gauss_legendre_rule(2), [1.0]),
          "one integrand value per node is required"),
         (lambda: numkit.QuadratureRule([0.5], [0.5, 0.5]),
@@ -47,7 +48,7 @@ def constant(x, y):
     ],
     ids=[
         "operators-of-two-dimensions", "tangent-of-another-shape", "basis-of-dimension-0",
-        "basis-of-dimension-2.0", "basis-of-dimension-True", "unknown-suite",
+        "basis-of-dimension-2.0", "basis-of-dimension-True", "unknown-suite", "negative-seed",
         "one-value-short", "unequal-nodes-and-weights", "non-square-eigenvectors",
         "christoffel-at-nan", "mixed-partials-2d-p", "mixed-partials-2d-q",
         "gradient-2d-point", "interleaved-qppq",

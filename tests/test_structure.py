@@ -4,9 +4,9 @@ The benchmark counts eigendecompositions by rebinding ``numpy.linalg.eigh``,
 so every decomposition must be that attribute call, made in one of the two
 places that decompose: ``numkit.hermitian_eig`` for single matrices and the
 block function of the quadrature integrand for the batched geodesic
-interpolant.  Operators that skip ``PositiveOperator.__init__`` are built in
-one place, the inverse chart, and chart inverses reach it only through the
-memo of ``operator_from_chart``.
+interpolant.  The package's one constructor bypass (an ``object.__new__``)
+is the inverse chart's, which skips ``PositiveOperator.__init__``, and chart
+inverses reach it only through the memo of ``operator_from_chart``.
 Each convention shared by several operations, such as the chart exponent
 beta = (1 - alpha)/2, is written once, and so is each refusal: the positivity
 gate, the range of alpha (in the chart exponent) and of q, the gate error of
@@ -24,12 +24,11 @@ reference metric the tests hold others against.  Exact array tests are
 ``np.linalg.norm``, whose Python-level dispatch costs microseconds on small
 arrays.  The alpha-chart contrast is built in one place,
 ``quantum.alpha_chart_contrast``, the one caller of the inverse chart's memo.
-The adjoint of an eigenbasis is formed once, by ``SpectralDecomposition``,
-and every product with it reads the stored one; a chart inverse shares the
-chart decomposition's eigenbasis and adjoint.  A product of two matrices is
-``ndarray.dot``, which makes the BLAS call ``@`` makes without matmul's
-gufunc dispatch (about 0.4 us on a 2 x 2 matrix); ``@`` stays only where it
-broadcasts over a stack of matrices.
+The adjoint of an eigenbasis is formed once, on the first read of
+``SpectralDecomposition._adjoint``, and every product with it reads that one.
+A product of two matrices is ``ndarray.dot``, which makes the BLAS call ``@``
+makes without matmul's gufunc dispatch (about 0.4 us on a 2 x 2 matrix);
+``@`` stays only where it broadcasts over a stack of matrices.
 """
 
 import ast
@@ -87,16 +86,17 @@ def test_stencil_table_is_read_in_one_place():
     assert reads == [("numkit", "_stencil_derivative")]
 
 
-def test_positive_operator_bypasses_init_only_in_the_inverse_chart():
+def test_the_one_constructor_bypass_is_the_inverse_chart():
+    # any __new__ call, of any class: a SpectralDecomposition is built only
+    # through its constructor, and an operator skips PositiveOperator.__init__
+    # only in the inverse chart
     def bypass(n):
-        return (
-            isinstance(n, ast.Call)
-            and isinstance(n.func, ast.Attribute)
-            and n.func.attr == "__new__"
-            and any(dotted(a) == "PositiveOperator" for a in n.args)
-        )
+        return isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "__new__"
 
     assert sites(bypass) == [("quantum", "PositiveOperator._from_chart")]
+    [call] = [n for n in ast.walk(ast.parse((SRC / "quantum.py").read_text())) if bypass(n)]
+    assert dotted(call.func) == "object.__new__"
+    assert [dotted(a) for a in call.args] == ["PositiveOperator"]
 
 
 def test_chart_contrast_is_the_one_caller_of_the_inverse_chart_memo():
@@ -136,7 +136,7 @@ def test_eigenbasis_adjoint_is_formed_once():
         )
 
     assert sorted(sites(adjoint)) == [
-        ("numkit", "SpectralDecomposition.__post_init__"),
+        ("numkit", "SpectralDecomposition._adjoint"),
         ("numkit", "as_hermitian"),
         ("numkit", "hermitian_part"),
         ("quantum", "random_positive_operator"),
