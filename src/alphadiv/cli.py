@@ -26,6 +26,7 @@ symmetrized on load and must be Hermitian and positive definite.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -422,7 +423,9 @@ def _tolerance(text):
     return value
 
 
+@functools.cache
 def build_parser():
+    """The argument parser of the alphadiv command, built once per process."""
     parser = argparse.ArgumentParser(
         prog="alphadiv",
         description="Alpha-divergences on positive measures and positive operators, "

@@ -123,12 +123,13 @@ def check_t(t) -> float:
 # Quadrature
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Nodes and weights of a quadrature rule normalized to [0, 1].
 
     Nodes are strictly increasing inside the open interval and the weights
-    are positive and sum to one (within 1e-14).
+    are positive and sum to one (within 1e-14).  Rules compare and hash by
+    identity, as arrays have no truth value to compare fields by.
     """
 
     nodes: np.ndarray
@@ -266,7 +267,7 @@ def as_hermitian(m) -> np.ndarray:
     return hermitian_part(m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Ascending eigenvalues and the unitary matrix of column eigenvectors.
 
@@ -275,6 +276,7 @@ class SpectralDecomposition:
     with it is the same bits as one with ``eigenvectors.conj().T``, and a
     decomposition whose adjoint nothing reads never forms it.  Products are
     ``ndarray.dot``, the BLAS call of ``@`` without matmul's dispatch.
+    Decompositions compare and hash by identity, as rules do.
     """
 
     eigenvalues: np.ndarray

@@ -10,18 +10,18 @@ alpha-divergence.
 
 Operators are wrapped in :class:`PositiveOperator`, which validates
 Hermiticity and positivity once and caches the spectral decomposition, whose
-adjoint eigenbasis U^dagger is formed on first read: a chart inverse keeps the
-chart matrix's U for its own spectrum, and the chart decomposition it discards
-forms none.  Powers are taken through that cache, and the closed forms are
-sums over the Nussbaum-Szkola pair built from two cached eigensystems (its
-exact zeros dropped; with none, no copy is made), and each is a classical
-kernel: Furuichi's is the q-divergence plus Tr(rho1 - rho2), and the relative
-entropy is the extended one.  A product of two matrices is ndarray.dot, the
-BLAS call of @ without matmul's dispatch; @ stays where it runs over a stack
-of matrices (the quadrature's batched interpolant, the metric components'
-rotated basis).  The inverse of the flat chart (geodesic points,
-:func:`operator_from_chart`) is built from the decomposition of the chart
-matrix, not decomposed again, and :func:`operator_from_chart` keeps the last
+adjoint eigenbasis U^dagger is formed on first read.  Powers are taken through
+that cache, and the closed forms are sums over the Nussbaum-Szkola pair built
+from two cached eigensystems (its exact zeros dropped; with none, which two
+counts decide, no mask or copy is made), and each is a classical kernel:
+Furuichi's is the q-divergence plus Tr(rho1 - rho2), and the relative entropy
+is the extended one.  A product of two matrices is ndarray.dot, the BLAS call
+of @ without matmul's dispatch; @ stays where it runs over a stack of matrices
+(the quadrature's batched interpolant, the metric components' rotated basis).
+The inverse of the flat chart (geodesic points, :func:`operator_from_chart`)
+decomposes the chart matrix once, as it is, and keeps its eigenbasis: the
+package builds that matrix exactly Hermitian, so only its finiteness is
+checked before the decomposition.  :func:`operator_from_chart` keeps the last
 160 points it built, the working set of an operator-dim-2 recovery: a repeated
 chart point returns the one shared immutable instance built for it first, and
 only a build gates alpha.  Its one caller is :func:`alpha_chart_contrast`,
@@ -124,8 +124,9 @@ class PositiveOperator:
     matrix must be Hermitian relative to its Frobenius norm, its spectrum must
     satisfy largest > 0 and smallest > 1e-12 * largest (NaN fails), and the
     stored symmetrized matrix is frozen.  The inverse of the flat chart,
-    :meth:`_from_chart`, keeps the eigenbasis of the chart matrix instead
-    and passes the same checks.
+    :meth:`_from_chart`, decomposes the chart matrix, which the package
+    builds exactly Hermitian, without the Hermiticity check, keeps its
+    eigenbasis, and passes the same finiteness and positivity checks.
     """
 
     def __init__(self, matrix):
@@ -138,15 +139,22 @@ class PositiveOperator:
     def _from_chart(m, beta) -> PositiveOperator:
         """The operator whose beta-th power is the Hermitian matrix m, beta > 0.
 
-        With m = U diag(w) U^dagger positive-gated, stores the matrix that
+        Both callers build m exactly Hermitian (a Hermitian part times a real
+        number, or a real combination of two), on which
+        :func:`numkit.as_hermitian` would return the same bits, so m is only
+        checked finite before it is decomposed as it is.  With m = U diag(w)
+        U^dagger positive-gated, stores the matrix that
         ``PositiveOperator(U diag(w**(1/beta)) U^dagger)`` would store but
         keeps (w**(1/beta), U) as its spectrum.  Refuses a largest power above
         float max / 4, below which no entry of the matrix can overflow.
         """
-        spectral = require_positive(hermitian_eig(m))
-        if not float(spectral.eigenvalues[-1]) <= (sys.float_info.max / 4) ** beta:
+        if np.count_nonzero(np.isfinite(m)) != m.size:
             raise ValueError("matrix entries must be finite")
-        power = SpectralDecomposition(spectral.eigenvalues ** (1.0 / beta), spectral.eigenvectors)
+        w, u = np.linalg.eigh(m)
+        require_positive(w)
+        if not float(w[-1]) <= (sys.float_info.max / 4) ** beta:
+            raise ValueError("matrix entries must be finite")
+        power = SpectralDecomposition(w ** (1.0 / beta), u)
         matrix = power.matrix_function(lambda w: w)
         matrix.setflags(write=False)
         op = object.__new__(PositiveOperator)
@@ -207,9 +215,10 @@ def _spectral_pair(rho1: PositiveOperator, rho2: PositiveOperator):
 
     Entries where p or q is an exact zero (orthogonal eigenvectors, or a
     product that underflows) are dropped and the rest kept in row-major
-    order; when nothing is dropped, the pair is the two flattened tables, no
-    copy made.  Identical operators give (l, l), one array twice, on which
-    the shared kernels return exactly 0.0.
+    order; when nothing is dropped, which two nonzero counts decide, the
+    pair is the two flattened tables, no mask or copy made.  Identical
+    operators give (l, l), one array twice, on which the shared kernels
+    return exactly 0.0.
     """
     s1 = rho1._spectral
     # the same stored matrix (shapes already match); -0.0 equals 0.0
@@ -219,9 +228,9 @@ def _spectral_pair(rho1: PositiveOperator, rho2: PositiveOperator):
     overlap = np.abs(s1._adjoint.dot(s2.eigenvectors)) ** 2
     p = s1.eigenvalues[:, None] * overlap
     q = s2.eigenvalues * overlap
-    keep = np.logical_and(p, q)
-    if np.count_nonzero(keep) == keep.size:
+    if np.count_nonzero(p) + np.count_nonzero(q) == 2 * p.size:
         return p.ravel(), q.ravel()
+    keep = np.logical_and(p, q)
     return p[keep], q[keep]
 
 

@@ -407,6 +407,27 @@ def test_input_refusal_is_usage_error(tmp_path, capsys, document, argv, message)
     assert not out.exists()
 
 
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_usage_error_after_a_successful_call(classical_doc, capsys):
+    # the one parser is reused: a call that parsed fine leaves nothing behind
+    # that changes the next call's refusal
+    assert main(["divergence", classical_doc, "--family", "kl", "--pairs", "p:q"]) == 0
+    capsys.readouterr()
+    assert main(["divergence", classical_doc, "--family", "kl", "--tolerance", "abc"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "alphadiv divergence: error: argument --tolerance: invalid float value: 'abc'"
+    )
+    assert main(["verify", "--suite", "classical"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "alphadiv verify: error: the following arguments are required: --seed"
+    )
+
+
 EVERY_COMMAND = pytest.mark.parametrize(
     "argv",
     [

@@ -206,6 +206,25 @@ class TestNodeBlocks:
         assert sum(batches) == len(DEFAULT_RULE) * len(alphas)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: hermitian_eig(np.array([[2.0, 1.0], [1.0, 2.0]])),
+        lambda: gauss_legendre_rule(3),
+    ],
+    ids=["SpectralDecomposition", "QuadratureRule"],
+)
+def test_array_records_compare_and_hash_by_identity(make):
+    # array fields have no truth value, so field-wise == would raise and
+    # hash() would meet an unhashable ndarray; identity is the equality
+    first, copy = make(), make()
+    assert first == first
+    assert first != copy
+    assert not first == copy
+    table = {first: 1, copy: 2}
+    assert len(table) == 2 and table[first] == 1 and table[copy] == 2
+
+
 class TestHermitianEig:
     def test_identity(self):
         spec = hermitian_eig(np.eye(2))

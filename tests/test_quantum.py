@@ -229,23 +229,26 @@ class TestOperatorsFromKnownSpectrum:
         assert np.array_equal(rho.matrix, expected)
 
     def test_chart_inverse_keeps_the_chart_eigenbasis(self, monkeypatch):
-        # the power decomposition holds a read-only copy of the chart's U and
-        # w**(1/beta), and forms its U^dagger once, on first read; the chart
-        # decomposition, which is discarded, never forms one
-        charts = []
-
-        def spy(m):
-            charts.append(hermitian_eig(m))
-            return charts[-1]
-
-        monkeypatch.setattr(qm, "hermitian_eig", spy)
+        # the chart matrix itself is decomposed, once, and the power
+        # decomposition holds a read-only copy of its U and w**(1/beta), and
+        # forms its U^dagger once, on first read
         rng = np.random.default_rng(32)
-        for dim in (1, 2, 3, 5):
-            rho = qm.PositiveOperator._from_chart(rand_pd(rng, dim).matrix, 0.25)
-            chart, spectral = charts[-1], rho.spectral
-            assert "_adjoint" not in vars(chart)
-            assert spectral.eigenvectors.tobytes() == chart.eigenvectors.tobytes()
-            assert spectral.eigenvalues.tobytes() == (chart.eigenvalues ** 4.0).tobytes()
+        matrices = [rand_pd(rng, dim).matrix for dim in (1, 2, 3, 5)]
+        eigh, calls = np.linalg.eigh, []
+
+        def spy(a):
+            calls.append((a, *eigh(a)))
+            return calls[-1][1:]
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        for m in matrices:
+            rho = qm.PositiveOperator._from_chart(m, 0.25)
+            assert len(calls) == 1
+            decomposed, w, u = calls.pop()
+            assert decomposed is m
+            spectral = rho.spectral
+            assert spectral.eigenvectors.tobytes() == u.tobytes()
+            assert spectral.eigenvalues.tobytes() == (w ** 4.0).tobytes()
             adjoint = spectral._adjoint
             assert spectral._adjoint is adjoint
             assert adjoint.flags.c_contiguous
@@ -253,6 +256,38 @@ class TestOperatorsFromKnownSpectrum:
             for array in (spectral.eigenvalues, spectral.eigenvectors, adjoint):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 0.0
+
+    @staticmethod
+    def through_hermitian_eig(m, beta):
+        """The inverse chart built through the validating decomposition."""
+        chart = numkit.require_positive(hermitian_eig(m))
+        power = numkit.SpectralDecomposition(chart.eigenvalues ** (1.0 / beta), chart.eigenvectors)
+        return power, power.matrix_function(lambda w: w)
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_chart_inverse_matches_the_validating_decomposition(self, dim):
+        # both callers hand _from_chart an exactly Hermitian matrix, which
+        # as_hermitian returns bit for bit, so skipping it moves no bit of a
+        # chart point or a geodesic point: matrix, eigenvalues and eigenbasis,
+        # all that the closed forms read
+        rng = np.random.default_rng(60 + dim)
+        basis = qm.hermitian_basis(dim)
+        for _ in range(6):
+            r1, r2 = rand_pd(rng, dim), rand_pd(rng, dim)
+            for alpha in (-1.0, -0.5, 0.0, 0.5, 0.9):
+                beta = chart_exponent(alpha, geodesic=True)
+                theta = qm.theta_coordinates(qm.alpha_embedding(r1, alpha), basis)
+                chart = beta * qm.operator_from_theta(theta, basis)
+                t = 0.3
+                line = (1.0 - t) * r1.power(beta) + t * r2.power(beta)
+                for m in (chart, line):
+                    rho = qm.PositiveOperator._from_chart(m, beta)
+                    power, matrix = self.through_hermitian_eig(m, beta)
+                    assert rho.matrix.tobytes() == matrix.tobytes()
+                    assert rho.eigenvalues.tobytes() == power.eigenvalues.tobytes()
+                    assert rho.spectral.eigenvectors.tobytes() == power.eigenvectors.tobytes()
+                geodesic = qm.alpha_geodesic_q(r1, r2, alpha, t)
+                assert geodesic.matrix.tobytes() == rho.matrix.tobytes()
 
     @pytest.mark.parametrize(
         "chart, error, message",

@@ -1,12 +1,17 @@
 """Structural invariants of the package source, checked on its syntax tree.
 
 The benchmark counts eigendecompositions by rebinding ``numpy.linalg.eigh``,
-so every decomposition must be that attribute call, made in one of the two
-places that decompose: ``numkit.hermitian_eig`` for single matrices and the
+so every decomposition must be that attribute call, made in one of the three
+places that decompose: ``numkit.hermitian_eig`` for single matrices, the
 block function of the quadrature integrand for the batched geodesic
-interpolant.  The package's one constructor bypass (an ``object.__new__``)
-is the inverse chart's, which skips ``PositiveOperator.__init__``, and chart
-inverses reach it only through the memo of ``operator_from_chart``.
+interpolant, and ``PositiveOperator._from_chart`` for a chart matrix.  That
+one needs no Hermiticity check: its two callers build the matrix exactly
+Hermitian (a Hermitian part times a real number, or a real combination of
+two stored operator powers), on which ``numkit.as_hermitian`` returns the
+same bits, so it checks finiteness and positivity only.  The package's one
+constructor bypass (an ``object.__new__``) is the inverse chart's, which
+skips ``PositiveOperator.__init__``, and chart inverses reach it only
+through the memo of ``operator_from_chart``.
 Each convention shared by several operations, such as the chart exponent
 beta = (1 - alpha)/2, is written once, and so is each refusal: the positivity
 gate, the range of alpha (in the chart exponent) and of q, the gate error of
@@ -61,10 +66,11 @@ def dotted(node):
     return node.id if isinstance(node, ast.Name) else None
 
 
-def test_eigh_is_called_only_in_the_two_decomposing_places():
+def test_eigh_is_called_only_in_the_three_decomposing_places():
     calls = sites(lambda n: isinstance(n, ast.Call) and dotted(n.func) == "np.linalg.eigh")
     assert sorted(calls) == [
         ("numkit", "hermitian_eig"),
+        ("quantum", "PositiveOperator._from_chart"),
         ("quantum", "_divergence_integrand.block"),
     ]
     # any other spelling (an import, an alias, a bare reference) escapes the counter
